@@ -9,7 +9,6 @@ inflated).  Prints one row per oracle and the headline max gap.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from lowrank_oracle import (
     sharpness_experiment,
     write_outputs,
 )
+from lowrank_oracle.harness import write_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,9 +58,9 @@ def main() -> int:
     result = sharpness_experiment(config, oracles, workers=args.workers)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"rows": list(result.rows), "headline_gap": result.headline_gap}
-    (out / "sharpness.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(
+        out / "sharpness.json", {"rows": list(result.rows), "headline_gap": result.headline_gap}
+    )
     write_outputs(result.records, {"headline_gap": result.headline_gap}, out / "trials")
 
     for row in result.rows:

@@ -274,16 +274,6 @@ def adjusted_confidence(
     return t + 3.0 * math.log(b_const * math.log2(peak))
 
 
-def residual_scale(
-    constants: ConstantsConfig, smoothness: float, curvature: float, a: float
-) -> float:
-    """Loss-dependent multiplier of the deviation term:
-    C * max(L(a)^2 / tau(a), L(a) * a)."""
-    if smoothness <= 0 or curvature <= 0 or a <= 0:
-        raise ValidationError("smoothness, curvature and a must be positive")
-    return constants.c_const * max(smoothness**2 / curvature, smoothness * a)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All terms of the oracle inequality for one estimate/oracle pair.
@@ -308,25 +298,6 @@ class BoundReport:
     critical_c: float
     epsilon: float
     t: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "oracle_excess": self.oracle_excess,
-            "rank_term": self.rank_term,
-            "nuclear_term": self.nuclear_term,
-            "min_term": self.min_term,
-            "residual_term": self.residual_term,
-            "rhs": self.rhs,
-            "violated": self.violated,
-            "oracle_rank": self.oracle_rank,
-            "oracle_nuclear": self.oracle_nuclear,
-            "beta": self.beta,
-            "confidence_term": self.confidence_term,
-            "critical_c": self.critical_c,
-            "epsilon": self.epsilon,
-            "t": self.t,
-        }
 
 
 def oracle_bound_report(
@@ -376,6 +347,7 @@ def oracle_bound_report(
     confidence = adjusted_confidence(
         t, oracle_nuclear, n, epsilon, q_bound, a, smoothness, constants.b_const
     )
+    # deviation term: C * max(L(a)^2 / tau(a), L(a) * a) * t_adj / n
     base_residual = max(smoothness**2 / curvature, smoothness * a) * confidence / n
     residual_term = constants.c_const * base_residual
     rhs = oracle_excess + min_term + residual_term

@@ -12,48 +12,32 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
-from .bounds import (
-    ConstantsConfig,
-    design_moment_bounds,
-    epsilon_threshold,
-    estimate_rademacher_norm,
-    matrix_bernstein_bound,
-)
-from .constraints import constraint_violation, describe
-from .designs import load_dataset, prediction_bound, sample_dataset
+from .bounds import design_moment_bounds, estimate_rademacher_norm, matrix_bernstein_bound
+from .constraints import describe
+from .designs import load_dataset, sample_dataset
 from .errors import NumericalError, ValidationError
 from .harness import (
     _DELTA_TAG,
+    TRIAL_COLUMNS,
     ExperimentConfig,
     _run_trial,
-    build_constraint,
+    atomic_path,
     build_design,
-    build_truth,
     epsilon_sweep,
     mix_seed,
     rank_sweep,
     resolve_plan,
+    resolve_problem,
     run_oracle_trials,
+    write_json,
     write_outputs,
+    write_series,
 )
-from .losses import get_loss, loss_constants
 from .matrices import load_matrix, nuclear_norm, rank_at_tol, save_matrix
-from .solver import SolverConfig, gradient, objective, optimality_residuals, solve
-
-_SECTION_KEYS = {
-    "design": {"type", "m", "files", "probs"},
-    "truth": {"rank", "spectrum", "sigma", "kind"},
-    "loss": {"name"},
-    "constraint": {"variant", "rho", "a"},
-    "solver": {"max_iters", "grad_tol", "epsilon", "certify_tol"},
-    "bound": {"t", "b", "c", "d", "delta_reps"},
-    "experiment": {"n", "trials", "seed", "ranks", "eps_multiples"},
-    "data": {"dataset", "estimate"},
-}
+from .solver import certify, objective, solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,17 +46,78 @@ class DataPaths:
     estimate: str | None = None
 
 
-def _parse_number(section: str, key: str, raw: str, kind):
-    try:
-        return kind(raw)
-    except ValueError:
+def _number(kind):
+    def parse(section: str, key: str, raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValidationError(
+                f"config [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
+            ) from None
+
+    return parse
+
+
+def _numbers(kind):
+    parse = _number(kind)
+    return lambda section, key, raw: tuple(parse(section, key, part) for part in raw.split())
+
+
+def _text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _words(section: str, key: str, raw: str) -> tuple[str, ...]:
+    return tuple(raw.split())
+
+
+def _epsilon(section: str, key: str, raw: str) -> tuple[str, float]:
+    rule, _, amount = raw.partition(":")
+    if rule not in ("threshold", "absolute") or not amount:
         raise ValidationError(
-            f"config [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-        ) from None
+            f"config [solver] epsilon must look like 'threshold:1.0' or "
+            f"'absolute:0.05', got {raw!r}"
+        )
+    return rule, _number(float)(section, key, amount)
 
 
-def _parse_tuple(section: str, key: str, raw: str, kind) -> tuple:
-    return tuple(_parse_number(section, key, part, kind) for part in raw.split())
+# (section, key) -> (destination, parser).  Destinations are ExperimentConfig
+# fields, except the DataPaths fields and certify_tol; a tuple destination
+# takes the parsed tuple element-wise.
+_CONFIG_KEYS = {
+    ("design", "type"): ("design_type", _text),
+    ("design", "m"): ("m", _number(int)),
+    ("design", "files"): ("design_files", _words),
+    ("design", "probs"): ("design_probs", _numbers(float)),
+    ("truth", "rank"): ("truth_rank", _number(int)),
+    ("truth", "spectrum"): ("truth_spectrum", _numbers(float)),
+    ("truth", "sigma"): ("noise_sigma", _number(float)),
+    ("truth", "kind"): ("noise_kind", _text),
+    ("loss", "name"): ("loss_name", _text),
+    ("constraint", "variant"): ("constraint_kind", _text),
+    ("constraint", "rho"): ("constraint_rho", _number(float)),
+    ("constraint", "a"): ("prediction_bound_override", _number(float)),
+    ("solver", "max_iters"): ("max_iters", _number(int)),
+    ("solver", "grad_tol"): ("grad_tol", _number(float)),
+    ("solver", "epsilon"): (("epsilon_rule", "epsilon_value"), _epsilon),
+    ("solver", "certify_tol"): ("certify_tol", _number(float)),
+    ("bound", "t"): ("t", _number(float)),
+    ("bound", "b"): ("b_const", _number(float)),
+    ("bound", "c"): ("c_const", _number(float)),
+    ("bound", "d"): ("d_thresh", _number(float)),
+    ("bound", "delta_reps"): ("delta_reps", _number(int)),
+    ("experiment", "n"): ("n", _number(int)),
+    ("experiment", "trials"): ("trials", _number(int)),
+    ("experiment", "seed"): ("seed", _number(int)),
+    ("experiment", "ranks"): ("ranks", _numbers(int)),
+    ("experiment", "eps_multiples"): ("eps_multiples", _numbers(float)),
+    ("data", "dataset"): ("dataset", _text),
+    ("data", "estimate"): ("estimate", _text),
+}
+
+_SECTION_KEYS = {
+    section: {k for s, k in _CONFIG_KEYS if s == section} for section, _ in _CONFIG_KEYS
+}
 
 
 def parse_config(path) -> tuple[ExperimentConfig, DataPaths, float]:
@@ -97,81 +142,17 @@ def parse_config(path) -> tuple[ExperimentConfig, DataPaths, float]:
                 f"config {path}: unknown keys {sorted(unknown)} in [{section}]"
             )
 
-    def get(section: str, key: str, default=None) -> str | None:
+    values = {}
+    for (section, key), (dest, parse) in _CONFIG_KEYS.items():
         if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
-
-    kwargs = {}
-    if (value := get("design", "type")) is not None:
-        kwargs["design_type"] = value
-    if (value := get("design", "m")) is not None:
-        kwargs["m"] = _parse_number("design", "m", value, int)
-    if (value := get("design", "files")) is not None:
-        kwargs["design_files"] = tuple(value.split())
-    if (value := get("design", "probs")) is not None:
-        kwargs["design_probs"] = _parse_tuple("design", "probs", value, float)
-
-    if (value := get("truth", "rank")) is not None:
-        kwargs["truth_rank"] = _parse_number("truth", "rank", value, int)
-    if (value := get("truth", "spectrum")) is not None:
-        kwargs["truth_spectrum"] = _parse_tuple("truth", "spectrum", value, float)
-    if (value := get("truth", "sigma")) is not None:
-        kwargs["noise_sigma"] = _parse_number("truth", "sigma", value, float)
-    if (value := get("truth", "kind")) is not None:
-        kwargs["noise_kind"] = value
-
-    if (value := get("loss", "name")) is not None:
-        kwargs["loss_name"] = value
-
-    if (value := get("constraint", "variant")) is not None:
-        kwargs["constraint_kind"] = value
-    if (value := get("constraint", "rho")) is not None:
-        kwargs["constraint_rho"] = _parse_number("constraint", "rho", value, float)
-    if (value := get("constraint", "a")) is not None:
-        kwargs["prediction_bound_override"] = _parse_number("constraint", "a", value, float)
-
-    if (value := get("solver", "max_iters")) is not None:
-        kwargs["max_iters"] = _parse_number("solver", "max_iters", value, int)
-    if (value := get("solver", "grad_tol")) is not None:
-        kwargs["grad_tol"] = _parse_number("solver", "grad_tol", value, float)
-    if (value := get("solver", "epsilon")) is not None:
-        rule, _, amount = value.partition(":")
-        if rule not in ("threshold", "absolute") or not amount:
-            raise ValidationError(
-                f"config [solver] epsilon must look like 'threshold:1.0' or "
-                f"'absolute:0.05', got {value!r}"
-            )
-        kwargs["epsilon_rule"] = rule
-        kwargs["epsilon_value"] = _parse_number("solver", "epsilon", amount, float)
-
-    if (value := get("bound", "t")) is not None:
-        kwargs["t"] = _parse_number("bound", "t", value, float)
-    if (value := get("bound", "b")) is not None:
-        kwargs["b_const"] = _parse_number("bound", "b", value, float)
-    if (value := get("bound", "c")) is not None:
-        kwargs["c_const"] = _parse_number("bound", "c", value, float)
-    if (value := get("bound", "d")) is not None:
-        kwargs["d_thresh"] = _parse_number("bound", "d", value, float)
-    if (value := get("bound", "delta_reps")) is not None:
-        kwargs["delta_reps"] = _parse_number("bound", "delta_reps", value, int)
-
-    if (value := get("experiment", "n")) is not None:
-        kwargs["n"] = _parse_number("experiment", "n", value, int)
-    if (value := get("experiment", "trials")) is not None:
-        kwargs["trials"] = _parse_number("experiment", "trials", value, int)
-    if (value := get("experiment", "seed")) is not None:
-        kwargs["seed"] = _parse_number("experiment", "seed", value, int)
-    if (value := get("experiment", "ranks")) is not None:
-        kwargs["ranks"] = _parse_tuple("experiment", "ranks", value, int)
-    if (value := get("experiment", "eps_multiples")) is not None:
-        kwargs["eps_multiples"] = _parse_tuple("experiment", "eps_multiples", value, float)
-
-    data = DataPaths(dataset=get("data", "dataset"), estimate=get("data", "estimate"))
-    certify_tol = 1e-5
-    if (value := get("solver", "certify_tol")) is not None:
-        certify_tol = _parse_number("solver", "certify_tol", value, float)
-    return ExperimentConfig(**kwargs), data, certify_tol
+            parsed = parse(section, key, parser.get(section, key).strip())
+            if isinstance(dest, tuple):
+                values.update(zip(dest, parsed))
+            else:
+                values[dest] = parsed
+    data = DataPaths(dataset=values.pop("dataset", None), estimate=values.pop("estimate", None))
+    certify_tol = values.pop("certify_tol", 1e-5)
+    return ExperimentConfig(**values), data, certify_tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,56 +186,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _prepare_problem(config: ExperimentConfig, data_paths: DataPaths):
-    design = build_design(config)
-    truth = build_truth(config, dim=design.dim)
-    loss = get_loss(config.loss_name)
-    constraint = build_constraint(config)
+def _problem(config: ExperimentConfig, data_paths: DataPaths):
+    """(data, loss, constraint, solver config): the dataset file when given,
+    else the sample of trial 0."""
+    design, truth, loss, constraint, solver_config, _ = resolve_problem(config)
     if data_paths.dataset is not None:
         data = load_dataset(data_paths.dataset, design)
     else:
         data = sample_dataset(design, truth, config.n, mix_seed(config.seed, 0))
-    if config.epsilon_rule == "absolute":
-        epsilon = config.epsilon_value
-    else:
-        if config.prediction_bound_override is not None:
-            a = config.prediction_bound_override
-        else:
-            a = prediction_bound(constraint, design)
-        consts = loss_constants(loss, a)
-        stats = estimate_rademacher_norm(
-            design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG)
-        )
-        constants = ConstantsConfig(
-            b_const=config.b_const, c_const=config.c_const, d_thresh=config.d_thresh
-        )
-        epsilon = config.epsilon_value * epsilon_threshold(
-            constants, consts.smoothness, stats.delta, config.n
-        )
-    return design, truth, loss, constraint, data, epsilon
+    return data, loss, constraint, solver_config
 
 
 def _cmd_solve(config, data_paths, certify_tol, args, log) -> int:
-    design, truth, loss, constraint, data, epsilon = _prepare_problem(config, data_paths)
-    solver_config = SolverConfig(
-        epsilon=epsilon, max_iters=config.max_iters, grad_tol=config.grad_tol
-    )
+    data, loss, constraint, solver_config = _problem(config, data_paths)
     result = solve(data, loss, solver_config, constraint)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_matrix(out / "estimate.mtx", result.s_hat)
-    _write_json(
-        out,
-        "solve.json",
+    with atomic_path(out / "estimate.mtx") as tmp:
+        save_matrix(tmp, result.s_hat)
+    write_json(
+        out / "solve.json",
         {
             "objective": float(result.objective_trace[-1]),
             "iterations": result.iterations,
@@ -263,7 +213,7 @@ def _cmd_solve(config, data_paths, certify_tol, args, log) -> int:
             "kkt_excess": result.kkt[1],
             "nuclear_norm": nuclear_norm(result.s_hat),
             "rank": rank_at_tol(result.s_hat),
-            "epsilon": epsilon,
+            "epsilon": solver_config.epsilon,
             "n": data.n,
             "constraint": describe(constraint),
         },
@@ -276,33 +226,24 @@ def _cmd_solve(config, data_paths, certify_tol, args, log) -> int:
 
 
 def _cmd_certify(config, data_paths, certify_tol, args, log) -> int:
-    design, truth, loss, constraint, data, epsilon = _prepare_problem(config, data_paths)
+    data, loss, constraint, solver_config = _problem(config, data_paths)
     if data_paths.estimate is not None:
         estimate = load_matrix(data_paths.estimate)
     else:
-        solver_config = SolverConfig(
-            epsilon=epsilon, max_iters=config.max_iters, grad_tol=config.grad_tol
-        )
         estimate = solve(data, loss, solver_config, constraint).s_hat
-    grad = gradient(estimate, data, loss)
-    low, excess = optimality_residuals(grad, estimate, epsilon, constraint)
-    feasible = constraint_violation(estimate, constraint) <= certify_tol
-    certified = bool(low <= certify_tol and excess <= certify_tol and feasible)
-    _write_json(
-        Path(args.out),
-        "certify.json",
+    epsilon = solver_config.epsilon
+    cert = certify(estimate, data, loss, epsilon, constraint, tol=certify_tol)
+    write_json(
+        Path(args.out) / "certify.json",
         {
-            "certified": certified,
-            "kkt_low": low,
-            "kkt_excess": excess,
-            "feasible": feasible,
+            **dataclasses.asdict(cert),
             "tol": certify_tol,
             "epsilon": epsilon,
             "objective": objective(estimate, data, loss, epsilon),
             "constraint": describe(constraint),
         },
     )
-    if not certified and args.strict:
+    if not cert and args.strict:
         return 2
     return 0
 
@@ -314,9 +255,8 @@ def _cmd_delta(config, data_paths, certify_tol, args, log) -> int:
     )
     sigma, uniform = design_moment_bounds(design)
     bernstein = matrix_bernstein_bound(sigma, uniform, design.dim, config.n)
-    _write_json(
-        Path(args.out),
-        "delta.json",
+    write_json(
+        Path(args.out) / "delta.json",
         {
             "delta": stats.delta,
             "xi_norm_mean": stats.xi_norm_mean,
@@ -335,12 +275,7 @@ def _cmd_delta(config, data_paths, certify_tol, args, log) -> int:
 def _cmd_bound(config, data_paths, certify_tol, args, log) -> int:
     plan = resolve_plan(config)
     record = _run_trial(plan, 0)
-    payload = {key: getattr(record, key) for key in (
-        "trial", "seed", "converged", "iterations", "kkt_low", "kkt_excess",
-        "estimate_nuclear", "estimate_rank", "objective", "lhs", "oracle_excess",
-        "rank_term", "nuclear_term", "min_term", "residual_term", "rhs",
-        "violated", "critical_c",
-    )}
+    payload = {key: getattr(record, key) for key in TRIAL_COLUMNS}
     payload.update(
         {
             "epsilon": plan.epsilon,
@@ -357,7 +292,7 @@ def _cmd_bound(config, data_paths, certify_tol, args, log) -> int:
             "d_thresh": plan.constants.d_thresh,
         }
     )
-    _write_json(Path(args.out), "bound.json", payload)
+    write_json(Path(args.out) / "bound.json", payload)
     if not record.converged:
         print("warning: solver did not converge within max_iters", file=sys.stderr)
         if args.strict:
@@ -385,10 +320,8 @@ def _cmd_sweep(config, data_paths, certify_tol, args, log) -> int:
     if config.eps_multiples:
         eps_rows = epsilon_sweep(config, workers=args.workers, log=log)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out,
-        "sweep.json",
+    write_json(
+        out / "sweep.json",
         {
             "rank_rows": list(result.rows),
             "exponent": result.exponent,
@@ -396,12 +329,12 @@ def _cmd_sweep(config, data_paths, certify_tol, args, log) -> int:
             "eps_rows": list(eps_rows),
         },
     )
-    with open(out / "error_vs_rank.dat", "w", encoding="utf-8") as fh:
-        for row in result.rows:
-            fh.write(f"{repr(float(row['rank']))} {repr(float(row['mean_error']))}\n")
-    with open(out / "error_vs_eps.dat", "w", encoding="utf-8") as fh:
-        for row in eps_rows:
-            fh.write(f"{repr(float(row['epsilon']))} {repr(float(row['mean_error']))}\n")
+    write_series(
+        out / "error_vs_rank.dat", [(row["rank"], row["mean_error"]) for row in result.rows]
+    )
+    write_series(
+        out / "error_vs_eps.dat", [(row["epsilon"], row["mean_error"]) for row in eps_rows]
+    )
     print(f"sweep: error-vs-rank exponent {result.exponent:.3f}")
     return 0
 

@@ -5,7 +5,8 @@ loss, constraint, regularization, and every bound ingredient); trials then
 run independently with per-trial seeds derived from the master seed by a
 64-bit mix, so scheduling across workers cannot change any result.  Outputs
 are a trials CSV with a stable column order, a summary JSON, and two-column
-plot-data series.
+plot-data series; every file is written atomically, and JSON is strict, with
+null for undefined statistics.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -164,29 +167,11 @@ class TrialRecord:
     wall_time: float = field(default=0.0, compare=False)
 
 
-TRIAL_COLUMNS = (
-    "trial",
-    "seed",
-    "converged",
-    "iterations",
-    "kkt_low",
-    "kkt_excess",
-    "estimate_nuclear",
-    "estimate_rank",
-    "objective",
-    "lhs",
-    "oracle_excess",
-    "rank_term",
-    "nuclear_term",
-    "min_term",
-    "residual_term",
-    "rhs",
-    "violated",
-    "critical_c",
-)
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.compare)
 
-_INT_COLUMNS = {"trial", "seed", "iterations", "estimate_rank"}
-_BOOL_COLUMNS = {"converged", "violated"}
+_COLUMN_TYPES = get_type_hints(TrialRecord)
+_INT_COLUMNS = {name for name in TRIAL_COLUMNS if _COLUMN_TYPES[name] is int}
+_BOOL_COLUMNS = {name for name in TRIAL_COLUMNS if _COLUMN_TYPES[name] is bool}
 
 
 @dataclass(frozen=True)
@@ -225,47 +210,13 @@ class SummaryReport:
     d_thresh: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
-
-SUMMARY_SCHEMA: dict[str, type | tuple[type, ...]] = {
-    "trials": int,
-    "converged": int,
-    "nonconverged": int,
-    "violations": int,
-    "violation_frequency": float,
-    "target_frequency": float,
-    "calibrated_c": float,
-    "mean_error": float,
-    "error_quantiles": dict,
-    "m": int,
-    "n": int,
-    "truth_rank": int,
-    "noise_sigma": float,
-    "loss": str,
-    "constraint": str,
-    "a": float,
-    "smoothness": float,
-    "curvature": float,
-    "q_bound": float,
-    "beta": float,
-    "beta_kind": str,
-    "delta": float,
-    "delta_stderr": float,
-    "epsilon": float,
-    "epsilon_threshold": float,
-    "epsilon_rule": str,
-    "t": float,
-    "b_const": float,
-    "c_const": float,
-    "d_thresh": float,
-    "seed": int,
-}
+SUMMARY_SCHEMA: dict[str, type] = get_type_hints(SummaryReport)
 
 
 def validate_summary(summary: dict) -> None:
-    """Check a summary dict against the documented schema."""
+    """Check a summary dict against the documented schema; a float field may
+    also be None (null in JSON) where its statistic is undefined."""
     missing = set(SUMMARY_SCHEMA) - set(summary)
     extra = set(summary) - set(SUMMARY_SCHEMA)
     if missing or extra:
@@ -273,6 +224,8 @@ def validate_summary(summary: dict) -> None:
     for key, expected in SUMMARY_SCHEMA.items():
         value = summary[key]
         if expected is float:
+            if value is None:
+                continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"summary[{key!r}] must be numeric, got {type(value).__name__}")
         elif not isinstance(value, expected):
@@ -363,13 +316,22 @@ def build_constraint(config: ExperimentConfig) -> ConstraintSet:
     return FrobeniusBall(rho=config.constraint_rho)
 
 
-def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
-    """Fix every trial-independent quantity of the experiment."""
-    design = build_design(config)
-    truth = build_truth(config, dim=design.dim)
-    loss = get_loss(config.loss_name)
-    constraint = build_constraint(config)
+def _solver_config(settings, epsilon: float) -> SolverConfig:
+    """Solver settings at ``epsilon``; ``settings`` is an experiment config
+    or a plan resolved from one, both carry ``max_iters`` and ``grad_tol``."""
+    return SolverConfig(
+        epsilon=epsilon, max_iters=settings.max_iters, grad_tol=settings.grad_tol
+    )
 
+
+def _threshold_terms(
+    config: ExperimentConfig,
+    design: DesignDistribution,
+    loss: LossModel,
+    constraint: ConstraintSet,
+) -> tuple:
+    """(a, loss constants at a, bound constants, Rademacher statistics,
+    regularization threshold)."""
     if config.prediction_bound_override is not None:
         a = config.prediction_bound_override
     else:
@@ -383,10 +345,36 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
         design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG)
     )
     eps_thresh = epsilon_threshold(constants, consts.smoothness, stats.delta, config.n)
-    if config.epsilon_rule == "absolute":
-        epsilon = config.epsilon_value
-    else:
-        epsilon = config.epsilon_value * eps_thresh
+    return a, consts, constants, stats, eps_thresh
+
+
+def resolve_problem(config: ExperimentConfig) -> tuple:
+    """(design, truth, loss, constraint, solver config, threshold terms):
+    what solving needs, with the threshold terms only when the epsilon rule
+    needed them (else None).
+
+    The threshold rule multiplies the computed threshold by
+    ``epsilon_value``; the absolute rule takes the value itself and needs no
+    prediction bound, so it also serves unconstrained problems without one.
+    """
+    design = build_design(config)
+    truth = build_truth(config, dim=design.dim)
+    loss = get_loss(config.loss_name)
+    constraint = build_constraint(config)
+    terms = None
+    epsilon = config.epsilon_value
+    if config.epsilon_rule == "threshold":
+        terms = _threshold_terms(config, design, loss, constraint)
+        epsilon *= terms[-1]
+    return design, truth, loss, constraint, _solver_config(config, epsilon), terms
+
+
+def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
+    """Fix every trial-independent quantity of the experiment."""
+    design, truth, loss, constraint, solver_config, terms = resolve_problem(config)
+    a, consts, constants, stats, eps_thresh = terms or _threshold_terms(
+        config, design, loss, constraint
+    )
 
     if design.is_orthonormal_basis:
         beta, beta_kind = compatibility_basis(design), "exact"
@@ -409,7 +397,7 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
         truth=truth,
         loss=loss,
         constraint=constraint,
-        epsilon=epsilon,
+        epsilon=solver_config.epsilon,
         epsilon_threshold=eps_thresh,
         a=a,
         smoothness=consts.smoothness,
@@ -437,10 +425,7 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
     start = time.perf_counter()
     seed = mix_seed(plan.seed, index)
     data = sample_dataset(plan.design, plan.truth, plan.n, seed)
-    solver_config = SolverConfig(
-        epsilon=plan.epsilon, max_iters=plan.max_iters, grad_tol=plan.grad_tol
-    )
-    result = solve(data, plan.loss, solver_config, plan.constraint)
+    result = solve(data, plan.loss, _solver_config(plan, plan.epsilon), plan.constraint)
     lhs = excess_risk(result.s_hat, plan.design, plan.truth, plan.loss, bayes=plan.bayes)
     report = oracle_bound_report(
         plan.oracle,
@@ -786,6 +771,48 @@ def _format_cell(column: str, value) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def atomic_path(path):
+    """Yield a temporary path next to ``path`` that replaces ``path`` when
+    the block completes; on an error the temporary file is removed and any
+    earlier ``path`` is left as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _null_nonfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _null_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(item) for item in value]
+    return value
+
+
+def write_json(path, payload) -> Path:
+    """Strict JSON with sorted keys; non-finite floats are written as null."""
+    text = json.dumps(_null_nonfinite(payload), indent=2, sort_keys=True, allow_nan=False)
+    with atomic_path(path) as tmp:
+        tmp.write_text(text + "\n", encoding="utf-8")
+    return Path(path)
+
+
+def write_series(path, points) -> Path:
+    """Plot data: one whitespace-separated ``x y`` line per point."""
+    with atomic_path(path) as tmp:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for x, y in points:
+                fh.write(f"{repr(float(x))} {repr(float(y))}\n")
+    return Path(path)
+
+
 def write_outputs(
     records: list[TrialRecord],
     summary,
@@ -795,40 +822,30 @@ def write_outputs(
     """Persist trials.csv, summary.json and plot-data series.
 
     The CSV has the stable column order ``TRIAL_COLUMNS`` and round-trips
-    losslessly through :func:`read_trials_csv`.  ``extra_series`` maps a
-    series name (file stem) to a list of (x, y) pairs written as two-column
-    whitespace-separated text.
+    losslessly through :func:`read_trials_csv`.  ``summary`` is a
+    :class:`SummaryReport` or a plain dict.  ``extra_series`` maps a series
+    name (file stem) to a list of (x, y) pairs written by
+    :func:`write_series`.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
+    paths: dict[str, Path] = {"trials": out / "trials.csv"}
+    with atomic_path(paths["trials"]) as tmp:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRIAL_COLUMNS)
+            for record in records:
+                writer.writerow(
+                    [_format_cell(col, getattr(record, col)) for col in TRIAL_COLUMNS]
+                )
 
-    csv_path = out / "trials.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        for record in records:
-            writer.writerow(
-                [_format_cell(col, getattr(record, col)) for col in TRIAL_COLUMNS]
-            )
-    paths["trials"] = csv_path
-
-    summary_dict = summary.to_dict() if hasattr(summary, "to_dict") else dict(summary)
-    json_path = out / "summary.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["summary"] = json_path
+    summary_dict = asdict(summary) if is_dataclass(summary) else dict(summary)
+    paths["summary"] = write_json(out / "summary.json", summary_dict)
 
     series = {"violation_vs_c": _violation_series(records)}
     if extra_series:
         series.update(extra_series)
     for name, points in series.items():
-        dat_path = out / f"{name}.dat"
-        with open(dat_path, "w", encoding="utf-8") as fh:
-            for x, y in points:
-                fh.write(f"{repr(float(x))} {repr(float(y))}\n")
-        paths[name] = dat_path
+        paths[name] = write_series(out / f"{name}.dat", points)
     return paths
 
 

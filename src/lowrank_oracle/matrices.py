@@ -4,9 +4,7 @@ Symmetric matrices are plain ``numpy`` arrays validated at API boundaries.
 This module provides spectral decomposition, the three matrix norms
 (nuclear / Frobenius / operator), eigen-sign and support extraction, the
 support projectors that split a matrix into a low-rank part and its
-complement, the dominant-low-rank cone gap, spectral soft-thresholding, and
-the subdifferential residuals used to certify first-order optimality of a
-nuclear-norm penalized minimizer.
+complement, the dominant-low-rank cone gap and scalar soft-thresholding.
 
 All operations are pure functions over immutable values; results that are
 symmetric by construction are explicitly re-symmetrized so the 1e-12
@@ -149,16 +147,6 @@ class SupportProjector:
         return np.asarray(a, dtype=float) - self.apply_complement(a)
 
 
-def project_support(support: SupportProjector, a: np.ndarray) -> np.ndarray:
-    """Low-rank part of ``a`` relative to ``support``; rank <= 2 * support.rank."""
-    return support.apply(a)
-
-
-def project_support_complement(support: SupportProjector, a: np.ndarray) -> np.ndarray:
-    """Part of ``a`` supported entirely on the orthogonal complement."""
-    return support.apply_complement(a)
-
-
 def sign_and_support(
     s: np.ndarray, zero_tol: float | None = None
 ) -> tuple[np.ndarray, SupportProjector]:
@@ -207,20 +195,6 @@ def soft_threshold(x: np.ndarray, theta: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - theta, 0.0)
 
 
-def prox_nuclear(s: np.ndarray, theta: float) -> np.ndarray:
-    """Spectral soft-thresholding: the proximal map of theta * nuclear norm.
-
-    Minimizes 0.5 * ||X - S||_F^2 + theta * ||X||_1 by shrinking each
-    eigenvalue toward zero by ``theta``.
-    """
-    if theta < 0:
-        raise ValidationError("threshold must be nonnegative")
-    dec = spectral_decompose(s)
-    lam = soft_threshold(dec.eigenvalues, theta)
-    phi = dec.eigenvectors
-    return symmetrize((phi * lam) @ phi.T)
-
-
 def best_rank_approximation(s: np.ndarray, rank: int) -> np.ndarray:
     """Best rank-``rank`` approximation in Frobenius norm, by keeping the
     eigenvalues of largest magnitude."""
@@ -232,37 +206,6 @@ def best_rank_approximation(s: np.ndarray, rank: int) -> np.ndarray:
     lam[keep_order] = dec.eigenvalues[keep_order]
     phi = dec.eigenvectors
     return symmetrize((phi * lam) @ phi.T)
-
-
-def subdifferential_residuals(
-    grad: np.ndarray,
-    estimate: np.ndarray,
-    epsilon: float,
-    zero_tol: float | None = None,
-) -> tuple[float, float]:
-    """Residuals certifying -grad/epsilon lies in the nuclear-norm
-    subdifferential at ``estimate``.
-
-    With W = -grad/epsilon and L the support of ``estimate``:
-
-    * ``low_rank_residual``: Frobenius distance of the supported part of W
-      from the matrix sign of the estimate;
-    * ``spectral_excess``: how far the operator norm of the complement part
-      of W exceeds 1 (clipped at zero).
-
-    Both close to zero certify the unconstrained first-order condition of
-    the penalized empirical risk minimizer.
-    """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
-    grad = validate_symmetric(grad)
-    w = -grad / epsilon
-    sign_matrix, support = sign_and_support(estimate, zero_tol)
-    w_complement = support.apply_complement(w)
-    w_low = w - w_complement
-    low_rank_residual = float(np.linalg.norm(w_low - sign_matrix))
-    spectral_excess = max(0.0, operator_norm(w_complement) - 1.0)
-    return low_rank_residual, spectral_excess
 
 
 def save_matrix(path, a: np.ndarray) -> None:

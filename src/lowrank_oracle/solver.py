@@ -33,7 +33,6 @@ from .matrices import (
     sign_and_support,
     soft_threshold,
     spectral_decompose,
-    subdifferential_residuals,
     symmetrize,
     validate_symmetric,
 )
@@ -161,8 +160,12 @@ def optimality_residuals(
 ) -> tuple[float, float]:
     """First-order residuals with the constraint's normal cone removed.
 
-    Unconstrained: the plain nuclear-subdifferential residuals.  For the
-    spectral balls the allowed normal-cone component is projected out first:
+    Unconstrained: the plain nuclear-subdifferential residuals.  With
+    W = -grad/epsilon and L the support of ``s_hat``, the first component is
+    the Frobenius distance of the supported part of W from the matrix sign
+    of ``s_hat``, and the second how far the operator norm of the
+    complement part of W exceeds 1 (clipped at zero).  For the spectral
+    balls the allowed normal-cone component is projected out first:
     nonnegative multiples of the estimate for a Frobenius ball, and
     signed semidefinite blocks on the active eigenspaces for an
     operator-norm ball.  With ``epsilon == 0`` the first component is 0 and
@@ -173,14 +176,18 @@ def optimality_residuals(
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
 
-    if isinstance(constraint, Unconstrained):
-        if epsilon > 0:
-            return subdifferential_residuals(grad, s_hat, epsilon, zero_tol)
+    if isinstance(constraint, Unconstrained) and epsilon == 0:
         return 0.0, operator_norm(grad)
 
-    if isinstance(constraint, FrobeniusBall):
+    if isinstance(constraint, (Unconstrained, FrobeniusBall)):
+        # the normal cone is {0} off the boundary, and the unconstrained
+        # set has no boundary
         denom = float(np.linalg.norm(s_hat)) ** 2
-        on_boundary = denom > 0 and abs(np.sqrt(denom) - constraint.rho) <= BOUNDARY_TOL * constraint.rho
+        on_boundary = (
+            isinstance(constraint, FrobeniusBall)
+            and denom > 0
+            and abs(np.sqrt(denom) - constraint.rho) <= BOUNDARY_TOL * constraint.rho
+        )
         if epsilon > 0:
             w = -grad / epsilon
             sign_m, support = sign_and_support(s_hat, zero_tol)
@@ -340,21 +347,42 @@ def solve(
     )
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """First-order residuals and feasibility of an estimate; true iff
+    ``certified``."""
+
+    kkt_low: float
+    kkt_excess: float
+    feasible: bool
+    certified: bool
+
+    def __bool__(self) -> bool:
+        return self.certified
+
+
 def certify(
-    result: SolveResult,
+    result: SolveResult | np.ndarray,
     data: Dataset,
     loss: LossModel,
     epsilon: float,
     constraint: ConstraintSet = Unconstrained(),
     tol: float = 1e-5,
     zero_tol: float | None = None,
-) -> bool:
+) -> Certificate:
     """Recompute the first-order residuals at the solution and compare to tol.
 
-    True iff both residual components are within ``tol`` and the constraint
-    is satisfied within ``tol``.
+    ``result`` is a solve result or the estimate matrix itself.  Certified
+    iff both residual components are within ``tol`` and the constraint is
+    satisfied within ``tol``.
     """
-    g = gradient(result.s_hat, data, loss)
-    low, excess = optimality_residuals(g, result.s_hat, epsilon, constraint, zero_tol)
-    feasible = constraint_violation(result.s_hat, constraint) <= tol
-    return bool(low <= tol and excess <= tol and feasible)
+    s_hat = result.s_hat if isinstance(result, SolveResult) else result
+    g = gradient(s_hat, data, loss)
+    low, excess = optimality_residuals(g, s_hat, epsilon, constraint, zero_tol)
+    feasible = constraint_violation(s_hat, constraint) <= tol
+    return Certificate(
+        kkt_low=low,
+        kkt_excess=excess,
+        feasible=feasible,
+        certified=bool(low <= tol and excess <= tol and feasible),
+    )

@@ -38,7 +38,6 @@ from lowrank_oracle import (
     matrix_bernstein_bound,
     nuclear_norm,
     orthonormal_basis_design,
-    prox_nuclear,
     q_value,
     rank_sweep,
     response_domain,
@@ -111,7 +110,7 @@ def test_criterion_03_full_observation_spectral_threshold():
         assembled = np.tensordot(y, design.atoms, axes=1)
         for epsilon in (0.01, 0.1, 1.0):
             result = solve(data, squared_loss(), SolverConfig(epsilon=epsilon))
-            closed = prox_nuclear(assembled, epsilon * design.num_atoms / 2.0)
+            closed = composite_prox(assembled, epsilon * design.num_atoms / 2.0, Unconstrained())
             assert result.converged
             assert frobenius_norm(result.s_hat - closed) <= 1e-4
 

@@ -23,9 +23,7 @@ from lowrank_oracle import (
     oracle_bound_report,
     operator_norm,
     orthonormal_basis_design,
-    project_support,
     rank_at_tol,
-    residual_scale,
     sample_rademacher_averages,
     sign_and_support,
     squared_loss,
@@ -158,16 +156,16 @@ def test_compatibility_duality_on_cone_samples():
     beta = compatibility_basis(design)
     for k in range(50):
         raw = random_symmetric(rng, 4)
-        a_low = project_support(support, raw)
+        a_low = support.apply(raw)
         if k % 2 == 0:
             direction = a_low  # complement part zero: always inside the cone
         else:
             comp = random_symmetric(rng, 4)
-            comp = comp - project_support(support, comp)
+            comp = comp - support.apply(comp)
             scale = rng.random() * 5.0 * nuclear_norm(a_low) / max(nuclear_norm(comp), 1e-12)
             direction = a_low + scale * comp
         assert cone_gap(direction, support, 5.0) >= -1e-9
-        lhs = np.linalg.norm(project_support(support, direction))
+        lhs = np.linalg.norm(support.apply(direction))
         assert lhs <= beta * functional_l2_norm(direction, design) + 1e-9
 
 
@@ -176,7 +174,7 @@ def test_compatibility_ratio_exact_on_support_range():
     design = orthonormal_basis_design(4)
     s = random_low_rank(rng, 4, 2)
     _, support = sign_and_support(s)
-    direction = project_support(support, random_symmetric(rng, 4))
+    direction = support.apply(random_symmetric(rng, 4))
     ratio = np.linalg.norm(direction) / functional_l2_norm(direction, design)
     assert ratio == pytest.approx(compatibility_basis(design), abs=1e-9)
 
@@ -188,7 +186,7 @@ def test_proof_fact_invariants_on_sampled_averages():
     s = random_low_rank(rng, 6, 2)
     _, support = sign_and_support(s)
     for xi in averages:
-        low = project_support(support, xi)
+        low = support.apply(xi)
         r_low = rank_at_tol(low, 1e-9 * max(1.0, operator_norm(low)))
         assert r_low <= 2 * support.rank
         assert np.linalg.norm(low) <= 2 * math.sqrt(max(r_low, 1)) * operator_norm(xi) + 1e-12
@@ -208,6 +206,17 @@ def test_adjusted_confidence_values():
 
 
 def test_residual_scale_values():
+    # the deviation term is C * max(L(a)^2 / tau(a), L(a) * a) * t_adj / n
+    design, truth = _report_inputs()
+
+    def residual_scale(constants, smoothness, curvature, a):
+        report = oracle_bound_report(
+            truth.s_star, 0.0, design, truth, squared_loss(),
+            epsilon=0.1, t=3.0, constants=constants, a=a, n=200,
+            smoothness=smoothness, curvature=curvature,
+        )
+        return report.residual_term * 200 / report.confidence_term
+
     assert residual_scale(ConstantsConfig(c_const=1.0), 4.0, 2.0, 1.0) == pytest.approx(8.0)
     assert residual_scale(ConstantsConfig(c_const=1.0), 16.0, 2.0, 4.0) == pytest.approx(128.0)
     assert residual_scale(ConstantsConfig(c_const=1.0), 1.0, 1.0, 1.0) == pytest.approx(1.0)

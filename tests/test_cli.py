@@ -6,14 +6,18 @@ import pytest
 from lowrank_oracle import (
     GaussianNoise,
     TruthModel,
+    certify,
     load_matrix,
+    mix_seed,
     orthonormal_basis_design,
     sample_dataset,
     save_dataset,
     save_matrix,
+    validate_summary,
 )
-from lowrank_oracle.cli import main, parse_config
+from lowrank_oracle.cli import _SECTION_KEYS, main, parse_config
 from lowrank_oracle.errors import ValidationError
+from lowrank_oracle.harness import resolve_problem
 
 SMALL_CONFIG = """
 [design]
@@ -67,11 +71,22 @@ def test_parse_config_values(config_file):
     assert certify_tol == 1e-5
 
 
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_parse_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[design]\ntyp = completion-basis\n")
     with pytest.raises(ValidationError):
         parse_config(path)
+    for section in _SECTION_KEYS:
+        path.write_text(f"[{section}]\nbogus = 1\n")
+        with pytest.raises(ValidationError, match=rf"unknown keys \['bogus'\] in \[{section}\]"):
+            parse_config(path)
     path.write_text("[designs]\ntype = completion-basis\n")
     with pytest.raises(ValidationError):
         parse_config(path)
@@ -165,6 +180,44 @@ def test_certify_solved_estimate(config_file, tmp_path):
     assert payload["kkt_low"] <= 1e-5
 
 
+def test_certify_json_matches_solver_certificate(config_file, tmp_path):
+    out_solve = tmp_path / "s"
+    assert main(["solve", "--config", str(config_file), "--out", str(out_solve)]) == 0
+    config = tmp_path / "cert.ini"
+    config.write_text(SMALL_CONFIG + f"\n[data]\nestimate = {out_solve / 'estimate.mtx'}\n")
+    out = tmp_path / "c"
+    assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+    payload = json.loads((out / "certify.json").read_text())
+
+    parsed, _, certify_tol = parse_config(config)
+    design, truth, loss, constraint, solver_config, _ = resolve_problem(parsed)
+    data = sample_dataset(design, truth, parsed.n, mix_seed(parsed.seed, 0))
+    cert = certify(
+        load_matrix(out_solve / "estimate.mtx"), data, loss, solver_config.epsilon,
+        constraint, tol=certify_tol,
+    )
+    assert payload["kkt_low"] == cert.kkt_low
+    assert payload["kkt_excess"] == cert.kkt_excess
+    assert payload["feasible"] == cert.feasible
+    assert payload["certified"] == cert.certified
+
+
+def test_solve_and_certify_unconstrained_absolute_without_prediction_bound(tmp_path):
+    config = tmp_path / "none.ini"
+    config.write_text(
+        SMALL_CONFIG.replace("variant = operator-ball\nrho = 2.0", "variant = none")
+    )
+    out = tmp_path / "none-out"
+    assert main(["solve", "--config", str(config), "--out", str(out), "--strict"]) == 0
+    payload = json.loads((out / "solve.json").read_text())
+    assert payload["constraint"] == "none"
+    assert payload["epsilon"] == 0.05
+    assert main(["certify", "--config", str(config), "--out", str(out), "--strict"]) == 0
+    assert json.loads((out / "certify.json").read_text())["certified"]
+    # the bound needs the prediction bound a, which an unconstrained set lacks
+    assert main(["bound", "--config", str(config), "--out", str(out)]) == 1
+
+
 def test_certify_rejects_bad_estimate(config_file, tmp_path):
     bad = tmp_path / "bad.mtx"
     save_matrix(bad, np.diag([1.0, -1.0, 0.5, 0.0]))
@@ -207,6 +260,28 @@ def test_sweep_subcommand(config_file, tmp_path):
     assert len(rank_lines) == 2
     eps_lines = (out / "error_vs_eps.dat").read_text().splitlines()
     assert len(eps_lines) == 2
+
+
+def test_sweep_with_one_trial_writes_strict_json(tmp_path):
+    config = tmp_path / "one.ini"
+    config.write_text(SMALL_CONFIG.replace("trials = 4", "trials = 1"))
+    out = tmp_path / "one-out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    payload = strict_json(out / "sweep.json")
+    # one trial has no standard error
+    assert [row["stderr"] for row in payload["rank_rows"]] == [None, None]
+
+
+def test_verify_without_converged_trials_writes_strict_json(tmp_path):
+    config = tmp_path / "short.ini"
+    config.write_text(SMALL_CONFIG.replace("max_iters = 20000", "max_iters = 1"))
+    out = tmp_path / "short-out"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    summary = strict_json(out / "summary.json")
+    validate_summary(summary)
+    assert summary["converged"] == 0
+    assert summary["mean_error"] is None
+    assert set(summary["error_quantiles"].values()) == {None}
 
 
 def test_strict_mode_flags_nonconvergence(config_file, tmp_path):

@@ -101,7 +101,7 @@ def test_min_term_regime_classification(small_run):
 
 def test_summary_schema_and_validation(small_run):
     _, summary = small_run
-    payload = summary.to_dict()
+    payload = dataclasses.asdict(summary)
     validate_summary(payload)
     assert set(payload) == set(SUMMARY_SCHEMA)
     broken = dict(payload)
@@ -150,6 +150,17 @@ def test_write_outputs_round_trip(tmp_path, small_run):
     first_x, first_y = series[0].split()
     assert float(first_x) == 0.0
     assert 0.0 <= float(first_y) <= 1.0
+
+
+def test_failed_write_leaves_earlier_outputs_intact(tmp_path, small_run):
+    records, summary = small_run
+    out = tmp_path / "out"
+    write_outputs(records, summary, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    broken = dataclasses.replace(records[1], lhs="not a number")
+    with pytest.raises(ValueError):
+        write_outputs([records[0], broken], summary, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_write_outputs_empty_records(tmp_path):

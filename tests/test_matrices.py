@@ -4,21 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank_oracle import (
+    Unconstrained,
     ValidationError,
     best_rank_approximation,
+    composite_prox,
     cone_gap,
     frobenius_norm,
     load_matrix,
     nuclear_norm,
     operator_norm,
-    project_support,
-    project_support_complement,
-    prox_nuclear,
+    optimality_residuals,
     rank_at_tol,
     save_matrix,
     sign_and_support,
     spectral_decompose,
-    subdifferential_residuals,
 )
 from lowrank_oracle.matrices import SupportProjector, validate_symmetric
 
@@ -121,8 +120,8 @@ def test_sign_times_matrix_gives_absolute_value():
 def test_projectors_two_by_two_formula():
     support = SupportProjector(dim=2, basis=np.array([[1.0], [0.0]]))
     a = np.array([[1.5, -0.3], [-0.3, 2.0]])
-    low = project_support(support, a)
-    comp = project_support_complement(support, a)
+    low = support.apply(a)
+    comp = support.apply_complement(a)
     assert np.allclose(low, [[1.5, -0.3], [-0.3, 0.0]])
     assert np.allclose(comp, [[0.0, 0.0], [0.0, 2.0]])
 
@@ -131,8 +130,8 @@ def test_projector_full_rank_is_identity_map():
     support = SupportProjector(dim=3, basis=np.eye(3))
     rng = np.random.default_rng(8)
     a = random_symmetric(rng, 3)
-    assert np.allclose(project_support(support, a), a)
-    assert np.allclose(project_support_complement(support, a), 0.0)
+    assert np.allclose(support.apply(a), a)
+    assert np.allclose(support.apply_complement(a), 0.0)
 
 
 def test_projector_idempotence():
@@ -140,10 +139,10 @@ def test_projector_idempotence():
     s = random_low_rank(rng, 6, 2)
     _, support = sign_and_support(s)
     a = random_symmetric(rng, 6)
-    once = project_support(support, a)
-    assert np.allclose(project_support(support, once), once, atol=1e-9)
-    comp = project_support_complement(support, a)
-    assert np.allclose(project_support_complement(support, comp), comp, atol=1e-9)
+    once = support.apply(a)
+    assert np.allclose(support.apply(once), once, atol=1e-9)
+    comp = support.apply_complement(a)
+    assert np.allclose(support.apply_complement(comp), comp, atol=1e-9)
 
 
 def test_projector_rank_bound():
@@ -151,7 +150,7 @@ def test_projector_rank_bound():
     s = random_low_rank(rng, 8, 2)
     _, support = sign_and_support(s)
     a = random_symmetric(rng, 8)
-    low = project_support(support, a)
+    low = support.apply(a)
     assert rank_at_tol(low, 1e-9 * max(1.0, operator_norm(low))) <= 4
 
 
@@ -174,19 +173,22 @@ def test_cone_gap_examples():
 
 def test_prox_nuclear_examples():
     assert np.allclose(
-        prox_nuclear(np.diag([3.0, -1.0, 0.5]), 1.0), np.diag([2.0, 0.0, 0.0])
+        composite_prox(np.diag([3.0, -1.0, 0.5]), 1.0, Unconstrained()),
+        np.diag([2.0, 0.0, 0.0]),
     )
     rng = np.random.default_rng(10)
     s = random_symmetric(rng, 4)
-    assert np.allclose(prox_nuclear(s, 0.0), s, atol=1e-12)
-    assert np.allclose(prox_nuclear(s, operator_norm(s) * 1.01), 0.0, atol=1e-12)
+    assert np.allclose(composite_prox(s, 0.0, Unconstrained()), s, atol=1e-12)
+    assert np.allclose(
+        composite_prox(s, operator_norm(s) * 1.01, Unconstrained()), 0.0, atol=1e-12
+    )
 
 
 def test_prox_nuclear_matches_scalar_grid_oracle():
     rng = np.random.default_rng(11)
     lams = rng.uniform(-3.0, 3.0, size=4)
     theta = 0.7
-    shrunk = np.sort(np.linalg.eigvalsh(prox_nuclear(np.diag(lams), theta)))
+    shrunk = np.sort(np.linalg.eigvalsh(composite_prox(np.diag(lams), theta, Unconstrained())))
     expected = np.sort([prox_scalar_oracle(l, theta, -5.0, 5.0) for l in lams])
     assert np.allclose(shrunk, expected, atol=1e-5)
 
@@ -206,23 +208,25 @@ def test_subdifferential_residuals_examples():
     # zero estimate with small gradient: zero matrix is optimal
     g = random_symmetric(rng, 4, scale=0.05)
     g *= 0.5 / max(operator_norm(g), 1e-12)
-    low, excess = subdifferential_residuals(g, np.zeros((4, 4)), epsilon=1.0)
+    low, excess = optimality_residuals(g, np.zeros((4, 4)), epsilon=1.0)
     assert low == 0.0
     assert excess == 0.0
 
     s = random_low_rank(rng, 4, 2)
     sign, _ = sign_and_support(s)
-    low, excess = subdifferential_residuals(-1.3 * sign, s, epsilon=1.3)
+    low, excess = optimality_residuals(-1.3 * sign, s, epsilon=1.3)
     assert low == pytest.approx(0.0, abs=1e-9)
     assert excess == pytest.approx(0.0, abs=1e-9)
 
     s1 = random_low_rank(rng, 4, 1, spectrum=[2.0])
     sign1, _ = sign_and_support(s1)
-    low, excess = subdifferential_residuals(-2.0 * 0.7 * sign1, s1, epsilon=0.7)
+    low, excess = optimality_residuals(-2.0 * 0.7 * sign1, s1, epsilon=0.7)
     assert low == pytest.approx(1.0, abs=1e-9)
 
+    # epsilon = 0 leaves only the stationarity residual; a negative one is invalid
+    assert optimality_residuals(g, np.zeros((4, 4)), epsilon=0.0) == (0.0, operator_norm(g))
     with pytest.raises(ValidationError):
-        subdifferential_residuals(g, np.zeros((4, 4)), epsilon=0.0)
+        optimality_residuals(g, np.zeros((4, 4)), epsilon=-1.0)
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -260,8 +264,8 @@ def test_projection_decomposition_and_bounds(a, rank):
     rng = np.random.default_rng(42)
     s = random_low_rank(rng, m, rank)
     _, support = sign_and_support(s)
-    low = project_support(support, a)
-    comp = project_support_complement(support, a)
+    low = support.apply(a)
+    comp = support.apply_complement(a)
     assert np.allclose(low + comp, a, atol=1e-12 * max(1.0, np.abs(a).max()))
     # low part rank and norm bounds
     r_low = rank_at_tol(low, 1e-9 * max(1.0, operator_norm(low)))
@@ -274,7 +278,9 @@ def test_projection_decomposition_and_bounds(a, rank):
 def test_prox_firmly_nonexpansive(a, theta):
     rng = np.random.default_rng(3)
     b = a + random_symmetric(rng, a.shape[0], scale=0.5)
-    lhs = frobenius_norm(prox_nuclear(a, theta) - prox_nuclear(b, theta))
+    lhs = frobenius_norm(
+        composite_prox(a, theta, Unconstrained()) - composite_prox(b, theta, Unconstrained())
+    )
     assert lhs <= frobenius_norm(a - b) + 1e-9
 
 

@@ -23,7 +23,6 @@ from lowrank_oracle import (
     operator_norm,
     optimality_residuals,
     orthonormal_basis_design,
-    prox_nuclear,
     sample_dataset,
     solve,
     squared_loss,
@@ -162,7 +161,7 @@ def test_solve_full_observation_matches_spectral_threshold():
     assembled = np.tensordot(data.y, data.design.atoms, axes=1)
     for epsilon in (0.01, 0.1):
         result = solve(data, squared_loss(), SolverConfig(epsilon=epsilon))
-        closed = prox_nuclear(assembled, epsilon * d / 2.0)
+        closed = composite_prox(assembled, epsilon * d / 2.0, Unconstrained())
         assert result.converged
         assert frobenius_norm(result.s_hat - closed) <= 1e-4
 
