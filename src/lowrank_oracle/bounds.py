@@ -96,7 +96,7 @@ def estimate_rademacher_norm(
         chunk = min(_CHUNK, reps - done)
         counts = rng.multinomial(n, design.probs, size=chunk)
         coeff = 2.0 * rng.binomial(counts, 0.5) - counts
-        mats = np.tensordot(coeff / np.sqrt(n), design.atoms, axes=1)
+        mats = design.adjoint(coeff / np.sqrt(n))
         norms[done : done + chunk] = _batch_opnorms(mats)
         done += chunk
     return _stats_from_norms(norms, n)
@@ -152,7 +152,7 @@ def sample_rademacher_averages(
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, design.probs, size=count)
     coeff = 2.0 * rng.binomial(counts, 0.5) - counts
-    return np.tensordot(coeff / n, design.atoms, axes=1)
+    return design.adjoint(coeff / n)
 
 
 def design_moment_bounds(design: DesignDistribution) -> tuple[float, float]:

@@ -1,8 +1,10 @@
 """Finite-support design distributions, data generation and exact risks.
 
 A design is a finite list of symmetric atom matrices with sampling
-probabilities.  Restricting to finite support makes the L2 norm of the
-induced linear functional, the population risk, and the excess risk exactly
+probabilities.  The estimator sees it only through its linear map
+``forward``, S -> (<S, X_k>)_k, and ``adjoint``, w -> sum_k w_k X_k; samples
+are atom indices, never a stack of covariates.  Finite support makes the L2
+norm of a linear functional, the population risk and the excess risk exactly
 computable, which the verification harness relies on.  The canonical design
 is uniform sampling from the orthonormal basis of the symmetric matrix
 space (the completion-style model).
@@ -54,7 +56,8 @@ class DesignDistribution:
             except ValidationError as exc:
                 raise ValidationError(f"atom {i}: {exc}") from None
         if self.is_orthonormal_basis:
-            gram = np.einsum("aij,bij->ab", atoms, atoms)
+            flat = atoms.reshape(atoms.shape[0], -1)
+            gram = flat @ flat.T
             if float(np.max(np.abs(gram - np.eye(atoms.shape[0])))) > ORTHONORMAL_TOL:
                 raise ValidationError("atoms are not pairwise Frobenius-orthonormal")
             if float(np.max(np.abs(probs - 1.0 / atoms.shape[0]))) > PROB_TOL:
@@ -65,6 +68,15 @@ class DesignDistribution:
     @property
     def num_atoms(self) -> int:
         return self.atoms.shape[0]
+
+    def forward(self, s: np.ndarray) -> np.ndarray:
+        """The design's linear map: S -> (<S, X_k>)_k, shape (k,)."""
+        return self.atoms.reshape(self.num_atoms, -1) @ np.ravel(s)
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """Adjoint of ``forward``: w -> sum_k w_k X_k, batched over leading axes."""
+        flat = np.asarray(w) @ self.atoms.reshape(self.num_atoms, -1)
+        return flat.reshape(*np.shape(w)[:-1], self.dim, self.dim)
 
 
 def orthonormal_basis_design(m: int) -> DesignDistribution:
@@ -113,7 +125,7 @@ def functional_l2_norm(a: np.ndarray, design: DesignDistribution) -> float:
         raise ValidationError(
             f"dimension mismatch: design dim {design.dim}, matrix dim {a.shape[0]}"
         )
-    coeffs = np.einsum("kij,ij->k", design.atoms, a)
+    coeffs = design.forward(a)
     return float(np.sqrt(np.sum(design.probs * coeffs**2)))
 
 
@@ -159,7 +171,7 @@ class TruthModel:
 
 
 def truth_predictions(truth: TruthModel, design: DesignDistribution) -> np.ndarray:
-    return np.einsum("kij,ij->k", design.atoms, truth.s_star)
+    return design.forward(truth.s_star)
 
 
 def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDomain:
@@ -191,16 +203,14 @@ class Dataset:
             raise ValidationError("dataset must contain at least one sample")
         if np.any(idx < 0) or np.any(idx >= self.design.num_atoms):
             raise ValidationError("atom index out of range")
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("responses must be finite")
         object.__setattr__(self, "atom_indices", idx)
         object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
         return self.atom_indices.shape[0]
-
-    def covariates(self) -> np.ndarray:
-        """The (n, m, m) stack of observed design matrices."""
-        return self.design.atoms[self.atom_indices]
 
 
 def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -223,7 +233,7 @@ def sample_dataset(
         raise ValidationError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(design.num_atoms, size=n, p=design.probs)
-    s = np.einsum("kij,ij->k", design.atoms[idx], truth.s_star)
+    s = truth_predictions(truth, design)[idx]
     if isinstance(truth.noise, ClassificationLink):
         p = np.asarray(truth.noise.link(s), dtype=float)
         y = np.where(rng.random(n) < p, 1.0, -1.0)
@@ -250,10 +260,12 @@ def load_dataset(path, design: DesignDistribution) -> Dataset:
         if header != ["j", "atom_index", "y"]:
             raise ValidationError(f"{path}: expected header j,atom_index,y")
         for row in reader:
-            if len(row) != 3:
-                raise ValidationError(f"{path}: malformed row {row!r}")
-            indices.append(int(row[1]))
-            ys.append(float(row[2]))
+            try:
+                _, index, y = row
+                indices.append(int(index))
+                ys.append(float(y))
+            except ValueError:
+                raise ValidationError(f"{path}: malformed row {row!r}") from None
     return Dataset(design=design, atom_indices=np.array(indices), y=np.array(ys), seed=None)
 
 
@@ -332,7 +344,7 @@ def population_risk(
 ) -> float:
     """Exact risk of the linear rule x -> <S, x> under the truth model."""
     s = validate_symmetric(s)
-    u = np.einsum("kij,ij->k", design.atoms, s)
+    u = design.forward(s)
     fns = _conditional_risk_functions(design, truth, loss, quadrature_nodes)
     per_atom = np.array([fn(ui) for fn, ui in zip(fns, u)])
     if not np.all(np.isfinite(per_atom)):

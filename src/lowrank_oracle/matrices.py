@@ -236,5 +236,8 @@ def load_matrix(path) -> np.ndarray:
             parts = fh.readline().split()
             if len(parts) != m:
                 raise ValidationError(f"{path}: row {i} has {len(parts)} entries, expected {m}")
-            rows.append([float(p) for p in parts])
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ValidationError(f"{path}: row {i} has a non-numeric entry") from None
     return validate_symmetric(np.array(rows))

@@ -79,13 +79,9 @@ class SolveResult:
     final_step: float = field(default=0.0)
 
 
-def _atom_predictions(s: np.ndarray, data: Dataset) -> np.ndarray:
-    return np.einsum("kij,ij->k", data.design.atoms, s)
-
-
 def empirical_risk(s: np.ndarray, data: Dataset, loss: LossModel) -> float:
     """Sample mean of the loss at predictions <S, X_j>."""
-    u = _atom_predictions(s, data)[data.atom_indices]
+    u = data.design.forward(s)[data.atom_indices]
     vals = np.asarray(loss.value(data.y, u), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("loss overflow while evaluating the empirical risk")
@@ -100,20 +96,22 @@ def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> 
 
 
 def gradient(s: np.ndarray, data: Dataset, loss: LossModel) -> np.ndarray:
-    """Riesz representer of the empirical-risk directional derivative.
-
-    Samples sharing an atom are aggregated so the matrix accumulation runs
-    over distinct atoms rather than raw samples.
-    """
+    """Riesz representer of the empirical-risk directional derivative."""
     s = validate_symmetric(s)
-    u_atom = _atom_predictions(s, data)
+    u_atom = data.design.forward(s)
     d1 = np.asarray(loss.d1(data.y, u_atom[data.atom_indices]), dtype=float)
     if not np.all(np.isfinite(d1)):
         raise NumericalError("loss overflow while evaluating the gradient")
+    return symmetrize(_sample_mean_adjoint(d1, data))
+
+
+def _sample_mean_adjoint(values: np.ndarray, data: Dataset) -> np.ndarray:
+    """(1/n) sum_j values_j X_j.  Samples sharing an atom are aggregated so
+    the adjoint runs over distinct atoms rather than raw samples."""
     weights = np.bincount(
-        data.atom_indices, weights=d1, minlength=data.design.num_atoms
+        data.atom_indices, weights=values, minlength=data.design.num_atoms
     ) / data.n
-    return symmetrize(np.tensordot(weights, data.design.atoms, axes=1))
+    return data.design.adjoint(weights)
 
 
 def composite_prox(s: np.ndarray, theta: float, constraint: ConstraintSet) -> np.ndarray:
@@ -238,14 +236,6 @@ def optimality_residuals(
     raise ValidationError(f"unknown constraint {constraint!r}")
 
 
-def _data_scale(data: Dataset) -> float:
-    weights = np.bincount(
-        data.atom_indices, weights=data.y, minlength=data.design.num_atoms
-    ) / data.n
-    m = np.tensordot(weights, data.design.atoms, axes=1)
-    return float(np.linalg.norm(m))
-
-
 def solve(
     data: Dataset,
     loss: LossModel,
@@ -266,7 +256,8 @@ def solve(
 
     grad_tol = config.grad_tol
     if grad_tol is None:
-        grad_tol = GRAD_TOL_FACTOR * (1.0 + _data_scale(data))
+        data_scale = float(np.linalg.norm(_sample_mean_adjoint(data.y, data)))
+        grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
 
     if config.step0 is not None:
         step = config.step0

@@ -107,7 +107,8 @@ def least_squares_oracle(data: Dataset) -> np.ndarray:
     orthonormal basis of the symmetric matrix space."""
     m = data.design.dim
     basis = orthonormal_basis_design(m).atoms
-    features = np.einsum("nij,kij->nk", data.covariates(), basis)
+    covariates = data.design.atoms[data.atom_indices]
+    features = np.einsum("nij,kij->nk", covariates, basis)
     coef, *_ = np.linalg.lstsq(features, data.y, rcond=None)
     return np.tensordot(coef, basis, axes=1)
 

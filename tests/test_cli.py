@@ -108,6 +108,27 @@ def test_negative_epsilon_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, key, name, text",
+    [
+        ("solve", "dataset", "data.csv", "j,atom_index,y\n0,1.5,0.2\n"),
+        ("solve", "dataset", "data.csv", "j,atom_index,y\n0,1,nan\n"),
+        ("certify", "estimate", "bad.mtx", "m 4\n1 0 0 0\n0 abc 0 0\n0 0 1 0\n0 0 0 1\n"),
+    ],
+    ids=["fractional-atom-index", "nan-response", "non-numeric-matrix-entry"],
+)
+def test_malformed_input_file_exits_one(tmp_path, capsys, command, key, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    config = tmp_path / "bad-input.ini"
+    config.write_text(SMALL_CONFIG + f"\n[data]\n{key} = {path}\n")
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank_oracle import (
     ClassificationLink,
     Dataset,
+    DesignDistribution,
     FrobeniusBall,
     GaussianNoise,
     Interval,
@@ -25,9 +30,9 @@ from lowrank_oracle import (
     save_dataset,
     squared_loss,
 )
-from lowrank_oracle.designs import truth_predictions
+from lowrank_oracle.designs import _truncated_gaussian, truth_predictions
 
-from helpers import random_low_rank
+from helpers import random_low_rank, random_symmetric
 
 
 def test_basis_design_m2_atoms():
@@ -49,6 +54,93 @@ def test_basis_design_m1_and_gram():
     assert design.num_atoms == 10
     gram = np.einsum("aij,bij->ab", design.atoms, design.atoms)
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-12
+
+
+def test_orthonormal_basis_flag_is_checked():
+    basis = orthonormal_basis_design(2).atoms
+    uniform = np.full(3, 1.0 / 3.0)
+    rotated = np.stack(
+        [(basis[0] + basis[1]) / np.sqrt(2.0), (basis[0] - basis[1]) / np.sqrt(2.0), basis[2]]
+    )
+    DesignDistribution(dim=2, atoms=rotated, probs=uniform, is_orthonormal_basis=True)
+    skewed = np.stack([basis[0], basis[1], (basis[2] + 1e-6 * basis[0])])
+    for atoms in (skewed, basis * (1.0 + 1e-6)):
+        with pytest.raises(ValidationError, match="orthonormal"):
+            DesignDistribution(dim=2, atoms=atoms, probs=uniform, is_orthonormal_basis=True)
+    with pytest.raises(ValidationError, match="uniform"):
+        DesignDistribution(
+            dim=2, atoms=basis, probs=np.array([0.5, 0.25, 0.25]), is_orthonormal_basis=True
+        )
+
+
+@st.composite
+def design_and_rng(draw):
+    """A basis design or a random dense custom design, with a seeded rng."""
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return orthonormal_basis_design(m), rng
+    k = draw(st.integers(1, 8))
+    atoms = np.stack([random_symmetric(rng, m) for _ in range(k)])
+    return custom_design(atoms, rng.dirichlet(np.ones(k))), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(design_and_rng())
+def test_forward_and_adjoint_match_dense_reference(case):
+    design, rng = case
+    s = random_symmetric(rng, design.dim)
+    w = rng.standard_normal(design.num_atoms)
+    batch = rng.standard_normal((3, design.num_atoms))
+    forward = design.forward(s)
+    assert forward.shape == (design.num_atoms,)
+    np.testing.assert_allclose(
+        forward, np.einsum("kij,ij->k", design.atoms, s), rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        design.adjoint(w), np.tensordot(w, design.atoms, axes=1), rtol=1e-12, atol=1e-12
+    )
+    batched = design.adjoint(batch)
+    assert batched.shape == (3, design.dim, design.dim)
+    np.testing.assert_allclose(
+        batched, np.tensordot(batch, design.atoms, axes=1), rtol=1e-12, atol=1e-12
+    )
+    # <forward(S), w> = <S, adjoint(w)>
+    assert float(np.dot(forward, w)) == pytest.approx(
+        float(np.sum(s * design.adjoint(w))), rel=1e-10, abs=1e-10
+    )
+
+
+@pytest.mark.parametrize("noise", [GaussianNoise(sigma=0.3), ClassificationLink()])
+def test_sample_dataset_matches_dense_stack_formula(noise):
+    design = orthonormal_basis_design(5)
+    truth = TruthModel(s_star=random_low_rank(np.random.default_rng(8), 5, 2), noise=noise)
+    n = 2_000
+    data = sample_dataset(design, truth, n, seed=21)
+    rng = np.random.default_rng(21)
+    idx = rng.choice(design.num_atoms, size=n, p=design.probs)
+    s = np.einsum("kij,ij->k", design.atoms[idx], truth.s_star)
+    if isinstance(noise, ClassificationLink):
+        y = np.where(rng.random(n) < noise.link(s), 1.0, -1.0)
+    else:
+        y = s + _truncated_gaussian(noise, rng, n)
+    assert np.array_equal(data.atom_indices, idx)
+    assert np.array_equal(data.y, y)
+
+
+def test_sample_dataset_builds_no_covariate_stack():
+    design = orthonormal_basis_design(40)
+    truth = TruthModel(
+        s_star=random_low_rank(np.random.default_rng(9), 40, 2), noise=GaussianNoise(0.1)
+    )
+    tracemalloc.start()
+    try:
+        sample_dataset(design, truth, 10_000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, m, m) stack of sampled atoms alone would take 10_000 * 40 * 40 * 8 B = 128 MB
+    assert peak < 16 * 2**20
 
 
 def test_custom_design_validation():
@@ -312,5 +404,7 @@ def test_dataset_validation():
         Dataset(design=design, atom_indices=np.array([5]), y=np.array([0.0]), seed=0)
     with pytest.raises(ValidationError):
         Dataset(design=design, atom_indices=np.array([], dtype=int), y=np.array([]), seed=0)
+    with pytest.raises(ValidationError):
+        Dataset(design=design, atom_indices=np.array([1]), y=np.array([np.nan]), seed=0)
     with pytest.raises(ValidationError):
         sample_dataset(design, TruthModel(np.zeros((2, 2)), GaussianNoise(0.1)), 0, seed=1)
