@@ -187,6 +187,8 @@ class SummaryReport:
     calibrated_c: float
     mean_error: float
     error_quantiles: dict
+    zero_estimate_fraction: float  # share of converged trials with a zero estimate
+    rank_term_active: int          # converged trials whose min term is the rank term
     m: int
     n: int
     truth_rank: int
@@ -369,13 +371,12 @@ def resolve_problem(config: ExperimentConfig) -> tuple:
     return design, truth, loss, constraint, _solver_config(config, epsilon), terms
 
 
-def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
-    """Fix every trial-independent quantity of the experiment."""
-    design, truth, loss, constraint, solver_config, terms = resolve_problem(config)
-    a, consts, constants, stats, eps_thresh = terms or _threshold_terms(
-        config, design, loss, constraint
-    )
-
+def _truth_fields(
+    design: DesignDistribution, truth: TruthModel, loss: LossModel, seed: int
+) -> dict:
+    """The plan fields that depend on the truth: the truth itself, q_bound,
+    beta, the per-atom Bayes risks and the oracle terms.  Everything else in
+    a plan is fixed by the design, the loss and the config alone."""
     if design.is_orthonormal_basis:
         beta, beta_kind = compatibility_basis(design), "exact"
     else:
@@ -384,17 +385,31 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
             design,
             COMPATIBILITY_CONE_PARAM,
             COMPATIBILITY_SAMPLES,
-            mix_seed(config.seed, _BETA_TAG),
+            mix_seed(seed, _BETA_TAG),
         )
         beta_kind = "sampled-lower-bound"
-
-    q_bound = q_value(loss, response_domain(truth, design))
     bayes = bayes_risk_per_atom(design, truth, loss)
-    oracle_excess = excess_risk(truth.s_star, design, truth, loss, bayes=bayes)
+    return dict(
+        truth=truth,
+        q_bound=q_value(loss, response_domain(truth, design)),
+        beta=beta,
+        beta_kind=beta_kind,
+        bayes=bayes,
+        oracle=truth.s_star,
+        oracle_excess=excess_risk(truth.s_star, design, truth, loss, bayes=bayes),
+        oracle_rank=rank_at_tol(truth.s_star),
+        oracle_nuclear=nuclear_norm(truth.s_star),
+    )
 
+
+def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
+    """Fix every trial-independent quantity of the experiment."""
+    design, truth, loss, constraint, solver_config, terms = resolve_problem(config)
+    a, consts, constants, stats, eps_thresh = terms or _threshold_terms(
+        config, design, loss, constraint
+    )
     return ResolvedPlan(
         design=design,
-        truth=truth,
         loss=loss,
         constraint=constraint,
         epsilon=solver_config.epsilon,
@@ -402,9 +417,6 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
         a=a,
         smoothness=consts.smoothness,
         curvature=consts.curvature,
-        q_bound=q_bound,
-        beta=beta,
-        beta_kind=beta_kind,
         delta=stats.delta,
         delta_stderr=stats.stderr,
         t=config.t,
@@ -413,11 +425,7 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
         max_iters=config.max_iters,
         grad_tol=config.grad_tol,
         seed=config.seed,
-        bayes=bayes,
-        oracle=truth.s_star,
-        oracle_excess=oracle_excess,
-        oracle_rank=rank_at_tol(truth.s_star),
-        oracle_nuclear=nuclear_norm(truth.s_star),
+        **_truth_fields(design, truth, loss, config.seed),
     )
 
 
@@ -530,6 +538,7 @@ def summarize(
 ) -> SummaryReport:
     converged = [r for r in records if r.converged]
     violations = sum(1 for r in converged if r.violated)
+    zeros = sum(r.estimate_rank == 0 for r in converged)
     target = math.exp(-plan.t)
     errors = np.array([r.lhs - r.oracle_excess for r in converged])
     if errors.size:
@@ -554,6 +563,8 @@ def summarize(
         calibrated_c=calibrate_constant([r.critical_c for r in converged], target),
         mean_error=mean_error,
         error_quantiles=quantiles,
+        zero_estimate_fraction=zeros / len(converged) if converged else float("nan"),
+        rank_term_active=sum(r.min_term == r.rank_term for r in converged),
         m=plan.design.dim,
         n=config.n,
         truth_rank=config.truth_rank,
@@ -616,24 +627,22 @@ def rank_sweep(
     """Repeat the oracle experiment with unit-spectrum truths of varying
     rank at one fixed regularization level.
 
-    The regularization is resolved once from the config's rule and then
-    frozen, and the truths share one eigenframe so they are nested.
+    One plan is resolved; each rank swaps in only its truth and the fields
+    that depend on it, and the truths share one eigenframe, so they nest.
     """
     ranks = tuple(ranks if ranks is not None else config.ranks)
     if not ranks:
         raise ValidationError("rank sweep needs at least one rank")
-    base = resolve_plan(config)
+    plan = resolve_plan(config)
     rows = []
     records_by_rank: dict[int, list[TrialRecord]] = {}
     for rank in ranks:
-        cfg = replace(
-            config,
-            truth_rank=rank,
-            truth_spectrum=(),
-            epsilon_rule="absolute",
-            epsilon_value=base.epsilon,
+        truth = build_truth(
+            replace(config, truth_rank=rank, truth_spectrum=()), dim=plan.design.dim
         )
-        records, summary = run_oracle_trials(cfg, workers=workers, log=log)
+        point = replace(plan, **_truth_fields(plan.design, truth, plan.loss, plan.seed))
+        records = run_trials(point, config.trials, workers=workers, log=log)
+        summary = summarize(records, point, config)
         records_by_rank[rank] = records
         stderr = float("nan")
         errors = [r.lhs - r.oracle_excess for r in records if r.converged]
@@ -642,7 +651,7 @@ def rank_sweep(
         rows.append(
             {
                 "rank": rank,
-                "epsilon": base.epsilon,
+                "epsilon": plan.epsilon,
                 "trials": summary.trials,
                 "converged": summary.converged,
                 "mean_error": summary.mean_error,
@@ -672,21 +681,21 @@ def epsilon_sweep(
     log=None,
 ) -> tuple[dict, ...]:
     """Repeat the oracle experiment at multiples of the resolved
-    regularization level."""
+    regularization level; one plan is resolved and only its epsilon changes
+    from point to point."""
     multiples = tuple(multiples if multiples is not None else config.eps_multiples)
     if not multiples:
         raise ValidationError("epsilon sweep needs at least one multiple")
-    base = resolve_plan(config)
+    plan = resolve_plan(config)
     rows = []
     for multiple in multiples:
-        cfg = replace(
-            config, epsilon_rule="absolute", epsilon_value=multiple * base.epsilon
-        )
-        _, summary = run_oracle_trials(cfg, workers=workers, log=log)
+        point = replace(plan, epsilon=multiple * plan.epsilon)
+        records = run_trials(point, config.trials, workers=workers, log=log)
+        summary = summarize(records, point, config)
         rows.append(
             {
                 "multiple": multiple,
-                "epsilon": multiple * base.epsilon,
+                "epsilon": point.epsilon,
                 "mean_error": summary.mean_error,
                 "violation_frequency": summary.violation_frequency,
                 "calibrated_c": summary.calibrated_c,
@@ -874,9 +883,10 @@ def read_trials_csv(path) -> list[TrialRecord]:
             for column, cell in zip(TRIAL_COLUMNS, row):
                 if column in _BOOL_COLUMNS:
                     kwargs[column] = cell == "1"
-                elif column in _INT_COLUMNS:
-                    kwargs[column] = int(cell)
-                else:
-                    kwargs[column] = float(cell)
+                    continue
+                try:
+                    kwargs[column] = (int if column in _INT_COLUMNS else float)(cell)
+                except ValueError:
+                    raise ValidationError(f"{path}: malformed row {row!r}") from None
             records.append(TrialRecord(**kwargs))
     return records

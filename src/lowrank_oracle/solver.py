@@ -39,6 +39,8 @@ from .matrices import (
 
 GRAD_TOL_FACTOR = 1e-8
 BOUNDARY_TOL = 1e-8
+STEP_SHRINK = 0.5  # backtracking factor on a failed smoothness test
+STEP_GROWTH = 1.2  # re-expansion factor after each accepted iteration
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,6 @@ class SolverConfig:
     epsilon: float
     max_iters: int = 50_000
     grad_tol: float | None = None  # None: 1e-8 * (1 + data matrix scale)
-    step0: float | None = None     # None: inverse curvature estimate
-    shrink: float = 0.5
-    growth: float = 1.2
-    restart: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -60,12 +58,6 @@ class SolverConfig:
             raise ValidationError("max_iters must be at least 1")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValidationError("grad_tol must be positive")
-        if self.step0 is not None and self.step0 <= 0:
-            raise ValidationError("step0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValidationError("shrink factor must lie in (0, 1)")
-        if self.growth < 1.0:
-            raise ValidationError("growth factor must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -259,15 +251,11 @@ def solve(
         data_scale = float(np.linalg.norm(_sample_mean_adjoint(data.y, data)))
         grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
 
-    if config.step0 is not None:
-        step = config.step0
-    else:
-        curvature = np.asarray(
-            loss.d2(data.y, np.zeros(data.n)), dtype=float
-        )
-        atom_sq = np.einsum("kij,kij->k", data.design.atoms, data.design.atoms)
-        bound = float(np.max(curvature)) * float(np.max(atom_sq[data.atom_indices]))
-        step = 1.0 / max(bound, 1e-12)
+    # initial step: inverse of a curvature estimate at the zero matrix
+    curvature = np.asarray(loss.d2(data.y, np.zeros(data.n)), dtype=float)
+    atom_sq = np.einsum("kij,kij->k", data.design.atoms, data.design.atoms)
+    bound = float(np.max(curvature)) * float(np.max(atom_sq[data.atom_indices]))
+    step = 1.0 / max(bound, 1e-12)
 
     step_cap = np.inf
 
@@ -285,7 +273,7 @@ def solve(
                 return candidate, f_cand, step
             if f_cand - quad > 1e-13 * max(1.0, abs(f_point)):
                 step_cap = min(step_cap, step)
-            step *= config.shrink
+            step *= STEP_SHRINK
             if step < 1e-18:
                 raise NumericalError("backtracking step underflow; loss may be non-smooth")
 
@@ -302,7 +290,7 @@ def solve(
         f_z = empirical_risk(z, data, loss)
         x_new, f_new, step = prox_step(z, g_z, f_z, step)
         obj_new = f_new + epsilon * nuclear_norm(x_new)
-        if config.restart and obj_new > obj_x:
+        if obj_new > obj_x:
             # momentum overshoot: drop it and retake the step from x
             t = 1.0
             g_x = gradient(x, data, loss)
@@ -324,7 +312,7 @@ def solve(
         if residual <= grad_tol:
             converged = True
             break
-        step = min(step * config.growth, step_cap)
+        step = min(step * STEP_GROWTH, step_cap)
 
     kkt = optimality_residuals(gradient(x, data, loss), x, epsilon, constraint)
     return SolveResult(

@@ -4,20 +4,25 @@ The oracles here deliberately avoid the implementation paths they check:
 the proximal-map oracle runs coarse-to-fine scalar grid searches (with an
 outer dual bisection for the coupled Frobenius-ball case), and the least
 squares oracle assembles explicit normal equations over an orthonormal
-basis of the symmetric matrix space.
+basis of the symmetric matrix space.  The Bayes-risk oracle minimizes one
+conditional-risk closure per atom with scipy's bounded scalar search.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
+from scipy.special import ndtr
 
 from lowrank_oracle import (
+    ClassificationLink,
     Dataset,
     FrobeniusBall,
     OperatorNormBall,
     Unconstrained,
     orthonormal_basis_design,
 )
+from lowrank_oracle.designs import truth_predictions
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
 
@@ -115,3 +120,48 @@ def least_squares_oracle(data: Dataset) -> np.ndarray:
 
 def directional_derivative(fn, s: np.ndarray, h: np.ndarray, step: float = 1e-6) -> float:
     return (fn(s + step * h) - fn(s - step * h)) / (2.0 * step)
+
+
+def conditional_risk_functions(design, truth, loss, quadrature_nodes: int = 64) -> list:
+    """Per atom, a closure for the exact map u -> E[loss(Y; u) | X = atom]."""
+    s = truth_predictions(truth, design)
+    if isinstance(truth.noise, ClassificationLink):
+        p = np.asarray(truth.noise.link(s), dtype=float)
+
+        def make(pi: float):
+            return lambda u: float(
+                pi * loss.value(1.0, u) + (1.0 - pi) * loss.value(-1.0, u)
+            )
+
+        return [make(float(pi)) for pi in p]
+
+    noise = truth.noise
+    if noise.sigma == 0 or noise.cutoff == 0:
+        return [lambda u, si=float(si): float(loss.value(si, u)) for si in s]
+
+    nodes, weights = np.polynomial.legendre.leggauss(quadrature_nodes)
+    c = noise.cutoff
+    xi = c * nodes
+    density = np.exp(-0.5 * (xi / noise.sigma) ** 2) / (noise.sigma * np.sqrt(2.0 * np.pi))
+    mass = 1.0 - 2.0 * ndtr(-noise.truncation)
+    w = c * weights * density / mass
+
+    def make_quad(si: float):
+        ys = si + xi
+        return lambda u: float(np.dot(w, np.asarray(loss.value(ys, u), dtype=float)))
+
+    return [make_quad(float(si)) for si in s]
+
+
+def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
+    """Per-atom minimal conditional risk by one bounded scalar minimization
+    per atom over the bracket [-half, half]."""
+    s = truth_predictions(truth, design)
+    cutoff = 0.0 if isinstance(truth.noise, ClassificationLink) else truth.noise.cutoff
+    half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + cutoff))
+    out = []
+    for fn in conditional_risk_functions(design, truth, loss):
+        res = minimize_scalar(fn, bounds=(-half, half), method="bounded", options={"xatol": 1e-10})
+        assert res.success, res.message
+        out.append(float(res.fun))
+    return np.array(out)

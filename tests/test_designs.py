@@ -19,12 +19,15 @@ from lowrank_oracle import (
     bayes_risk_per_atom,
     custom_design,
     excess_risk,
+    LossModel,
     exponential_loss,
     functional_l2_norm,
+    get_loss,
     load_dataset,
     orthonormal_basis_design,
     population_risk,
     prediction_bound,
+    register_loss,
     response_domain,
     sample_dataset,
     save_dataset,
@@ -32,7 +35,7 @@ from lowrank_oracle import (
 )
 from lowrank_oracle.designs import _truncated_gaussian, truth_predictions
 
-from helpers import random_low_rank, random_symmetric
+from helpers import bayes_risk_oracle, random_low_rank, random_symmetric
 
 
 def test_basis_design_m2_atoms():
@@ -317,6 +320,44 @@ def test_quadrature_self_check():
     r64 = population_risk(s, design, truth, squared_loss(), quadrature_nodes=64)
     r128 = population_risk(s, design, truth, squared_loss(), quadrature_nodes=128)
     assert abs(r64 - r128) < 1e-10
+
+
+def _log_cosh_loss() -> LossModel:
+    # smooth, convex, no closed form for its conditional minimizer
+    def value(y, u):
+        r = np.asarray(y, dtype=float) - u
+        return np.logaddexp(r, -r) - np.log(2.0)
+
+    def d1(y, u):
+        return -np.tanh(np.asarray(y, dtype=float) - u)
+
+    def d2(y, u):
+        return 1.0 - np.tanh(np.asarray(y, dtype=float) - u) ** 2
+
+    return LossModel("log-cosh", value, d1, d2, default_domain=lambda a: Interval(-a, a))
+
+
+@pytest.mark.parametrize(
+    "loss_name, noise, spectrum",
+    [
+        ("squared", GaussianNoise(sigma=0.3), [1.0, -0.7]),
+        ("exponential", ClassificationLink(), [0.8, 0.5]),
+        ("squared", GaussianNoise(sigma=0.0), [1.0, -0.7]),
+        ("log-cosh", GaussianNoise(sigma=0.4), [1.0, -0.7]),
+        ("log-cosh", ClassificationLink(), [1.5, -0.6]),
+    ],
+    ids=["squared-gaussian", "exponential-labels", "noiseless", "log-cosh-gaussian", "log-cosh-labels"],
+)
+def test_bayes_risk_matches_dense_reference(loss_name, noise, spectrum):
+    register_loss("log-cosh", _log_cosh_loss)
+    loss = get_loss(loss_name)
+    design = orthonormal_basis_design(4)
+    rng = np.random.default_rng(63)
+    truth = TruthModel(s_star=random_low_rank(rng, 4, 2, spectrum=spectrum), noise=noise)
+    fast = bayes_risk_per_atom(design, truth, loss)
+    reference = bayes_risk_oracle(design, truth, loss)
+    assert fast.shape == (design.num_atoms,)
+    assert np.max(np.abs(fast - reference)) <= 1e-12
 
 
 def test_empirical_risk_converges_to_population():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from lowrank_oracle import (
     validate_summary,
     write_outputs,
 )
+from lowrank_oracle.cli import parse_config
 from lowrank_oracle.harness import (
     SUMMARY_SCHEMA,
     TrialRecord,
     calibrate_constant,
     make_truth_matrix,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL = ExperimentConfig(
     m=4,
@@ -163,6 +167,33 @@ def test_failed_write_leaves_earlier_outputs_intact(tmp_path, small_run):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_read_trials_csv_rejects_non_numeric_cell(tmp_path, small_run):
+    records, summary = small_run
+    path = write_outputs(records, summary, tmp_path / "out")["trials"]
+    lines = path.read_text().splitlines()
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="trials.csv: malformed row"):
+        read_trials_csv(path)
+
+
+def test_summary_counts_zero_estimates_and_active_branch(tmp_path, small_run):
+    records, summary = small_run
+    assert all(r.converged and r.estimate_rank > 0 for r in records)
+    assert summary.zero_estimate_fraction == 0.0
+    assert summary.rank_term_active == sum(r.min_term == r.rank_term for r in records)
+
+    config, _, _ = parse_config(CONFIGS / "verify_example.ini")
+    records, vacuous = run_oracle_trials(config, workers=1)
+    assert all(r.estimate_rank == 0 for r in records)
+    assert vacuous.zero_estimate_fraction == 1.0
+    assert vacuous.rank_term_active == 0
+    written = json.loads(write_outputs(records, vacuous, tmp_path / "vacuous")["summary"].read_text())
+    assert written["zero_estimate_fraction"] == 1.0
+    assert written["rank_term_active"] == 0
+    assert {"zero_estimate_fraction", "rank_term_active"} <= set(SUMMARY_SCHEMA)
+
+
 def test_write_outputs_empty_records(tmp_path):
     from lowrank_oracle.harness import TRIAL_COLUMNS
 
@@ -215,6 +246,29 @@ def test_rank_sweep_fixed_epsilon_and_rank_zero():
     assert len(epsilons) == 1
     assert result.rows[0]["mean_error"] <= 1e-8  # zero truth recovered exactly
     assert result.rows[2]["mean_error"] >= result.rows[1]["mean_error"] * 0.5
+
+
+def test_sweeps_resolve_one_plan_and_match_separate_runs(monkeypatch):
+    from lowrank_oracle import harness
+
+    config = dataclasses.replace(SMALL, trials=3)
+    calls = []
+    resolve = harness.resolve_plan
+    monkeypatch.setattr(harness, "resolve_plan", lambda cfg: calls.append(cfg) or resolve(cfg))
+    result = rank_sweep(config, ranks=(1, 3), workers=1)
+    rows = epsilon_sweep(config, multiples=(0.5, 2.0), workers=1)
+    assert len(calls) == 2
+    monkeypatch.undo()
+
+    epsilon = resolve_plan(config).epsilon
+    for rank in (1, 3):
+        separate = dataclasses.replace(
+            config, truth_rank=rank, truth_spectrum=(), epsilon_value=epsilon
+        )
+        assert result.records[rank] == run_oracle_trials(separate, workers=1)[0]
+    for row in rows:
+        separate = dataclasses.replace(config, epsilon_value=row["multiple"] * epsilon)
+        assert row["mean_error"] == run_oracle_trials(separate, workers=1)[1].mean_error
 
 
 def test_rank_sweep_doubling_epsilon_quadruples_rank_term():

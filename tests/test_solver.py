@@ -302,8 +302,6 @@ def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(epsilon=-1.0)
     with pytest.raises(ValidationError):
-        SolverConfig(epsilon=0.1, shrink=1.5)
-    with pytest.raises(ValidationError):
         SolverConfig(epsilon=0.1, max_iters=0)
     with pytest.raises(ValidationError):
         SolverConfig(epsilon=0.1, grad_tol=0.0)
