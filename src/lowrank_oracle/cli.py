@@ -229,6 +229,10 @@ def _cmd_certify(config, data_paths, certify_tol, args, log) -> int:
     data, loss, constraint, solver_config = _problem(config, data_paths)
     if data_paths.estimate is not None:
         estimate = load_matrix(data_paths.estimate)
+        if len(estimate) != data.design.dim:
+            raise ValidationError(
+                f"{data_paths.estimate}: m = {len(estimate)}, the design has m = {data.design.dim}"
+            )
     else:
         estimate = solve(data, loss, solver_config, constraint).s_hat
     epsilon = solver_config.epsilon

@@ -881,11 +881,10 @@ def read_trials_csv(path) -> list[TrialRecord]:
                 raise ValidationError(f"{path}: malformed row {row!r}")
             kwargs = {}
             for column, cell in zip(TRIAL_COLUMNS, row):
-                if column in _BOOL_COLUMNS:
-                    kwargs[column] = cell == "1"
-                    continue
                 try:
-                    kwargs[column] = (int if column in _INT_COLUMNS else float)(cell)
+                    if column in _BOOL_COLUMNS:
+                        cell = ("0", "1").index(cell)
+                    kwargs[column] = _COLUMN_TYPES[column](cell)
                 except ValueError:
                     raise ValidationError(f"{path}: malformed row {row!r}") from None
             records.append(TrialRecord(**kwargs))

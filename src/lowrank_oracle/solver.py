@@ -3,9 +3,10 @@
 Minimizes  mean_j loss(Y_j; <S, X_j>) + epsilon * ||S||_1  over a spectral
 constraint set.  The smooth part is handled by gradient steps with
 backtracking line search, the nuclear penalty plus constraint by an exact
-eigenvalue-wise proximal map, and acceleration uses momentum with an
-adaptive restart that keeps the objective trace monotone.  Termination is
-on the proximal-gradient fixed-point residual measured at the accepted
+eigenvalue-wise proximal map, and acceleration uses momentum with a
+function-value restart that keeps the objective trace monotone.  Each
+iteration takes one proximal step, and termination is on the gradient
+mapping of that step, which bounds the first-order residual at the new
 iterate.
 """
 
@@ -68,7 +69,6 @@ class SolveResult:
     kkt: tuple[float, float]
     converged: bool
     grad_tol: float = field(default=0.0)
-    final_step: float = field(default=0.0)
 
 
 def empirical_risk(s: np.ndarray, data: Dataset, loss: LossModel) -> float:
@@ -236,12 +236,19 @@ def solve(
 ) -> SolveResult:
     """Run accelerated proximal gradient from the zero matrix.
 
-    Backtracking shrinks the step when the local smoothness test fails and
-    the step re-expands geometrically afterwards; a restart drops the
-    momentum whenever it would increase the objective, so the recorded
-    objective trace is nonincreasing.  Stops when the fixed-point residual
-    ||S - prox(S - step * grad(S))|| / step falls below ``grad_tol`` or the
-    iteration budget runs out (``converged`` reports which).
+    Each iteration takes one proximal step x+ = prox(z - step * grad(z))
+    from the extrapolated point z, backtracking on the smoothness test; the
+    step re-expands geometrically after every iteration.  A step from z that
+    is not x and raises the objective is rejected and the momentum dropped
+    (z = x, t = 1); a step from x itself is always accepted.  The objective
+    trace thus has one entry per iteration, repeats a value at each restart
+    and is nonincreasing up to rounding.
+
+    Stops once an accepted step has ||x+ - z|| / step <= ``grad_tol``, or
+    when the iteration budget runs out (``converged`` reports which).  As
+    (z - x+) / step - grad(z) lies in the subdifferential of the penalty
+    plus constraint at x+, dist(0, subdiff objective(x+)) <=
+    (1 + step * L) * ||z - x+|| / step for an L-Lipschitz gradient.
     """
     m = data.design.dim
     epsilon = config.epsilon
@@ -279,39 +286,29 @@ def solve(
 
     x = np.zeros((m, m))
     obj_x = objective(x, data, loss, epsilon)
-    z = x
+    z = x  # at the start and after a restart, the step is taken from x
     t = 1.0
     trace = [obj_x]
     converged = False
-    iterations = 0
 
-    for k in range(1, config.max_iters + 1):
+    for iterations in range(1, config.max_iters + 1):
         g_z = gradient(z, data, loss)
         f_z = empirical_risk(z, data, loss)
         x_new, f_new, step = prox_step(z, g_z, f_z, step)
         obj_new = f_new + epsilon * nuclear_norm(x_new)
-        if obj_new > obj_x:
-            # momentum overshoot: drop it and retake the step from x
-            t = 1.0
-            g_x = gradient(x, data, loss)
-            f_x = empirical_risk(x, data, loss)
-            x_new, f_new, step = prox_step(x, g_x, f_x, step)
-            obj_new = f_new + epsilon * nuclear_norm(x_new)
         if not np.isfinite(obj_new):
             raise NumericalError("objective became non-finite")
-
-        g_new = gradient(x_new, data, loss)
-        fixed_point = composite_prox(x_new - step * g_new, step * epsilon, constraint)
-        residual = float(np.linalg.norm(x_new - fixed_point)) / step
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_next) * (x_new - x)
-        x, obj_x, t = x_new, obj_new, t_next
+        if obj_new > obj_x and z is not x:
+            z, t = x, 1.0  # momentum overshoot: drop it and step from x next
+        else:  # never reject a step from x: rounding would stall at the fixed point
+            converged = float(np.linalg.norm(x_new - z)) / step <= grad_tol
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            x, obj_x, t = x_new, obj_new, t_next
         trace.append(obj_x)
-        iterations = k
-        if residual <= grad_tol:
-            converged = True
+        if converged:
             break
+        # grow after restarts too, or backtracks failing on rounding shrink it away
         step = min(step * STEP_GROWTH, step_cap)
 
     kkt = optimality_residuals(gradient(x, data, loss), x, epsilon, constraint)
@@ -322,7 +319,6 @@ def solve(
         kkt=kkt,
         converged=converged,
         grad_tol=grad_tol,
-        final_step=step,
     )
 
 

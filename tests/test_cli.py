@@ -114,8 +114,14 @@ def test_negative_epsilon_exits_one(tmp_path, capsys):
         ("solve", "dataset", "data.csv", "j,atom_index,y\n0,1.5,0.2\n"),
         ("solve", "dataset", "data.csv", "j,atom_index,y\n0,1,nan\n"),
         ("certify", "estimate", "bad.mtx", "m 4\n1 0 0 0\n0 abc 0 0\n0 0 1 0\n0 0 0 1\n"),
+        ("certify", "estimate", "small.mtx", "m 2\n1 0\n0 1\n"),
     ],
-    ids=["fractional-atom-index", "nan-response", "non-numeric-matrix-entry"],
+    ids=[
+        "fractional-atom-index",
+        "nan-response",
+        "non-numeric-matrix-entry",
+        "wrong-size-estimate",
+    ],
 )
 def test_malformed_input_file_exits_one(tmp_path, capsys, command, key, name, text):
     path = tmp_path / name

@@ -23,6 +23,7 @@ from lowrank_oracle import (
 from lowrank_oracle.cli import parse_config
 from lowrank_oracle.harness import (
     SUMMARY_SCHEMA,
+    TRIAL_COLUMNS,
     TrialRecord,
     calibrate_constant,
     make_truth_matrix,
@@ -171,10 +172,13 @@ def test_read_trials_csv_rejects_non_numeric_cell(tmp_path, small_run):
     records, summary = small_run
     path = write_outputs(records, summary, tmp_path / "out")["trials"]
     lines = path.read_text().splitlines()
-    lines[2] = "abc" + lines[2][lines[2].index(","):]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match="trials.csv: malformed row"):
-        read_trials_csv(path)
+    converged = TRIAL_COLUMNS.index("converged")
+    for column, cell in [(0, "abc"), (converged, "yes"), (converged, "abc")]:
+        row = lines[2].split(",")
+        row[column] = cell
+        path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
+        with pytest.raises(ValidationError, match="trials.csv: malformed row"):
+            read_trials_csv(path)
 
 
 def test_summary_counts_zero_estimates_and_active_branch(tmp_path, small_run):

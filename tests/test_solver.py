@@ -28,6 +28,7 @@ from lowrank_oracle import (
     squared_loss,
 )
 from lowrank_oracle import ClassificationLink
+from lowrank_oracle import solver as solver_module
 from lowrank_oracle.matrices import inner
 
 from helpers import (
@@ -190,6 +191,38 @@ def test_objective_trace_monotone_and_residual_small():
     assert np.all(np.diff(trace) <= 1e-12 * (1 + np.abs(trace[:-1])))
     assert result.converged
     assert result.kkt[0] <= 1e-5 and result.kkt[1] <= 1e-5
+
+
+def test_solve_evaluates_one_gradient_per_iteration(monkeypatch):
+    _, _, data = sampled_instance(seed=48)
+    calls = []
+
+    def counting_gradient(s, data, loss):
+        calls.append(1)
+        return gradient(s, data, loss)
+
+    monkeypatch.setattr(solver_module, "gradient", counting_gradient)
+    result = solve(data, squared_loss(), SolverConfig(epsilon=0.05))
+    assert result.converged
+    assert len(calls) == result.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "seed, constraint",
+    [(48, Unconstrained()), (49, Unconstrained()), (10, FrobeniusBall(1.5))],
+    ids=["restart", "step-growth-after-restart", "frob-ball-accepts-step-from-x"],
+)
+def test_restarted_solve_converges_monotone_and_certified(seed, constraint):
+    # seed 49 runs out of iterations if the step does not re-grow after a
+    # restart; seed 10 does if a step from x itself can be rejected
+    _, _, data = sampled_instance(seed=seed)
+    result = solve(data, squared_loss(), SolverConfig(epsilon=0.01), constraint)
+    trace = result.objective_trace
+    assert len(trace) == result.iterations + 1
+    assert np.any(np.diff(trace) == 0.0)  # a restart repeats the objective
+    assert result.converged
+    assert np.all(np.diff(trace) <= 1e-12 * (1 + np.abs(trace[:-1])))
+    assert certify(result, data, squared_loss(), 0.01, constraint, tol=1e-5)
 
 
 def test_solution_beats_probe_points():
