@@ -213,7 +213,8 @@ def compatibility_lower_bound(
 
     Directions mix a supported part with a complement part scaled to stay
     inside the cone; a quarter of the samples are pure support-range
-    directions, which attain the supremum on basis designs.
+    directions, which attain the supremum on basis designs.  A rank-0 support
+    has constant 0 exactly, since its projector is zero.
     """
     if b <= 0:
         raise ValidationError("cone parameter b must be positive")
@@ -221,7 +222,7 @@ def compatibility_lower_bound(
         raise ValidationError("num_samples must be at least 1")
     _, support = sign_and_support(s)
     if support.rank == 0:
-        raise ValidationError("compatibility sampling needs a support of rank >= 1")
+        return 0.0
     rng = np.random.default_rng(seed)
     m = design.dim
     best = 0.0

@@ -15,12 +15,11 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .bounds import design_moment_bounds, estimate_rademacher_norm, matrix_bernstein_bound
+from .bounds import design_moment_bounds, matrix_bernstein_bound
 from .constraints import describe
 from .designs import load_dataset, sample_dataset
 from .errors import NumericalError, ValidationError
 from .harness import (
-    _DELTA_TAG,
     TRIAL_COLUMNS,
     ExperimentConfig,
     _run_trial,
@@ -28,6 +27,7 @@ from .harness import (
     build_design,
     epsilon_sweep,
     mix_seed,
+    rademacher_statistics,
     rank_sweep,
     resolve_plan,
     resolve_problem,
@@ -254,9 +254,7 @@ def _cmd_certify(config, data_paths, certify_tol, args, log) -> int:
 
 def _cmd_delta(config, data_paths, certify_tol, args, log) -> int:
     design = build_design(config)
-    stats = estimate_rademacher_norm(
-        design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG)
-    )
+    stats = rademacher_statistics(config, design)
     sigma, uniform = design_moment_bounds(design)
     bernstein = matrix_bernstein_bound(sigma, uniform, design.dim, config.n)
     write_json(

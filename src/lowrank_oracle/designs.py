@@ -253,7 +253,8 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path, design: DesignDistribution) -> Dataset:
-    """Read a dataset CSV back against its generating design."""
+    """Read a dataset CSV back against its generating design; every error
+    names the file."""
     indices, ys = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -267,7 +268,10 @@ def load_dataset(path, design: DesignDistribution) -> Dataset:
                 ys.append(float(y))
             except ValueError:
                 raise ValidationError(f"{path}: malformed row {row!r}") from None
-    return Dataset(design=design, atom_indices=np.array(indices), y=np.array(ys), seed=None)
+    try:
+        return Dataset(design=design, atom_indices=np.array(indices), y=np.array(ys), seed=None)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # -- prediction bound ----------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 
 from .bounds import (
     ConstantsConfig,
+    RademacherStats,
     compatibility_basis,
     compatibility_lower_bound,
     epsilon_threshold,
@@ -326,6 +327,16 @@ def _solver_config(settings, epsilon: float) -> SolverConfig:
     )
 
 
+def rademacher_statistics(
+    config: ExperimentConfig, design: DesignDistribution
+) -> RademacherStats:
+    """Monte Carlo estimate of Delta at the config's n, with its own seed
+    stream derived from the master seed."""
+    return estimate_rademacher_norm(
+        design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG)
+    )
+
+
 def _threshold_terms(
     config: ExperimentConfig,
     design: DesignDistribution,
@@ -343,9 +354,7 @@ def _threshold_terms(
         b_const=config.b_const, c_const=config.c_const, d_thresh=config.d_thresh
     )
 
-    stats = estimate_rademacher_norm(
-        design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG)
-    )
+    stats = rademacher_statistics(config, design)
     eps_thresh = epsilon_threshold(constants, consts.smoothness, stats.delta, config.n)
     return a, consts, constants, stats, eps_thresh
 

@@ -221,7 +221,7 @@ def save_matrix(path, a: np.ndarray) -> None:
 def load_matrix(path) -> np.ndarray:
     """Read the text matrix format written by :func:`save_matrix`.
 
-    Symmetry is validated on load.
+    Symmetry is validated on load; every error names the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -231,6 +231,8 @@ def load_matrix(path) -> np.ndarray:
             m = int(header[1])
         except ValueError as exc:
             raise ValidationError(f"{path}: bad dimension {header[1]!r}") from exc
+        if m < 1:
+            raise ValidationError(f"{path}: dimension must be at least 1, got {m}")
         rows = []
         for i in range(m):
             parts = fh.readline().split()
@@ -240,4 +242,9 @@ def load_matrix(path) -> np.ndarray:
                 rows.append([float(p) for p in parts])
             except ValueError:
                 raise ValidationError(f"{path}: row {i} has a non-numeric entry") from None
-    return validate_symmetric(np.array(rows))
+        if any(line.strip() for line in fh):
+            raise ValidationError(f"{path}: more than the {m} rows the header declares")
+    try:
+        return validate_symmetric(np.array(rows))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

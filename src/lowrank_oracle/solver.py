@@ -31,7 +31,6 @@ from .matrices import (
     inner,
     nuclear_norm,
     operator_norm,
-    sign_and_support,
     soft_threshold,
     spectral_decompose,
     symmetrize,
@@ -150,82 +149,59 @@ def optimality_residuals(
 ) -> tuple[float, float]:
     """First-order residuals with the constraint's normal cone removed.
 
-    Unconstrained: the plain nuclear-subdifferential residuals.  With
-    W = -grad/epsilon and L the support of ``s_hat``, the first component is
-    the Frobenius distance of the supported part of W from the matrix sign
-    of ``s_hat``, and the second how far the operator norm of the
-    complement part of W exceeds 1 (clipped at zero).  For the spectral
-    balls the allowed normal-cone component is projected out first:
-    nonnegative multiples of the estimate for a Frobenius ball, and
-    signed semidefinite blocks on the active eigenspaces for an
-    operator-norm ball.  With ``epsilon == 0`` the first component is 0 and
-    the second is the corrected stationarity residual.
+    In the eigenbasis of ``s_hat`` its support L (eigenvalues above
+    ``zero_tol``) and matrix sign are diagonal.  The residual R is
+    W = -grad/epsilon minus the sign, minus the allowed normal-cone part:
+    nothing unconstrained; on a Frobenius ball's boundary, the nonnegative
+    multiple of the eigenvalues fitted to R's diagonal; on an operator-norm
+    ball, the positive (negative) semidefinite part of R's block on the
+    eigenvalues at +rho (-rho).  Returns the Frobenius norm of R on the rows
+    and columns touching L, and how far the operator norm of R's block off L
+    exceeds 1 (clipped at zero).  With ``epsilon == 0``: 0 and the Frobenius
+    norm of R with W = -grad, or unconstrained the operator norm of grad.
     """
     grad = validate_symmetric(grad)
     s_hat = validate_symmetric(s_hat)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-
+    if not isinstance(constraint, (Unconstrained, FrobeniusBall, OperatorNormBall)):
+        raise ValidationError(f"unknown constraint {constraint!r}")
     if isinstance(constraint, Unconstrained) and epsilon == 0:
         return 0.0, operator_norm(grad)
 
-    if isinstance(constraint, (Unconstrained, FrobeniusBall)):
-        # the normal cone is {0} off the boundary, and the unconstrained
-        # set has no boundary
-        denom = float(np.linalg.norm(s_hat)) ** 2
-        on_boundary = (
-            isinstance(constraint, FrobeniusBall)
-            and denom > 0
-            and abs(np.sqrt(denom) - constraint.rho) <= BOUNDARY_TOL * constraint.rho
-        )
-        if epsilon > 0:
-            w = -grad / epsilon
-            sign_m, support = sign_and_support(s_hat, zero_tol)
-            if on_boundary:
-                shift = max(0.0, inner(support.apply(w) - sign_m, s_hat) / denom)
-                w = w - shift * s_hat
-            w_comp = support.apply_complement(w)
-            low = float(np.linalg.norm((w - w_comp) - sign_m))
-            return low, max(0.0, operator_norm(w_comp) - 1.0)
-        g = grad
-        if on_boundary:
-            shift = max(0.0, -inner(g, s_hat) / denom)
-            g = g + shift * s_hat
-        return 0.0, float(np.linalg.norm(g))
-
-    if isinstance(constraint, OperatorNormBall):
-        dec = spectral_decompose(s_hat)
-        lam, phi = dec.eigenvalues, dec.eigenvectors
-        if zero_tol is None:
-            zero_tol = default_zero_tol(s_hat)
-        in_support = np.abs(lam) > zero_tol
+    dec = spectral_decompose(s_hat)
+    lam, phi = dec.eigenvalues, dec.eigenvectors
+    if zero_tol is None:
+        zero_tol = default_zero_tol(s_hat)
+    if zero_tol < 0:
+        raise ValidationError("zero_tol must be nonnegative")
+    in_support = np.abs(lam) > zero_tol
+    w = (-grad / epsilon) if epsilon > 0 else -grad
+    residual = symmetrize(phi.T @ w @ phi)
+    diag = np.diag_indices_from(residual)
+    if epsilon > 0:
+        residual[diag] -= np.where(in_support, np.sign(lam), 0.0)
+    if isinstance(constraint, FrobeniusBall):
+        norm_sq = float(lam @ lam)
+        rho = constraint.rho
+        if norm_sq > 0 and abs(np.sqrt(norm_sq) - rho) <= BOUNDARY_TOL * rho:
+            residual[diag] -= max(0.0, float(residual[diag] @ lam) / norm_sq) * lam
+    elif isinstance(constraint, OperatorNormBall):
         rho = constraint.rho
         act_tol = max(BOUNDARY_TOL * rho, zero_tol)
         plus = lam >= rho - act_tol
         minus = lam <= -rho + act_tol
-        w = (-grad / epsilon) if epsilon > 0 else -grad
-        wt = symmetrize(phi.T @ w @ phi)
-        residual = wt.copy()
-        if epsilon > 0:
-            residual[np.diag_indices_from(residual)] -= np.where(
-                in_support, np.sign(lam), 0.0
-            )
         # active blocks may absorb any signed-semidefinite normal component
         if np.any(plus):
             residual[np.ix_(plus, plus)] = _negative_part(residual[np.ix_(plus, plus)])
         if np.any(minus):
             residual[np.ix_(minus, minus)] = _positive_part(residual[np.ix_(minus, minus)])
-        if epsilon == 0:
-            return 0.0, float(np.linalg.norm(residual))
-        touches_support = in_support[:, None] | in_support[None, :]
-        low = float(np.linalg.norm(residual[touches_support]))
-        comp = wt[np.ix_(~in_support, ~in_support)]
-        excess = 0.0
-        if comp.size:
-            excess = max(0.0, float(np.max(np.abs(np.linalg.eigvalsh(comp)))) - 1.0)
-        return low, excess
-
-    raise ValidationError(f"unknown constraint {constraint!r}")
+    if epsilon == 0:
+        return 0.0, float(np.linalg.norm(residual))
+    touches_support = in_support[:, None] | in_support[None, :]
+    low = float(np.linalg.norm(residual[touches_support]))
+    comp = np.linalg.eigvalsh(residual[np.ix_(~in_support, ~in_support)])
+    return low, max(0.0, float(np.max(np.abs(comp), initial=0.0)) - 1.0)
 
 
 def solve(

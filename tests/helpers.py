@@ -5,7 +5,9 @@ the proximal-map oracle runs coarse-to-fine scalar grid searches (with an
 outer dual bisection for the coupled Frobenius-ball case), and the least
 squares oracle assembles explicit normal equations over an orthonormal
 basis of the symmetric matrix space.  The Bayes-risk oracle minimizes one
-conditional-risk closure per atom with scipy's bounded scalar search.
+conditional-risk closure per atom with scipy's bounded scalar search.  The
+first-order residual reference works in the original basis with the support
+projectors of the estimate, where the solver works in its eigenbasis.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from lowrank_oracle import (
     FrobeniusBall,
     OperatorNormBall,
     Unconstrained,
+    operator_norm,
     orthonormal_basis_design,
+    sign_and_support,
 )
 from lowrank_oracle.designs import truth_predictions
+from lowrank_oracle.solver import BOUNDARY_TOL
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
 
@@ -116,6 +121,34 @@ def least_squares_oracle(data: Dataset) -> np.ndarray:
     features = np.einsum("nij,kij->nk", covariates, basis)
     coef, *_ = np.linalg.lstsq(features, data.y, rcond=None)
     return np.tensordot(coef, basis, axes=1)
+
+
+def optimality_residuals_reference(
+    grad: np.ndarray, s_hat: np.ndarray, epsilon: float, constraint
+) -> tuple[float, float]:
+    """First-order residuals for the unconstrained set and the Frobenius
+    ball by the support projectors of ``s_hat``: the distance of the
+    supported part of W = -grad/epsilon from the matrix sign, and the excess
+    over 1 of the complement part's operator norm, after removing the best
+    nonnegative multiple of ``s_hat`` when it lies on the ball's boundary."""
+    if isinstance(constraint, Unconstrained) and epsilon == 0:
+        return 0.0, operator_norm(grad)
+    denom = float(np.linalg.norm(s_hat)) ** 2
+    on_boundary = (
+        isinstance(constraint, FrobeniusBall)
+        and denom > 0
+        and abs(np.sqrt(denom) - constraint.rho) <= BOUNDARY_TOL * constraint.rho
+    )
+    if epsilon == 0:
+        shift = max(0.0, -float(np.sum(grad * s_hat)) / denom) if on_boundary else 0.0
+        return 0.0, float(np.linalg.norm(grad + shift * s_hat))
+    w = -grad / epsilon
+    sign, support = sign_and_support(s_hat)
+    if on_boundary:
+        w = w - max(0.0, float(np.sum((support.apply(w) - sign) * s_hat)) / denom) * s_hat
+    w_comp = support.apply_complement(w)
+    low = float(np.linalg.norm(w - w_comp - sign))
+    return low, max(0.0, operator_norm(w_comp) - 1.0)
 
 
 def directional_derivative(fn, s: np.ndarray, h: np.ndarray, step: float = 1e-6) -> float:

@@ -146,6 +146,13 @@ def test_compatibility_lower_bound_reaches_closed_form():
     assert lower >= 0.99 * exact
 
 
+def test_compatibility_lower_bound_of_rank_zero_support_is_zero():
+    rng = np.random.default_rng(7)
+    atoms = np.stack([random_symmetric(rng, 3) for _ in range(4)])
+    design = custom_design(atoms, np.full(4, 0.25))
+    assert compatibility_lower_bound(np.zeros((3, 3)), design, b=5.0, num_samples=20, seed=8) == 0.0
+
+
 def test_compatibility_duality_on_cone_samples():
     from lowrank_oracle import cone_gap, nuclear_norm
 

@@ -115,23 +115,38 @@ def test_negative_epsilon_exits_one(tmp_path, capsys):
         ("solve", "dataset", "data.csv", "j,atom_index,y\n0,1,nan\n"),
         ("certify", "estimate", "bad.mtx", "m 4\n1 0 0 0\n0 abc 0 0\n0 0 1 0\n0 0 0 1\n"),
         ("certify", "estimate", "small.mtx", "m 2\n1 0\n0 1\n"),
+        ("certify", "estimate", "skew.mtx", "m 4\n1 2 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"),
+        ("certify", "estimate", "long.mtx", "m 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n5 5 5 5\n"),
+        ("certify", "estimate", "inf.mtx", "m 4\n1 0 0 0\n0 inf 0 0\n0 0 1 0\n0 0 0 1\n"),
+        ("certify", "estimate", "empty.mtx", "m 0\n"),
+        ("verify", "files", "skew-atom.mtx", "m 4\n0 1 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"),
     ],
     ids=[
         "fractional-atom-index",
         "nan-response",
         "non-numeric-matrix-entry",
         "wrong-size-estimate",
+        "non-symmetric-estimate",
+        "extra-row",
+        "non-finite-estimate",
+        "zero-dimension",
+        "non-symmetric-design-atom",
     ],
 )
 def test_malformed_input_file_exits_one(tmp_path, capsys, command, key, name, text):
     path = tmp_path / name
     path.write_text(text)
     config = tmp_path / "bad-input.ini"
-    config.write_text(SMALL_CONFIG + f"\n[data]\n{key} = {path}\n")
+    if key == "files":
+        custom = f"type = custom\nfiles = {path}"
+        config.write_text(SMALL_CONFIG.replace("type = completion-basis\nm = 4", custom))
+    else:
+        config.write_text(SMALL_CONFIG + f"\n[data]\n{key} = {path}\n")
     code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
+    assert name in err
     assert "Traceback" not in err
 
 
@@ -326,15 +341,17 @@ def test_custom_design_from_matrix_files(tmp_path):
         save_matrix(tmp_path / f"atom{i}.mtx", mat)
     files = " ".join(str(tmp_path / f"atom{i}.mtx") for i in range(3))
     config = tmp_path / "custom.ini"
-    config.write_text(
-        f"""
+    # a rank-0 truth has compatibility constant exactly 0
+    for rank in (1, 0):
+        config.write_text(
+            f"""
 [design]
 type = custom
 files = {files}
 probs = 0.4 0.4 0.2
 
 [truth]
-rank = 1
+rank = {rank}
 sigma = 0.05
 
 [solver]
@@ -345,11 +362,12 @@ n = 60
 trials = 2
 seed = 3
 """
-    )
-    out = tmp_path / "custom-out"
-    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["beta_kind"] == "sampled-lower-bound"
+        )
+        out = tmp_path / f"custom-out-{rank}"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["beta_kind"] == "sampled-lower-bound"
+        assert (summary["beta"] == 0.0) == (rank == 0)
 
 
 def test_writes_stay_inside_output_directory(config_file, tmp_path, monkeypatch):

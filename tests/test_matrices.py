@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank_oracle import (
+    OperatorNormBall,
     Unconstrained,
     ValidationError,
     best_rank_approximation,
@@ -222,6 +223,9 @@ def test_subdifferential_residuals_examples():
     sign1, _ = sign_and_support(s1)
     low, excess = optimality_residuals(-2.0 * 0.7 * sign1, s1, epsilon=0.7)
     assert low == pytest.approx(1.0, abs=1e-9)
+
+    # the operator-norm ball of radius 0 is {0}: its normal cone absorbs any gradient
+    assert optimality_residuals(10.0 * g, np.zeros((4, 4)), 1.0, OperatorNormBall(0.0)) == (0.0, 0.0)
 
     # epsilon = 0 leaves only the stationarity residual; a negative one is invalid
     assert optimality_residuals(g, np.zeros((4, 4)), epsilon=0.0) == (0.0, operator_norm(g))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank_oracle import (
     Dataset,
@@ -34,6 +36,7 @@ from lowrank_oracle.matrices import inner
 from helpers import (
     directional_derivative,
     least_squares_oracle,
+    optimality_residuals_reference,
     prox_eigenvalues_oracle,
     random_low_rank,
     random_symmetric,
@@ -329,6 +332,40 @@ def test_optimality_residuals_epsilon_zero():
     low, excess = optimality_residuals(g, result.s_hat, 0.0)
     assert low == 0.0
     assert excess <= 1e-6
+
+
+@st.composite
+def residual_instance(draw):
+    """Random symmetric (grad, s_hat, epsilon), s_hat of any rank 0..m."""
+    m = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    epsilon = draw(st.sampled_from([0.0, 0.1, 0.5, 2.0]))
+    return random_symmetric(rng, m), random_low_rank(rng, m, rank), epsilon
+
+
+def _residuals_close(got, expected):
+    return all(
+        abs(a - b) <= max(1e-10 * max(abs(a), abs(b)), 1e-12) for a, b in zip(got, expected)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(residual_instance())
+def test_optimality_residuals_match_support_projector_reference(instance):
+    grad, s_hat, epsilon = instance
+    frob = float(np.linalg.norm(s_hat))
+    off_boundary = FrobeniusBall(frob + 1.0)
+    for constraint in (Unconstrained(), FrobeniusBall(frob), off_boundary):
+        got = optimality_residuals(grad, s_hat, epsilon, constraint)
+        expected = optimality_residuals_reference(grad, s_hat, epsilon, constraint)
+        assert _residuals_close(got, expected), (constraint, got, expected)
+    # with no eigenvalue at +-rho the operator-norm ball removes nothing: the
+    # unconstrained residuals for epsilon > 0, ||grad||_F for epsilon = 0
+    loose = OperatorNormBall(operator_norm(s_hat) + 1.0)
+    got = optimality_residuals(grad, s_hat, epsilon, loose)
+    expected = optimality_residuals_reference(grad, s_hat, epsilon, off_boundary)
+    assert _residuals_close(got, expected), (got, expected)
 
 
 def test_solver_config_validation():
