@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -187,8 +187,24 @@ def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDo
 # -- datasets ------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class EmpiricalLaw:
+    """A sample's response law as weighted rows, the empirical counterpart of
+    ``_response_law``: the sample mean of f(Y_j; u at X_j) is
+    sum_r w[r] f(y[r]; u[atoms[r]]), plus ``const`` when f is the value of a
+    loss that is quadratic in the response.  Every weight is positive, so
+    only responses that occur are ever evaluated."""
+
+    atoms: np.ndarray  # (r,) atom index of each row
+    y: np.ndarray      # (r,) response value
+    w: np.ndarray      # (r,) positive weights summing to 1
+    const: float = 0.0
+
+
+@dataclass(frozen=True)
 class Dataset:
-    """Sampled (X_j, Y_j) pairs; covariates stored as atom indices."""
+    """Sampled (X_j, Y_j) pairs; covariates stored as atom indices.  The
+    per-atom statistics and response laws are computed once and cached, so
+    the arrays are not to be modified after construction."""
 
     design: DesignDistribution
     atom_indices: np.ndarray  # (n,)
@@ -212,6 +228,47 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.atom_indices.shape[0]
+
+    @cached_property
+    def response_sums(self) -> np.ndarray:
+        """Per atom, the sum of its sampled responses, shape (k,)."""
+        return np.bincount(
+            self.atom_indices, weights=self.y, minlength=self.design.num_atoms
+        )
+
+    def response_law(self, loss: LossModel) -> EmpiricalLaw:
+        """The sample's response law for ``loss``, built once per dataset."""
+        return self._mean_law if loss.quadratic_in_response else self._row_law
+
+    @cached_property
+    def _mean_law(self) -> EmpiricalLaw:
+        # y^2 + B(u) y + C(u) averages over an atom's responses to the loss at
+        # their mean plus their centered mean square, whatever u is
+        counts = np.bincount(self.atom_indices, minlength=self.design.num_atoms)
+        mean = np.divide(
+            self.response_sums, counts, out=np.zeros(counts.shape), where=counts > 0
+        )
+        centered = self.y - mean[self.atom_indices]
+        seen = np.flatnonzero(counts)
+        return EmpiricalLaw(
+            atoms=seen,
+            y=mean[seen],
+            w=counts[seen] / self.n,
+            const=float(centered @ centered) / self.n,
+        )
+
+    @cached_property
+    def _row_law(self) -> EmpiricalLaw:
+        # labels take two values per atom, which is exact for every loss;
+        # any other response keeps one row per sample
+        y = self.y
+        if not np.all((y == 1.0) | (y == -1.0)):
+            return EmpiricalLaw(atoms=self.atom_indices, y=y, w=np.full(self.n, 1.0 / self.n))
+        counts = np.bincount(2 * self.atom_indices + (y > 0), minlength=2 * self.design.num_atoms)
+        rows = np.flatnonzero(counts)
+        return EmpiricalLaw(
+            atoms=rows // 2, y=np.where(rows % 2 == 1, 1.0, -1.0), w=counts[rows] / self.n
+        )
 
 
 def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -12,6 +12,7 @@ null for undefined statistics.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -151,6 +152,8 @@ class TrialRecord:
     seed: int
     converged: bool
     iterations: int
+    backtracks: int
+    restarts: int
     kkt_low: float
     kkt_excess: float
     estimate_nuclear: float
@@ -468,6 +471,8 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
         seed=seed,
         converged=result.converged,
         iterations=result.iterations,
+        backtracks=result.backtracks,
+        restarts=result.restarts,
         kkt_low=result.kkt[0],
         kkt_excess=result.kkt[1],
         estimate_nuclear=nuclear_norm(result.s_hat),
@@ -505,11 +510,50 @@ def resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+_worker_plan: ResolvedPlan | None = None  # set once per worker process
+
+
+def _limit_blas_threads() -> None:
+    """Cap every OpenBLAS loaded into this process at one thread through the
+    library's own setter; does nothing where none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:  # already loaded, so CDLL only takes a handle
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SETTERS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _init_worker(plan: ResolvedPlan) -> None:
+    # workers share the cores, so each runs its BLAS on one thread
+    global _worker_plan
+    _limit_blas_threads()
+    _worker_plan = plan
+
+
+def _run_worker_trial(index: int) -> TrialRecord:
+    return _run_trial(_worker_plan, index)
+
+
 def run_trials(
     plan: ResolvedPlan, trials: int, workers: int | None = None, log=None
 ) -> list[TrialRecord]:
     """Run independent trials; the collector orders records by trial index,
-    so the result is identical at any worker count."""
+    so the result is identical at any worker count.  Each worker process
+    receives the plan once and runs one BLAS thread."""
     workers = resolve_workers(workers)
     records: list[TrialRecord | None] = [None] * trials
     if workers <= 1 or trials <= 1:
@@ -518,8 +562,10 @@ def run_trials(
             if log:
                 log(f"trial {i + 1}/{trials} done")
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_trial, plan, i): i for i in range(trials)}
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(plan,)
+        ) as pool:
+            futures = {pool.submit(_run_worker_trial, i): i for i in range(trials)}
             done = 0
             for future in as_completed(futures):
                 records[futures[future]] = future.result()

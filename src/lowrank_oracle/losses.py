@@ -59,7 +59,10 @@ class LossModel:
     ``default_domain(a)`` gives the conventional response domain once the
     prediction bound ``a`` is fixed: the squared loss assumes responses in
     [-a, a], the exponential loss lives on {-1, +1}.  ``closed_form(a)``
-    returns exact (L(a), tau(a)) when known.
+    returns exact (L(a), tau(a)) when known.  ``quadratic_in_response``
+    declares value = y^2 + B(u) y + C(u), so that d1 and d2 are affine in y
+    and the empirical risk depends on each atom's responses only through
+    their count, mean and centered sum of squares.
     """
 
     name: str
@@ -68,6 +71,7 @@ class LossModel:
     d2: Callable
     default_domain: Callable[[float], ResponseDomain]
     closed_form: Callable[[float], tuple[float, float]] | None = None
+    quadratic_in_response: bool = False
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,7 @@ def squared_loss() -> LossModel:
         d2=_squared_d2,
         default_domain=_squared_domain,
         closed_form=_squared_closed_form,
+        quadratic_in_response=True,
     )
 
 

@@ -7,7 +7,9 @@ eigenvalue-wise proximal map, and acceleration uses momentum with a
 function-value restart that keeps the objective trace monotone.  Each
 iteration takes one proximal step, and termination is on the gradient
 mapping of that step, which bounds the first-order residual at the new
-iterate.
+iterate.  The smooth part is evaluated on the dataset's empirical response
+law, whose rows are distinct (atom, response) pairs or per-atom means, so an
+evaluation costs O(rows) rather than O(n).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .matrices import (
     default_zero_tol,
     inner,
     nuclear_norm,
-    operator_norm,
     soft_threshold,
     spectral_decompose,
     symmetrize,
@@ -68,15 +69,14 @@ class SolveResult:
     kkt: tuple[float, float]
     converged: bool
     grad_tol: float = field(default=0.0)
+    backtracks: int = 0  # step shrinks on a failed smoothness test
+    restarts: int = 0    # steps from z rejected and their momentum dropped
 
 
 def empirical_risk(s: np.ndarray, data: Dataset, loss: LossModel) -> float:
     """Sample mean of the loss at predictions <S, X_j>."""
-    u = data.design.forward(s)[data.atom_indices]
-    vals = np.asarray(loss.value(data.y, u), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("loss overflow while evaluating the empirical risk")
-    return float(np.mean(vals))
+    law, rows = _law_rows(loss.value, s, data, loss, "empirical risk")
+    return law.const + float(np.sum(rows))
 
 
 def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> float:
@@ -89,20 +89,20 @@ def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> 
 def gradient(s: np.ndarray, data: Dataset, loss: LossModel) -> np.ndarray:
     """Riesz representer of the empirical-risk directional derivative."""
     s = validate_symmetric(s)
-    u_atom = data.design.forward(s)
-    d1 = np.asarray(loss.d1(data.y, u_atom[data.atom_indices]), dtype=float)
-    if not np.all(np.isfinite(d1)):
-        raise NumericalError("loss overflow while evaluating the gradient")
-    return symmetrize(_sample_mean_adjoint(d1, data))
+    law, rows = _law_rows(loss.d1, s, data, loss, "gradient")
+    per_atom = np.bincount(law.atoms, weights=rows, minlength=data.design.num_atoms)
+    return symmetrize(data.design.adjoint(per_atom))
 
 
-def _sample_mean_adjoint(values: np.ndarray, data: Dataset) -> np.ndarray:
-    """(1/n) sum_j values_j X_j.  Samples sharing an atom are aggregated so
-    the adjoint runs over distinct atoms rather than raw samples."""
-    weights = np.bincount(
-        data.atom_indices, weights=values, minlength=data.design.num_atoms
-    ) / data.n
-    return data.design.adjoint(weights)
+def _law_rows(fn, s: np.ndarray, data: Dataset, loss: LossModel, what: str):
+    """The dataset's response law for ``loss`` and its weighted rows
+    w_r * fn(y_r; <S, X_{k_r}>); the loss is evaluated once per row, not
+    once per sample."""
+    law = data.response_law(loss)
+    values = np.asarray(fn(law.y, data.design.forward(s)[law.atoms]), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"loss overflow while evaluating the {what}")
+    return law, law.w * values
 
 
 def composite_prox(s: np.ndarray, theta: float, constraint: ConstraintSet) -> np.ndarray:
@@ -158,7 +158,7 @@ def optimality_residuals(
     eigenvalues at +rho (-rho).  Returns the Frobenius norm of R on the rows
     and columns touching L, and how far the operator norm of R's block off L
     exceeds 1 (clipped at zero).  With ``epsilon == 0``: 0 and the Frobenius
-    norm of R with W = -grad, or unconstrained the operator norm of grad.
+    norm of R with W = -grad, for every constraint set.
     """
     grad = validate_symmetric(grad)
     s_hat = validate_symmetric(s_hat)
@@ -166,8 +166,6 @@ def optimality_residuals(
         raise ValidationError("epsilon must be nonnegative")
     if not isinstance(constraint, (Unconstrained, FrobeniusBall, OperatorNormBall)):
         raise ValidationError(f"unknown constraint {constraint!r}")
-    if isinstance(constraint, Unconstrained) and epsilon == 0:
-        return 0.0, operator_norm(grad)
 
     dec = spectral_decompose(s_hat)
     lam, phi = dec.eigenvalues, dec.eigenvectors
@@ -231,22 +229,24 @@ def solve(
 
     grad_tol = config.grad_tol
     if grad_tol is None:
-        data_scale = float(np.linalg.norm(_sample_mean_adjoint(data.y, data)))
+        data_scale = float(np.linalg.norm(data.design.adjoint(data.response_sums / data.n)))
         grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
 
     # initial step: inverse of a curvature estimate at the zero matrix
-    curvature = np.asarray(loss.d2(data.y, np.zeros(data.n)), dtype=float)
+    law = data.response_law(loss)
+    curvature = np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
     atom_sq = np.einsum("kij,kij->k", data.design.atoms, data.design.atoms)
-    bound = float(np.max(curvature)) * float(np.max(atom_sq[data.atom_indices]))
+    bound = float(np.max(curvature)) * float(np.max(atom_sq[law.atoms]))
     step = 1.0 / max(bound, 1e-12)
 
     step_cap = np.inf
+    backtracks = restarts = 0
 
     def prox_step(point: np.ndarray, g: np.ndarray, f_point: float, step: float):
         # backtracking on the smooth part; the acceptance test is exact so
         # oversized steps cannot keep passing on float noise near the fixed
         # point, and confident failures cap future growth
-        nonlocal step_cap
+        nonlocal step_cap, backtracks
         while True:
             candidate = composite_prox(point - step * g, step * epsilon, constraint)
             diff = candidate - point
@@ -257,6 +257,7 @@ def solve(
             if f_cand - quad > 1e-13 * max(1.0, abs(f_point)):
                 step_cap = min(step_cap, step)
             step *= STEP_SHRINK
+            backtracks += 1
             if step < 1e-18:
                 raise NumericalError("backtracking step underflow; loss may be non-smooth")
 
@@ -276,6 +277,7 @@ def solve(
             raise NumericalError("objective became non-finite")
         if obj_new > obj_x and z is not x:
             z, t = x, 1.0  # momentum overshoot: drop it and step from x next
+            restarts += 1
         else:  # never reject a step from x: rounding would stall at the fixed point
             converged = float(np.linalg.norm(x_new - z)) / step <= grad_tol
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -295,6 +297,8 @@ def solve(
         kkt=kkt,
         converged=converged,
         grad_tol=grad_tol,
+        backtracks=backtracks,
+        restarts=restarts,
     )
 
 

@@ -7,7 +7,9 @@ squares oracle assembles explicit normal equations over an orthonormal
 basis of the symmetric matrix space.  The Bayes-risk oracle minimizes one
 conditional-risk closure per atom with scipy's bounded scalar search.  The
 first-order residual reference works in the original basis with the support
-projectors of the estimate, where the solver works in its eigenbasis.
+projectors of the estimate, where the solver works in its eigenbasis.  The
+empirical risk and gradient references evaluate the loss at every sample,
+where the solver evaluates it once per row of the response law.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from lowrank_oracle import (
     ClassificationLink,
     Dataset,
     FrobeniusBall,
+    Interval,
+    LossModel,
+    NumericalError,
     OperatorNormBall,
     Unconstrained,
     operator_norm,
@@ -27,6 +32,7 @@ from lowrank_oracle import (
     sign_and_support,
 )
 from lowrank_oracle.designs import truth_predictions
+from lowrank_oracle.matrices import symmetrize, validate_symmetric
 from lowrank_oracle.solver import BOUNDARY_TOL
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
@@ -131,8 +137,6 @@ def optimality_residuals_reference(
     supported part of W = -grad/epsilon from the matrix sign, and the excess
     over 1 of the complement part's operator norm, after removing the best
     nonnegative multiple of ``s_hat`` when it lies on the ball's boundary."""
-    if isinstance(constraint, Unconstrained) and epsilon == 0:
-        return 0.0, operator_norm(grad)
     denom = float(np.linalg.norm(s_hat)) ** 2
     on_boundary = (
         isinstance(constraint, FrobeniusBall)
@@ -149,6 +153,44 @@ def optimality_residuals_reference(
     w_comp = support.apply_complement(w)
     low = float(np.linalg.norm(w - w_comp - sign))
     return low, max(0.0, operator_norm(w_comp) - 1.0)
+
+
+def empirical_risk_reference(s: np.ndarray, data: Dataset, loss) -> float:
+    """The loss evaluated at every sample and averaged: the per-sample form
+    of ``solver.empirical_risk``, which evaluates it on the response law."""
+    u = data.design.forward(s)[data.atom_indices]
+    vals = np.asarray(loss.value(data.y, u), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("loss overflow while evaluating the empirical risk")
+    return float(np.mean(vals))
+
+
+def gradient_reference(s: np.ndarray, data: Dataset, loss) -> np.ndarray:
+    """(1/n) sum_j d1(Y_j; <S, X_j>) X_j with d1 evaluated at every sample:
+    the per-sample form of ``solver.gradient``."""
+    s = validate_symmetric(s)
+    d1 = np.asarray(loss.d1(data.y, data.design.forward(s)[data.atom_indices]), dtype=float)
+    if not np.all(np.isfinite(d1)):
+        raise NumericalError("loss overflow while evaluating the gradient")
+    weights = np.bincount(data.atom_indices, weights=d1, minlength=data.design.num_atoms)
+    return symmetrize(data.design.adjoint(weights / data.n))
+
+
+def log_cosh_loss() -> LossModel:
+    """log cosh(y - u): smooth and convex, with no closed form for its
+    conditional minimizer and no exact compression of continuous responses."""
+
+    def value(y, u):
+        r = np.asarray(y, dtype=float) - u
+        return np.logaddexp(r, -r) - np.log(2.0)
+
+    def d1(y, u):
+        return -np.tanh(np.asarray(y, dtype=float) - u)
+
+    def d2(y, u):
+        return 1.0 - np.tanh(np.asarray(y, dtype=float) - u) ** 2
+
+    return LossModel("log-cosh", value, d1, d2, default_domain=lambda a: Interval(-a, a))
 
 
 def directional_derivative(fn, s: np.ndarray, h: np.ndarray, step: float = 1e-6) -> float:

@@ -19,7 +19,6 @@ from lowrank_oracle import (
     bayes_risk_per_atom,
     custom_design,
     excess_risk,
-    LossModel,
     exponential_loss,
     functional_l2_norm,
     get_loss,
@@ -35,7 +34,7 @@ from lowrank_oracle import (
 )
 from lowrank_oracle.designs import _truncated_gaussian, truth_predictions
 
-from helpers import bayes_risk_oracle, random_low_rank, random_symmetric
+from helpers import bayes_risk_oracle, log_cosh_loss, random_low_rank, random_symmetric
 
 
 def test_basis_design_m2_atoms():
@@ -322,21 +321,6 @@ def test_quadrature_self_check():
     assert abs(r64 - r128) < 1e-10
 
 
-def _log_cosh_loss() -> LossModel:
-    # smooth, convex, no closed form for its conditional minimizer
-    def value(y, u):
-        r = np.asarray(y, dtype=float) - u
-        return np.logaddexp(r, -r) - np.log(2.0)
-
-    def d1(y, u):
-        return -np.tanh(np.asarray(y, dtype=float) - u)
-
-    def d2(y, u):
-        return 1.0 - np.tanh(np.asarray(y, dtype=float) - u) ** 2
-
-    return LossModel("log-cosh", value, d1, d2, default_domain=lambda a: Interval(-a, a))
-
-
 @pytest.mark.parametrize(
     "loss_name, noise, spectrum",
     [
@@ -349,7 +333,7 @@ def _log_cosh_loss() -> LossModel:
     ids=["squared-gaussian", "exponential-labels", "noiseless", "log-cosh-gaussian", "log-cosh-labels"],
 )
 def test_bayes_risk_matches_dense_reference(loss_name, noise, spectrum):
-    register_loss("log-cosh", _log_cosh_loss)
+    register_loss("log-cosh", log_cosh_loss)
     loss = get_loss(loss_name)
     design = orthonormal_basis_design(4)
     rng = np.random.default_rng(63)

@@ -223,7 +223,8 @@ def test_extra_series_files(tmp_path, small_run):
 def test_csv_round_trips_nonfinite_values(tmp_path, small_run):
     _, summary = small_run
     record = TrialRecord(
-        trial=0, seed=1, converged=True, iterations=3, kkt_low=0.0, kkt_excess=0.0,
+        trial=0, seed=1, converged=True, iterations=3, backtracks=2, restarts=1,
+        kkt_low=0.0, kkt_excess=0.0,
         estimate_nuclear=1.0, estimate_rank=1, objective=0.5, lhs=0.1,
         oracle_excess=0.0, rank_term=0.2, nuclear_term=0.3, min_term=0.2,
         residual_term=0.4, rhs=0.6, violated=False, critical_c=float("inf"),
@@ -234,7 +235,8 @@ def test_csv_round_trips_nonfinite_values(tmp_path, small_run):
 
 def test_wall_time_excluded_from_equality():
     record_kwargs = dict(
-        trial=0, seed=1, converged=True, iterations=3, kkt_low=0.0, kkt_excess=0.0,
+        trial=0, seed=1, converged=True, iterations=3, backtracks=2, restarts=1,
+        kkt_low=0.0, kkt_excess=0.0,
         estimate_nuclear=1.0, estimate_rank=1, objective=0.5, lhs=0.1,
         oracle_excess=0.0, rank_term=0.2, nuclear_term=0.3, min_term=0.2,
         residual_term=0.4, rhs=0.6, violated=False, critical_c=-1.0,
@@ -337,6 +339,35 @@ def test_noiseless_recovery_has_no_violations():
     records, summary = run_oracle_trials(config, workers=1)
     assert summary.violations == 0
     assert all(r.lhs <= 1e-6 for r in records if r.converged)
+
+
+def _openblas_threads() -> list[int]:
+    # thread count of every OpenBLAS in this process, through its own getter
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                counts.append(int(getattr(lib, symbol)()))
+                break
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    from concurrent.futures import ProcessPoolExecutor
+
+    from lowrank_oracle.harness import _init_worker
+
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to find the loaded BLAS")
+    with ProcessPoolExecutor(max_workers=1, initializer=_init_worker, initargs=(None,)) as pool:
+        counts = pool.submit(_openblas_threads).result(timeout=60)
+    assert all(count == 1 for count in counts), counts
 
 
 def test_worker_env_fallback(monkeypatch):

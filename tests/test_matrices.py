@@ -228,7 +228,7 @@ def test_subdifferential_residuals_examples():
     assert optimality_residuals(10.0 * g, np.zeros((4, 4)), 1.0, OperatorNormBall(0.0)) == (0.0, 0.0)
 
     # epsilon = 0 leaves only the stationarity residual; a negative one is invalid
-    assert optimality_residuals(g, np.zeros((4, 4)), epsilon=0.0) == (0.0, operator_norm(g))
+    assert optimality_residuals(g, np.zeros((4, 4)), epsilon=0.0) == (0.0, np.linalg.norm(g))
     with pytest.raises(ValidationError):
         optimality_residuals(g, np.zeros((4, 4)), epsilon=-1.0)
 

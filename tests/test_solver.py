@@ -35,7 +35,10 @@ from lowrank_oracle.matrices import inner
 
 from helpers import (
     directional_derivative,
+    empirical_risk_reference,
+    gradient_reference,
     least_squares_oracle,
+    log_cosh_loss,
     optimality_residuals_reference,
     prox_eigenvalues_oracle,
     random_low_rank,
@@ -323,6 +326,95 @@ def test_loss_overflow_raises_numerical_error():
             empirical_risk(huge, data, exponential_loss())
         with pytest.raises(NumericalError):
             gradient(huge, data, exponential_loss())
+    # the per-sample references overflow too, and so do both paths of the
+    # squared loss, whose d1 overflows only past 9e307
+    squared_data = Dataset(design=design, atom_indices=np.array([0, 1]), y=np.array([0.5, -0.3]), seed=0)
+    cases = ((data, huge, exponential_loss()), (squared_data, np.diag([1e308, -1e308]), squared_loss()))
+    for data, s, loss in cases:
+        for fn in (empirical_risk_reference, gradient_reference, empirical_risk, gradient):
+            with np.errstate(over="ignore"), pytest.raises(NumericalError):
+                fn(s, data, loss)
+
+
+@st.composite
+def law_instance(draw):
+    """A dataset that may leave atoms unsampled, one of four (loss, response)
+    kinds, and a point S: near the matrix that generated the responses, so
+    that squared residuals are small next to large responses, or away from it."""
+    loss_name, labels = draw(st.sampled_from(
+        [("squared", False), ("squared", True), ("exponential", True), ("log-cosh", False)]
+    ))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 80))
+    scale = draw(st.sampled_from([1.0, 100.0]))
+    near = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = orthonormal_basis_design(m)
+    sampled = rng.choice(design.num_atoms, size=rng.integers(1, design.num_atoms + 1), replace=False)
+    idx = rng.choice(sampled, size=n)
+    s0 = scale * random_symmetric(rng, m)
+    if labels:
+        y = rng.choice([-1.0, 1.0], size=n)
+    else:
+        y = design.forward(s0)[idx] + 0.1 * rng.standard_normal(n)
+    s = s0 + (0.01 if near else 1.0) * random_symmetric(rng, m)
+    loss = {"squared": squared_loss, "exponential": exponential_loss, "log-cosh": log_cosh_loss}[loss_name]()
+    return Dataset(design=design, atom_indices=idx, y=y, seed=None), loss, s
+
+
+def _evaluate(fn, *args):
+    with np.errstate(over="ignore"):
+        try:
+            return fn(*args)
+        except NumericalError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_instance())
+def test_empirical_law_matches_per_sample_reference(instance):
+    data, loss, s = instance
+    risk = _evaluate(empirical_risk, s, data, loss)
+    expected = _evaluate(empirical_risk_reference, s, data, loss)
+    assert (risk is None) == (expected is None)  # overflow on both paths or neither
+    if expected is not None:
+        assert abs(risk - expected) <= 1e-12 * expected  # every loss here is nonnegative
+    grad = _evaluate(gradient, s, data, loss)
+    expected = _evaluate(gradient_reference, s, data, loss)
+    assert (grad is None) == (expected is None)
+    if expected is not None:
+        # relative to the gradient's scale before per-atom terms cancel
+        d1 = np.abs(loss.d1(data.y, data.design.forward(s)[data.atom_indices]))
+        scale = np.linalg.norm(data.design.adjoint(
+            np.bincount(data.atom_indices, weights=d1, minlength=data.design.num_atoms) / data.n
+        ))
+        assert np.linalg.norm(grad - expected) <= 1e-12 * scale
+
+
+def test_empirical_law_rows():
+    design = orthonormal_basis_design(2)
+    idx = np.array([0, 0, 0, 2, 2])
+    labels = Dataset(design=design, atom_indices=idx, y=np.array([1.0, -1.0, 1.0, 1.0, 1.0]), seed=None)
+    law = labels.response_law(exponential_loss())
+    assert law.atoms.tolist() == [0, 0, 2] and law.y.tolist() == [-1.0, 1.0, 1.0]
+    assert law.w.tolist() == [0.2, 0.4, 0.4] and law.const == 0.0
+    data = Dataset(design=design, atom_indices=idx, y=np.array([1.0, 2.0, 6.0, 0.5, 0.5]), seed=None)
+    law = data.response_law(squared_loss())
+    assert law.atoms.tolist() == [0, 2] and law.y.tolist() == [3.0, 0.5]
+    assert law.w.tolist() == [0.6, 0.4] and law.const == 14.0 / 5
+    law = data.response_law(log_cosh_loss())
+    assert law.atoms is data.atom_indices and law.y is data.y and law.w.tolist() == [0.2] * 5
+    assert data.response_law(squared_loss()) is data.response_law(squared_loss())
+
+
+def test_unobserved_label_is_never_evaluated():
+    # atom 0 has only +1 labels: exp(-u) underflows at u = 2000, while the
+    # absent -1 label would overflow
+    design = orthonormal_basis_design(2)
+    data = Dataset(design=design, atom_indices=np.array([0, 0, 1]), y=np.array([1.0, 1.0, -1.0]), seed=0)
+    s, loss = np.diag([2000.0, -1.0]), exponential_loss()
+    assert empirical_risk(s, data, loss) == pytest.approx(empirical_risk_reference(s, data, loss), rel=1e-12)
+    assert np.allclose(gradient(s, data, loss), gradient_reference(s, data, loss), rtol=1e-12, atol=0)
 
 
 def test_optimality_residuals_epsilon_zero():
