@@ -259,16 +259,8 @@ class Dataset:
 
     @cached_property
     def _row_law(self) -> EmpiricalLaw:
-        # labels take two values per atom, which is exact for every loss;
-        # any other response keeps one row per sample
-        y = self.y
-        if not np.all((y == 1.0) | (y == -1.0)):
-            return EmpiricalLaw(atoms=self.atom_indices, y=y, w=np.full(self.n, 1.0 / self.n))
-        counts = np.bincount(2 * self.atom_indices + (y > 0), minlength=2 * self.design.num_atoms)
-        rows = np.flatnonzero(counts)
-        return EmpiricalLaw(
-            atoms=rows // 2, y=np.where(rows % 2 == 1, 1.0, -1.0), w=counts[rows] / self.n
-        )
+        # any other loss keeps one row per sample
+        return EmpiricalLaw(atoms=self.atom_indices, y=self.y, w=np.full(self.n, 1.0 / self.n))
 
 
 def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -510,37 +510,75 @@ def resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
+_OPENBLAS_THREAD_SYMBOLS = (  # (setter, getter) of each OpenBLAS build
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
 
 _worker_plan: ResolvedPlan | None = None  # set once per worker process
 
 
-def _limit_blas_threads() -> None:
-    """Cap every OpenBLAS loaded into this process at one thread through the
-    library's own setter; does nothing where none is found."""
+def _openblas_paths(maps_lines) -> list[str]:
+    """Paths of the OpenBLAS libraries named in /proc/<pid>/maps lines.  The
+    path is the sixth field and may contain spaces; a library replaced on
+    disk since it was mapped (" (deleted)") cannot be opened and is left out."""
+    paths = set()
+    for line in maps_lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) < 6:
+            continue
+        path = fields[5].strip()
+        if "openblas" in path.lower() and not path.endswith(" (deleted)"):
+            paths.add(path)
+    return sorted(paths)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(setter, getter) of the thread count of every OpenBLAS loaded into
+    this process; empty where none is found."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+            paths = _openblas_paths(fh)
     except OSError:
-        return
-    for path in paths:  # already loaded, so CDLL only takes a handle
-        lib = ctypes.CDLL(path)
-        for symbol in _OPENBLAS_SETTERS:
-            setter = getattr(lib, symbol, None)
-            if setter is not None:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded, so CDLL only takes a handle
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
                 break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS loaded into this process on one thread, as pool
+    workers do, and restore each library's thread count on exit."""
+    controls = _openblas_thread_controls()
+    saved = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(controls, saved):
+            setter(count)
 
 
 def _init_worker(plan: ResolvedPlan) -> None:
     # workers share the cores, so each runs its BLAS on one thread
     global _worker_plan
-    _limit_blas_threads()
+    for setter, _ in _openblas_thread_controls():
+        setter(1)
     _worker_plan = plan
 
 
@@ -553,14 +591,16 @@ def run_trials(
 ) -> list[TrialRecord]:
     """Run independent trials; the collector orders records by trial index,
     so the result is identical at any worker count.  Each worker process
-    receives the plan once and runs one BLAS thread."""
+    receives the plan once, and every trial runs one BLAS thread, so that
+    no result depends on how the BLAS splits a product across threads."""
     workers = resolve_workers(workers)
     records: list[TrialRecord | None] = [None] * trials
     if workers <= 1 or trials <= 1:
-        for i in range(trials):
-            records[i] = _run_trial(plan, i)
-            if log:
-                log(f"trial {i + 1}/{trials} done")
+        with _one_blas_thread():
+            for i in range(trials):
+                records[i] = _run_trial(plan, i)
+                if log:
+                    log(f"trial {i + 1}/{trials} done")
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(plan,)

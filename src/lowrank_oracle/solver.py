@@ -8,8 +8,8 @@ function-value restart that keeps the objective trace monotone.  Each
 iteration takes one proximal step, and termination is on the gradient
 mapping of that step, which bounds the first-order residual at the new
 iterate.  The smooth part is evaluated on the dataset's empirical response
-law, whose rows are distinct (atom, response) pairs or per-atom means, so an
-evaluation costs O(rows) rather than O(n).
+law: one row per sampled atom for a loss quadratic in the response, so an
+evaluation costs O(K) rather than O(n), and one row per sample otherwise.
 """
 
 from __future__ import annotations

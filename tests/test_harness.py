@@ -20,11 +20,14 @@ from lowrank_oracle import (
     validate_summary,
     write_outputs,
 )
+from lowrank_oracle import harness
 from lowrank_oracle.cli import parse_config
 from lowrank_oracle.harness import (
     SUMMARY_SCHEMA,
     TRIAL_COLUMNS,
     TrialRecord,
+    _openblas_paths,
+    _openblas_thread_controls,
     calibrate_constant,
     make_truth_matrix,
 )
@@ -343,19 +346,7 @@ def test_noiseless_recovery_has_no_violations():
 
 def _openblas_threads() -> list[int]:
     # thread count of every OpenBLAS in this process, through its own getter
-    import ctypes
-
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    counts = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                counts.append(int(getattr(lib, symbol)()))
-                break
-    return counts
+    return [getter() for _, getter in _openblas_thread_controls()]
 
 
 def test_pool_workers_run_one_blas_thread():
@@ -410,3 +401,24 @@ def test_experiment_config_validation():
         ExperimentConfig(epsilon_rule="auto")
     with pytest.raises(ValidationError):
         ExperimentConfig(truth_spectrum=(1.0,), truth_rank=2)
+
+
+def test_openblas_paths_read_the_whole_path_field():
+    lines = [
+        "7f01-7f02 r-xp 00000000 08:01 1234 /home/u/My Projects/venv/libscipy_openblas64_-ff.so\n",
+        "7f03-7f04 r--p 00001000 08:01 1234 /home/u/My Projects/venv/libscipy_openblas64_-ff.so\n",
+        "7f05-7f06 r-xp 00000000 08:01 1235 /usr/lib/libopenblas.so.0 (deleted)\n",
+        "7f07-7f08 rw-p 00000000 00:00 0\n",
+        "7f09-7f0a r-xp 00000000 08:01 1236 /usr/lib/libm.so.6\n",
+    ]
+    assert _openblas_paths(lines) == ["/home/u/My Projects/venv/libscipy_openblas64_-ff.so"]
+
+
+def test_serial_trials_run_one_blas_thread(monkeypatch):
+    # the serial path runs the BLAS as pool workers do, then restores it
+    seen = []
+    monkeypatch.setattr(harness, "_run_trial", lambda plan, i: seen.append(_openblas_threads()))
+    before = _openblas_threads()
+    assert harness.run_trials(None, 2, workers=1) == []
+    assert len(seen) == 2 and all(count == 1 for counts in seen for count in counts), seen
+    assert _openblas_threads() == before
