@@ -277,23 +277,11 @@ def _cmd_delta(config, data_paths, certify_tol, args, log) -> int:
 def _cmd_bound(config, data_paths, certify_tol, args, log) -> int:
     plan = resolve_plan(config)
     record = _run_trial(plan, 0)
-    payload = {key: getattr(record, key) for key in TRIAL_COLUMNS}
-    payload.update(
-        {
-            "epsilon": plan.epsilon,
-            "epsilon_threshold": plan.epsilon_threshold,
-            "delta": plan.delta,
-            "beta": plan.beta,
-            "a": plan.a,
-            "smoothness": plan.smoothness,
-            "curvature": plan.curvature,
-            "q_bound": plan.q_bound,
-            "t": plan.t,
-            "b_const": plan.constants.b_const,
-            "c_const": plan.constants.c_const,
-            "d_thresh": plan.constants.d_thresh,
-        }
+    ingredients = (
+        "epsilon", "epsilon_threshold", "delta", "beta", "a", "smoothness", "curvature",
+        "q_bound", "t", "b_const", "c_const", "d_thresh",
     )
+    payload = {key: getattr(record, key) for key in TRIAL_COLUMNS} | plan.lookup(ingredients)
     write_json(Path(args.out) / "bound.json", payload)
     if not record.converged:
         print("warning: solver did not converge within max_iters", file=sys.stderr)

@@ -88,20 +88,16 @@ def orthonormal_basis_design(m: int) -> DesignDistribution:
     """
     if m < 1:
         raise ValidationError("dimension must be at least 1")
-    atoms = []
-    for i in range(m):
-        e = np.zeros((m, m))
-        e[i, i] = 1.0
-        atoms.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros((m, m))
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            atoms.append(e)
-    k = len(atoms)
+    k = m * (m + 1) // 2
+    atoms = np.zeros((k, m, m))
+    diag = np.arange(m)
+    atoms[diag, diag, diag] = 1.0
+    rows, cols = np.triu_indices(m, 1)
+    off = np.arange(m, k)
+    atoms[off, rows, cols] = atoms[off, cols, rows] = 1.0 / np.sqrt(2.0)
     return DesignDistribution(
         dim=m,
-        atoms=np.stack(atoms),
+        atoms=atoms,
         probs=np.full(k, 1.0 / k),
         is_orthonormal_basis=True,
     )

@@ -26,6 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .bounds import (
+    BoundReport,
     ConstantsConfig,
     RademacherStats,
     compatibility_basis,
@@ -242,8 +243,10 @@ def validate_summary(summary: dict) -> None:
 
 @dataclass(frozen=True)
 class ResolvedPlan:
-    """Everything fixed across trials, precomputed once."""
+    """Everything fixed across trials, precomputed once, with the config it
+    was resolved from."""
 
+    config: ExperimentConfig
     design: DesignDistribution
     truth: TruthModel
     loss: LossModel
@@ -258,17 +261,24 @@ class ResolvedPlan:
     beta_kind: str
     delta: float
     delta_stderr: float
-    t: float
     constants: ConstantsConfig
-    n: int
-    max_iters: int
-    grad_tol: float | None
-    seed: int
     bayes: np.ndarray
     oracle: np.ndarray
     oracle_excess: float
     oracle_rank: int
     oracle_nuclear: float
+
+    @property
+    def n(self) -> int:
+        return self.config.n
+
+    def lookup(self, names) -> dict:
+        """The named quantities, from the plan where it holds them, else from
+        its config."""
+        return {
+            name: getattr(self, name) if hasattr(self, name) else getattr(self.config, name)
+            for name in names
+        }
 
 
 def build_design(config: ExperimentConfig) -> DesignDistribution:
@@ -322,14 +332,6 @@ def build_constraint(config: ExperimentConfig) -> ConstraintSet:
     return FrobeniusBall(rho=config.constraint_rho)
 
 
-def _solver_config(settings, epsilon: float) -> SolverConfig:
-    """Solver settings at ``epsilon``; ``settings`` is an experiment config
-    or a plan resolved from one, both carry ``max_iters`` and ``grad_tol``."""
-    return SolverConfig(
-        epsilon=epsilon, max_iters=settings.max_iters, grad_tol=settings.grad_tol
-    )
-
-
 def rademacher_statistics(
     config: ExperimentConfig, design: DesignDistribution
 ) -> RademacherStats:
@@ -345,9 +347,9 @@ def _threshold_terms(
     design: DesignDistribution,
     loss: LossModel,
     constraint: ConstraintSet,
-) -> tuple:
-    """(a, loss constants at a, bound constants, Rademacher statistics,
-    regularization threshold)."""
+) -> dict:
+    """The plan fields of the regularization threshold: a, the loss
+    constants at a, the bound constants, Delta and the threshold itself."""
     if config.prediction_bound_override is not None:
         a = config.prediction_bound_override
     else:
@@ -356,10 +358,16 @@ def _threshold_terms(
     constants = ConstantsConfig(
         b_const=config.b_const, c_const=config.c_const, d_thresh=config.d_thresh
     )
-
     stats = rademacher_statistics(config, design)
-    eps_thresh = epsilon_threshold(constants, consts.smoothness, stats.delta, config.n)
-    return a, consts, constants, stats, eps_thresh
+    return dict(
+        a=a,
+        smoothness=consts.smoothness,
+        curvature=consts.curvature,
+        constants=constants,
+        delta=stats.delta,
+        delta_stderr=stats.stderr,
+        epsilon_threshold=epsilon_threshold(constants, consts.smoothness, stats.delta, config.n),
+    )
 
 
 def resolve_problem(config: ExperimentConfig) -> tuple:
@@ -379,8 +387,11 @@ def resolve_problem(config: ExperimentConfig) -> tuple:
     epsilon = config.epsilon_value
     if config.epsilon_rule == "threshold":
         terms = _threshold_terms(config, design, loss, constraint)
-        epsilon *= terms[-1]
-    return design, truth, loss, constraint, _solver_config(config, epsilon), terms
+        epsilon *= terms["epsilon_threshold"]
+    solver_config = SolverConfig(
+        epsilon=epsilon, max_iters=config.max_iters, grad_tol=config.grad_tol
+    )
+    return design, truth, loss, constraint, solver_config, terms
 
 
 def _truth_fields(
@@ -417,55 +428,47 @@ def _truth_fields(
 def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
     """Fix every trial-independent quantity of the experiment."""
     design, truth, loss, constraint, solver_config, terms = resolve_problem(config)
-    a, consts, constants, stats, eps_thresh = terms or _threshold_terms(
-        config, design, loss, constraint
-    )
     return ResolvedPlan(
+        config=config,
         design=design,
         loss=loss,
         constraint=constraint,
         epsilon=solver_config.epsilon,
-        epsilon_threshold=eps_thresh,
-        a=a,
-        smoothness=consts.smoothness,
-        curvature=consts.curvature,
-        delta=stats.delta,
-        delta_stderr=stats.stderr,
-        t=config.t,
-        constants=constants,
-        n=config.n,
-        max_iters=config.max_iters,
-        grad_tol=config.grad_tol,
-        seed=config.seed,
+        **(terms or _threshold_terms(config, design, loss, constraint)),
         **_truth_fields(design, truth, loss, config.seed),
     )
 
 
+def _bound_report(plan: ResolvedPlan, lhs: float, oracle=None) -> BoundReport:
+    """The oracle inequality at an estimate of excess risk ``lhs``, with the
+    plan's precomputed terms: at the plan's own oracle, whose terms the plan
+    holds too, unless another ``oracle`` is given."""
+    known = {}
+    if oracle is None:
+        oracle = plan.oracle
+        known = plan.lookup(("oracle_excess", "oracle_rank", "oracle_nuclear"))
+    return oracle_bound_report(
+        oracle, lhs, plan.design, plan.truth, plan.loss, plan.epsilon, plan.config.t,
+        plan.constants, plan.a, plan.n,
+        **plan.lookup(("beta", "smoothness", "curvature", "q_bound")), **known,
+    )
+
+
+_BOUND_COLUMNS = tuple(
+    name for name in TRIAL_COLUMNS if name in {f.name for f in fields(BoundReport)}
+)
+
+
 def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
     start = time.perf_counter()
-    seed = mix_seed(plan.seed, index)
+    seed = mix_seed(plan.config.seed, index)
     data = sample_dataset(plan.design, plan.truth, plan.n, seed)
-    result = solve(data, plan.loss, _solver_config(plan, plan.epsilon), plan.constraint)
-    lhs = excess_risk(result.s_hat, plan.design, plan.truth, plan.loss, bayes=plan.bayes)
-    report = oracle_bound_report(
-        plan.oracle,
-        lhs,
-        plan.design,
-        plan.truth,
-        plan.loss,
-        plan.epsilon,
-        plan.t,
-        plan.constants,
-        plan.a,
-        plan.n,
-        beta=plan.beta,
-        oracle_excess=plan.oracle_excess,
-        oracle_rank=plan.oracle_rank,
-        oracle_nuclear=plan.oracle_nuclear,
-        smoothness=plan.smoothness,
-        curvature=plan.curvature,
-        q_bound=plan.q_bound,
+    solver_config = SolverConfig(
+        epsilon=plan.epsilon, max_iters=plan.config.max_iters, grad_tol=plan.config.grad_tol
     )
+    result = solve(data, plan.loss, solver_config, plan.constraint)
+    lhs = excess_risk(result.s_hat, plan.design, plan.truth, plan.loss, bayes=plan.bayes)
+    report = _bound_report(plan, lhs)
     return TrialRecord(
         trial=index,
         seed=seed,
@@ -478,15 +481,7 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
         estimate_nuclear=nuclear_norm(result.s_hat),
         estimate_rank=rank_at_tol(result.s_hat),
         objective=float(result.objective_trace[-1]),
-        lhs=report.lhs,
-        oracle_excess=report.oracle_excess,
-        rank_term=report.rank_term,
-        nuclear_term=report.nuclear_term,
-        min_term=report.min_term,
-        residual_term=report.residual_term,
-        rhs=report.rhs,
-        violated=report.violated,
-        critical_c=report.critical_c,
+        **{name: getattr(report, name) for name in _BOUND_COLUMNS},
         wall_time=time.perf_counter() - start,
     )
 
@@ -628,13 +623,13 @@ def calibrate_constant(criticals: list[float], target_frequency: float) -> float
     return max(0.0, float(values[idx]))
 
 
-def summarize(
-    records: list[TrialRecord], plan: ResolvedPlan, config: ExperimentConfig
-) -> SummaryReport:
+def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
+    """The trials' statistics and the fields that need describing; every
+    other field is read by name from the plan or its config."""
     converged = [r for r in records if r.converged]
     violations = sum(1 for r in converged if r.violated)
     zeros = sum(r.estimate_rank == 0 for r in converged)
-    target = math.exp(-plan.t)
+    target = math.exp(-plan.config.t)
     errors = np.array([r.lhs - r.oracle_excess for r in converged])
     if errors.size:
         quantiles = {
@@ -648,7 +643,7 @@ def summarize(
     else:
         quantiles = {k: float("nan") for k in ("q50", "q90", "q99", "min", "max")}
         mean_error = float("nan")
-    return SummaryReport(
+    computed = dict(
         trials=len(records),
         converged=len(converged),
         nonconverged=len(records) - len(converged),
@@ -661,27 +656,11 @@ def summarize(
         zero_estimate_fraction=zeros / len(converged) if converged else float("nan"),
         rank_term_active=sum(r.min_term == r.rank_term for r in converged),
         m=plan.design.dim,
-        n=config.n,
-        truth_rank=config.truth_rank,
-        noise_sigma=config.noise_sigma,
-        loss=config.loss_name,
+        loss=plan.config.loss_name,
         constraint=describe(plan.constraint),
-        a=plan.a,
-        smoothness=plan.smoothness,
-        curvature=plan.curvature,
-        q_bound=plan.q_bound,
-        beta=plan.beta,
-        beta_kind=plan.beta_kind,
-        delta=plan.delta,
-        delta_stderr=plan.delta_stderr,
-        epsilon=plan.epsilon,
-        epsilon_threshold=plan.epsilon_threshold,
-        epsilon_rule=config.epsilon_rule,
-        t=plan.t,
-        b_const=config.b_const,
-        c_const=config.c_const,
-        d_thresh=config.d_thresh,
-        seed=config.seed,
+    )
+    return SummaryReport(
+        **computed, **plan.lookup(name for name in SUMMARY_SCHEMA if name not in computed)
     )
 
 
@@ -692,7 +671,7 @@ def run_oracle_trials(
     with the ground truth as oracle."""
     plan = resolve_plan(config)
     records = run_trials(plan, config.trials, workers=workers, log=log)
-    return records, summarize(records, plan, config)
+    return records, summarize(records, plan)
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -722,8 +701,9 @@ def rank_sweep(
     """Repeat the oracle experiment with unit-spectrum truths of varying
     rank at one fixed regularization level.
 
-    One plan is resolved; each rank swaps in only its truth and the fields
-    that depend on it, and the truths share one eigenframe, so they nest.
+    One plan is resolved; each rank swaps in only its config, its truth and
+    the fields that depend on it, and the truths share one eigenframe, so
+    they nest.
     """
     ranks = tuple(ranks if ranks is not None else config.ranks)
     if not ranks:
@@ -732,12 +712,15 @@ def rank_sweep(
     rows = []
     records_by_rank: dict[int, list[TrialRecord]] = {}
     for rank in ranks:
-        truth = build_truth(
-            replace(config, truth_rank=rank, truth_spectrum=()), dim=plan.design.dim
+        point_config = replace(config, truth_rank=rank, truth_spectrum=())
+        truth = build_truth(point_config, dim=plan.design.dim)
+        point = replace(
+            plan,
+            config=point_config,
+            **_truth_fields(plan.design, truth, plan.loss, config.seed),
         )
-        point = replace(plan, **_truth_fields(plan.design, truth, plan.loss, plan.seed))
         records = run_trials(point, config.trials, workers=workers, log=log)
-        summary = summarize(records, point, config)
+        summary = summarize(records, point)
         records_by_rank[rank] = records
         stderr = float("nan")
         errors = [r.lhs - r.oracle_excess for r in records if r.converged]
@@ -786,7 +769,7 @@ def epsilon_sweep(
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)
         records = run_trials(point, config.trials, workers=workers, log=log)
-        summary = summarize(records, point, config)
+        summary = summarize(records, point)
         rows.append(
             {
                 "multiple": multiple,
@@ -828,22 +811,7 @@ def sharpness_experiment(
             label, oracle = item
         else:
             label, oracle = f"oracle-{len(rows)}", item
-        reference = oracle_bound_report(
-            oracle,
-            0.0,
-            plan.design,
-            plan.truth,
-            plan.loss,
-            plan.epsilon,
-            plan.t,
-            plan.constants,
-            plan.a,
-            plan.n,
-            beta=plan.beta,
-            smoothness=plan.smoothness,
-            curvature=plan.curvature,
-            q_bound=plan.q_bound,
-        )
+        reference = _bound_report(plan, 0.0, oracle)
         gaps = np.array([r.lhs - reference.rhs for r in converged])
         violations = int(np.sum(gaps > 0)) if gaps.size else 0
         row = {
@@ -917,19 +885,12 @@ def write_series(path, points) -> Path:
     return Path(path)
 
 
-def write_outputs(
-    records: list[TrialRecord],
-    summary,
-    out_dir,
-    extra_series: dict | None = None,
-) -> dict[str, Path]:
-    """Persist trials.csv, summary.json and plot-data series.
+def write_outputs(records: list[TrialRecord], summary, out_dir) -> dict[str, Path]:
+    """Persist trials.csv, summary.json and the violation_vs_c series.
 
     The CSV has the stable column order ``TRIAL_COLUMNS`` and round-trips
     losslessly through :func:`read_trials_csv`.  ``summary`` is a
-    :class:`SummaryReport` or a plain dict.  ``extra_series`` maps a series
-    name (file stem) to a list of (x, y) pairs written by
-    :func:`write_series`.
+    :class:`SummaryReport` or a plain dict.
     """
     out = Path(out_dir)
     paths: dict[str, Path] = {"trials": out / "trials.csv"}
@@ -945,11 +906,9 @@ def write_outputs(
     summary_dict = asdict(summary) if is_dataclass(summary) else dict(summary)
     paths["summary"] = write_json(out / "summary.json", summary_dict)
 
-    series = {"violation_vs_c": _violation_series(records)}
-    if extra_series:
-        series.update(extra_series)
-    for name, points in series.items():
-        paths[name] = write_series(out / f"{name}.dat", points)
+    paths["violation_vs_c"] = write_series(
+        out / "violation_vs_c.dat", _violation_series(records)
+    )
     return paths
 
 

@@ -169,12 +169,12 @@ def sign_and_support(
 
 
 def rank_at_tol(s: np.ndarray, zero_tol: float | None = None) -> int:
-    """Number of eigenvalues above the zero tolerance."""
-    s = validate_symmetric(s)
+    """Number of eigenvalues above the zero tolerance (by default
+    ``default_zero_tol``, taken from the same eigenvalues)."""
+    lam = np.abs(np.linalg.eigvalsh(validate_symmetric(s)))
     if zero_tol is None:
-        zero_tol = default_zero_tol(s)
-    lam = np.linalg.eigvalsh(s)
-    return int(np.sum(np.abs(lam) > zero_tol))
+        zero_tol = DEFAULT_ZERO_TOL_FACTOR * float(np.max(lam, initial=0.0))
+    return int(np.sum(lam > zero_tol))
 
 
 def cone_gap(a: np.ndarray, support: SupportProjector, b: float) -> float:

@@ -17,7 +17,7 @@ from lowrank_oracle import (
 )
 from lowrank_oracle.cli import _SECTION_KEYS, main, parse_config
 from lowrank_oracle.errors import ValidationError
-from lowrank_oracle.harness import resolve_problem
+from lowrank_oracle.harness import TRIAL_COLUMNS, resolve_problem
 
 SMALL_CONFIG = """
 [design]
@@ -284,9 +284,10 @@ def test_bound_subcommand(config_file, tmp_path):
     out = tmp_path / "bound-out"
     assert main(["bound", "--config", str(config_file), "--out", str(out)]) == 0
     payload = json.loads((out / "bound.json").read_text())
-    for key in ("lhs", "rank_term", "nuclear_term", "min_term", "residual_term", "rhs",
-                "violated", "beta", "critical_c", "b_const", "c_const", "d_thresh"):
-        assert key in payload
+    assert set(payload) == set(TRIAL_COLUMNS) | {
+        "epsilon", "epsilon_threshold", "delta", "beta", "a", "smoothness", "curvature",
+        "q_bound", "t", "b_const", "c_const", "d_thresh",
+    }
     assert payload["rhs"] == pytest.approx(
         payload["oracle_excess"] + payload["min_term"] + payload["residual_term"]
     )

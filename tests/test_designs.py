@@ -50,6 +50,21 @@ def test_basis_design_m2_atoms():
         assert np.allclose(atom, want)
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_basis_design_matches_loop_reference(m):
+    reference = []
+    for i in range(m):
+        e = np.zeros((m, m))
+        e[i, i] = 1.0
+        reference.append(e)
+    for i in range(m):
+        for j in range(i + 1, m):
+            e = np.zeros((m, m))
+            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+            reference.append(e)
+    assert np.array_equal(orthonormal_basis_design(m).atoms, np.stack(reference))
+
+
 def test_basis_design_m1_and_gram():
     assert orthonormal_basis_design(1).atoms.tolist() == [[[1.0]]]
     design = orthonormal_basis_design(4)

@@ -211,16 +211,22 @@ def test_write_outputs_empty_records(tmp_path):
     assert paths["violation_vs_c"].read_text() == ""
 
 
-def test_extra_series_files(tmp_path, small_run):
-    records, summary = small_run
-    paths = write_outputs(
-        records,
-        summary,
-        tmp_path / "series",
-        extra_series={"error_vs_rank": [(1, 0.1), (2, 0.2)]},
-    )
-    lines = paths["error_vs_rank"].read_text().splitlines()
-    assert lines == ["1.0 0.1", "2.0 0.2"]
+def test_extra_series_files(tmp_path):
+    path = harness.write_series(tmp_path / "series" / "error_vs_rank.dat", [(1, 0.1), (2, 0.2)])
+    assert path.read_text().splitlines() == ["1.0 0.1", "2.0 0.2"]
+
+
+def test_rank_sweep_points_carry_their_config(monkeypatch):
+    summaries = []
+    summarize = harness.summarize
+
+    def recording(records, plan):
+        summaries.append(summarize(records, plan))
+        return summaries[-1]
+
+    monkeypatch.setattr(harness, "summarize", recording)
+    rank_sweep(dataclasses.replace(SMALL, trials=1), ranks=(1, 3), workers=1)
+    assert [summary.truth_rank for summary in summaries] == [1, 3]
 
 
 def test_csv_round_trips_nonfinite_values(tmp_path, small_run):

@@ -20,7 +20,7 @@ from lowrank_oracle import (
     sign_and_support,
     spectral_decompose,
 )
-from lowrank_oracle.matrices import SupportProjector, validate_symmetric
+from lowrank_oracle.matrices import SupportProjector, default_zero_tol, validate_symmetric
 
 from helpers import prox_scalar_oracle, random_low_rank, random_symmetric
 
@@ -153,6 +153,12 @@ def test_projector_rank_bound():
     a = random_symmetric(rng, 8)
     low = support.apply(a)
     assert rank_at_tol(low, 1e-9 * max(1.0, operator_norm(low))) <= 4
+
+
+@settings(max_examples=50, deadline=None)
+@given(symmetric())
+def test_rank_default_tolerance_is_default_zero_tol(s):
+    assert rank_at_tol(s) == rank_at_tol(s, default_zero_tol(s))
 
 
 def test_projector_dimension_mismatch():
