@@ -91,14 +91,13 @@ def estimate_rademacher_norm(
         raise ValidationError("n and reps must be at least 1")
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
-    done = 0
-    while done < reps:
-        chunk = min(_CHUNK, reps - done)
+    for start in range(0, reps, _CHUNK):
+        chunk = min(_CHUNK, reps - start)
         counts = rng.multinomial(n, design.probs, size=chunk)
         coeff = 2.0 * rng.binomial(counts, 0.5) - counts
-        mats = design.adjoint(coeff / np.sqrt(n))
-        norms[done : done + chunk] = _batch_opnorms(mats)
-        done += chunk
+        del counts  # this and the in-place scale leave room for the adjoint's
+        coeff /= np.sqrt(n)  # own (chunk, k) temporary
+        norms[start : start + chunk] = _batch_opnorms(design.adjoint(coeff))
     return _stats_from_norms(norms, n)
 
 
@@ -114,13 +113,10 @@ def estimate_rademacher_norm_fixed(
     n = xs.shape[0]
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
-    done = 0
-    while done < reps:
-        chunk = min(_CHUNK, reps - done)
+    for start in range(0, reps, _CHUNK):
+        chunk = min(_CHUNK, reps - start)
         signs = rng.integers(0, 2, size=(chunk, n)) * 2.0 - 1.0
-        mats = np.tensordot(signs / np.sqrt(n), xs, axes=1)
-        norms[done : done + chunk] = _batch_opnorms(mats)
-        done += chunk
+        norms[start : start + chunk] = _batch_opnorms(np.tensordot(signs / np.sqrt(n), xs, axes=1))
     return _stats_from_norms(norms, n)
 
 
@@ -158,10 +154,8 @@ def sample_rademacher_averages(
 def design_moment_bounds(design: DesignDistribution) -> tuple[float, float]:
     """(sigma, uniform): operator-norm square root of the second moment and
     the largest atom operator norm."""
-    second = np.einsum("k,kij,kjl->il", design.probs, design.atoms, design.atoms)
-    sigma = float(np.sqrt(operator_norm(symmetrize(second))))
-    uniform = max(operator_norm(atom) for atom in design.atoms)
-    return sigma, uniform
+    sigma = float(np.sqrt(operator_norm(symmetrize(design.second_moment))))
+    return sigma, float(np.max(design.atom_norms.operator))
 
 
 def matrix_bernstein_bound(sigma: float, uniform: float, m: int, n: int) -> float:

@@ -2,20 +2,21 @@
 
 A design is a finite list of symmetric atom matrices with sampling
 probabilities.  The estimator sees it only through its linear map
-``forward``, S -> (<S, X_k>)_k, and ``adjoint``, w -> sum_k w_k X_k; samples
-are atom indices, never a stack of covariates.  Finite support makes the L2
-norm of a linear functional, the population risk and the excess risk exactly
-computable, which the verification harness relies on.  The canonical design
-is uniform sampling from the orthonormal basis of the symmetric matrix
-space (the completion-style model).
+``forward``, S -> (<S, X_k>)_k, its ``adjoint``, per-atom norms and the
+second moment; samples are atom indices, never a stack of covariates.
+Finite support makes the L2 norm of a linear functional, the population risk
+and the excess risk exactly computable, which the verification harness
+relies on.  The canonical design is uniform sampling from the orthonormal
+basis of the symmetric matrix space (the completion-style model), stored as
+two positions and two weights per atom; custom designs store dense atoms.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -23,7 +24,7 @@ from scipy.special import ndtr, ndtri
 from .constraints import ConstraintSet, FrobeniusBall, OperatorNormBall, Unconstrained
 from .errors import NumericalError, ValidationError
 from .losses import FiniteSet, Interval, LossModel, ResponseDomain
-from .matrices import frobenius_norm, nuclear_norm, validate_symmetric
+from .matrices import SYMMETRY_TOL, validate_symmetric
 
 PROB_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-9
@@ -33,12 +34,18 @@ BAYES_XTOL = 1e-12     # relative step size at which the Newton iteration stops
 BAYES_MAX_ITERS = 100  # enough for bisection alone to reach BAYES_XTOL
 
 
+class AtomNorms(NamedTuple):  # each of shape (k,)
+    sq_frobenius: np.ndarray
+    nuclear: np.ndarray
+    operator: np.ndarray
+
+
 @dataclass(frozen=True)
 class DesignDistribution:
-    """Finite-support law of the matrix covariate."""
+    """Finite-support law of the matrix covariate, stored as dense atoms."""
 
     dim: int
-    atoms: np.ndarray          # (k, dim, dim)
+    atoms: np.ndarray = field(repr=False)  # (k, dim, dim)
     probs: np.ndarray          # (k,), sums to 1
     is_orthonormal_basis: bool = False
 
@@ -51,11 +58,14 @@ class DesignDistribution:
             raise ValidationError("one probability per atom required")
         if np.any(probs < 0) or abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
             raise ValidationError("probabilities must be nonnegative and sum to 1")
-        for i, atom in enumerate(atoms):
-            try:
-                validate_symmetric(atom)
-            except ValidationError as exc:
-                raise ValidationError(f"atom {i}: {exc}") from None
+        finite = np.all(np.isfinite(atoms), axis=(1, 2))  # validate_symmetric, batched
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite atom
+            skew = np.max(np.abs(atoms - atoms.transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
+            bad = ~finite | (skew > SYMMETRY_TOL * np.max(np.abs(atoms), axis=(1, 2), initial=1.0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            problem = "is not symmetric within tolerance" if finite[i] else "has non-finite entries"
+            raise ValidationError(f"atom {i}: matrix {problem}")
         if self.is_orthonormal_basis:
             flat = atoms.reshape(atoms.shape[0], -1)
             gram = flat @ flat.T
@@ -68,7 +78,7 @@ class DesignDistribution:
 
     @property
     def num_atoms(self) -> int:
-        return self.atoms.shape[0]
+        return self.probs.shape[0]
 
     def forward(self, s: np.ndarray) -> np.ndarray:
         """The design's linear map: S -> (<S, X_k>)_k, shape (k,)."""
@@ -79,8 +89,67 @@ class DesignDistribution:
         flat = np.asarray(w) @ self.atoms.reshape(self.num_atoms, -1)
         return flat.reshape(*np.shape(w)[:-1], self.dim, self.dim)
 
+    @cached_property
+    def atom_norms(self) -> AtomNorms:
+        lam = np.abs(np.linalg.eigvalsh(self.atoms))
+        return AtomNorms(np.einsum("kij,kij->k", self.atoms, self.atoms), lam.sum(-1), lam.max(-1))
 
-def orthonormal_basis_design(m: int) -> DesignDistribution:
+    @property
+    def second_moment(self) -> np.ndarray:
+        """E[X^2] = sum_k p_k X_k^2, shape (dim, dim)."""
+        return np.einsum("k,kij,kjl->il", self.probs, self.atoms, self.atoms)
+
+
+class BasisDesign(DesignDistribution):
+    """The uniform orthonormal basis stored by index: atom k is wa[k] at flat
+    position ia[k] plus wb[k] at its transpose ib[k] (wb = 0 on the diagonal,
+    wa = wb off it), checked in O(k).  The maps are a gather and a scatter,
+    the norms come from the weights, and ``atoms`` is built only on first use."""
+
+    def __init__(self, dim: int, ia, ib, wa, wb):
+        k = dim * (dim + 1) // 2
+        rows, cols = np.divmod(ia, dim)
+        # one unit-norm symmetric atom per upper-triangle position: orthonormal
+        if not (
+            all(a.shape == (k,) for a in (ia, ib, wa, wb))
+            and np.all((rows >= 0) & (rows <= cols) & (ib == cols * dim + rows))
+            and np.unique(ia).size == k
+            and np.all(np.where(ia == ib, wb == 0, wa == wb))
+            and np.all(np.abs(wa * wa + wb * wb - 1.0) <= ORTHONORMAL_TOL)
+        ):
+            raise ValidationError("index arrays do not form an orthonormal basis")
+        probs = np.full(k, 1.0 / k)  # the base is frozen: fill the instance directly
+        vars(self).update(dim=dim, probs=probs, is_orthonormal_basis=True, ia=ia, ib=ib, wa=wa, wb=wb)
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """The dense (k, dim, dim) stack; the maps and norms never read it."""
+        return self.adjoint(np.eye(self.num_atoms))
+
+    def forward(self, s: np.ndarray) -> np.ndarray:
+        flat = np.ravel(s)
+        return flat.take(self.ia) * self.wa + flat.take(self.ib) * self.wb
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        # wa = wb wherever ia != ib, so w * wa fills both positions
+        flat = np.zeros((*np.shape(w)[:-1], self.dim * self.dim))
+        flat[..., self.ia] = flat[..., self.ib] = w * self.wa
+        return flat.reshape(*np.shape(w)[:-1], self.dim, self.dim)
+
+    @cached_property
+    def atom_norms(self) -> AtomNorms:
+        wa, wb = np.abs(self.wa), np.abs(self.wb)
+        return AtomNorms(self.wa * self.wa + self.wb * self.wb, wa + wb, np.maximum(wa, wb))
+
+    @property
+    def second_moment(self) -> np.ndarray:
+        # X_k^2 is diagonal: each weight, squared, lands on its row
+        rows = np.concatenate([self.ia, self.ib]) // self.dim
+        weights = np.concatenate([self.probs * self.wa * self.wa, self.probs * self.wb * self.wb])
+        return np.diag(np.bincount(rows, weights=weights, minlength=self.dim))
+
+
+def orthonormal_basis_design(m: int) -> BasisDesign:
     """Uniform sampling from the m(m+1)/2 symmetric basis matrices.
 
     Diagonal units e_i e_i^T come first, then (e_i e_j^T + e_j e_i^T)/sqrt(2)
@@ -88,19 +157,11 @@ def orthonormal_basis_design(m: int) -> DesignDistribution:
     """
     if m < 1:
         raise ValidationError("dimension must be at least 1")
-    k = m * (m + 1) // 2
-    atoms = np.zeros((k, m, m))
-    diag = np.arange(m)
-    atoms[diag, diag, diag] = 1.0
     rows, cols = np.triu_indices(m, 1)
-    off = np.arange(m, k)
-    atoms[off, rows, cols] = atoms[off, cols, rows] = 1.0 / np.sqrt(2.0)
-    return DesignDistribution(
-        dim=m,
-        atoms=atoms,
-        probs=np.full(k, 1.0 / k),
-        is_orthonormal_basis=True,
-    )
+    rows, cols = np.r_[np.arange(m), rows], np.r_[np.arange(m), cols]
+    wb = np.where(rows == cols, 0.0, 1.0 / np.sqrt(2.0))
+    wa = np.where(rows == cols, 1.0, wb)
+    return BasisDesign(m, ia=rows * m + cols, ib=cols * m + rows, wa=wa, wb=wb)
 
 
 def custom_design(atoms: np.ndarray, probs: np.ndarray) -> DesignDistribution:
@@ -167,15 +228,11 @@ class TruthModel:
         object.__setattr__(self, "s_star", validate_symmetric(self.s_star))
 
 
-def truth_predictions(truth: TruthModel, design: DesignDistribution) -> np.ndarray:
-    return design.forward(truth.s_star)
-
-
 def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDomain:
     """Range of the response variable under the truth model."""
     if isinstance(truth.noise, ClassificationLink):
         return FiniteSet((-1.0, 1.0))
-    s_max = float(np.max(np.abs(truth_predictions(truth, design))))
+    s_max = float(np.max(np.abs(design.forward(truth.s_star))))
     half = s_max + truth.noise.cutoff
     return Interval(-half, half)
 
@@ -279,7 +336,7 @@ def sample_dataset(
         raise ValidationError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
     idx = rng.choice(design.num_atoms, size=n, p=design.probs)
-    s = truth_predictions(truth, design)[idx]
+    s = design.forward(truth.s_star)[idx]
     if isinstance(truth.noise, ClassificationLink):
         p = np.asarray(truth.noise.link(s), dtype=float)
         y = np.where(rng.random(n) < p, 1.0, -1.0)
@@ -334,9 +391,9 @@ def prediction_bound(constraint: ConstraintSet, design: DesignDistribution) -> f
             "supply the bound explicitly"
         )
     if isinstance(constraint, OperatorNormBall):
-        return constraint.rho * max(nuclear_norm(atom) for atom in design.atoms)
+        return constraint.rho * float(np.max(design.atom_norms.nuclear))
     if isinstance(constraint, FrobeniusBall):
-        return constraint.rho * max(frobenius_norm(atom) for atom in design.atoms)
+        return constraint.rho * float(np.sqrt(np.max(design.atom_norms.sq_frobenius)))
     raise ValidationError(f"unknown constraint {constraint!r}")
 
 
@@ -355,7 +412,7 @@ def _response_law(
     sum_q w f(ys).  Classification puts weights (p, 1 - p) on (+1, -1),
     Gaussian noise has Gauss-Legendre nodes on [-cutoff, cutoff], and a
     noiseless truth is the single point of its prediction."""
-    s = truth_predictions(truth, design)
+    s = design.forward(truth.s_star)
     if isinstance(truth.noise, ClassificationLink):
         p = np.asarray(truth.noise.link(s), dtype=float)
         return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
@@ -412,7 +469,7 @@ def bayes_risk_per_atom(
     candidate matrix, so compute it once per truth.
     """
     law = _response_law(design, truth, QUADRATURE_NODES)
-    s = truth_predictions(truth, design)
+    s = design.forward(truth.s_star)
     cutoff = 0.0 if isinstance(truth.noise, ClassificationLink) else truth.noise.cutoff
     half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + cutoff))
     lo, hi = np.full_like(s, -half), np.full_like(s, half)

@@ -350,9 +350,8 @@ def _threshold_terms(
 ) -> dict:
     """The plan fields of the regularization threshold: a, the loss
     constants at a, the bound constants, Delta and the threshold itself."""
-    if config.prediction_bound_override is not None:
-        a = config.prediction_bound_override
-    else:
+    a = config.prediction_bound_override
+    if a is None:
         a = prediction_bound(constraint, design)
     consts = loss_constants(loss, a)
     constants = ConstantsConfig(

@@ -235,8 +235,7 @@ def solve(
     # initial step: inverse of a curvature estimate at the zero matrix
     law = data.response_law(loss)
     curvature = np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
-    atom_sq = np.einsum("kij,kij->k", data.design.atoms, data.design.atoms)
-    bound = float(np.max(curvature)) * float(np.max(atom_sq[law.atoms]))
+    bound = float(np.max(curvature) * np.max(data.design.atom_norms.sq_frobenius[law.atoms]))
     step = 1.0 / max(bound, 1e-12)
 
     step_cap = np.inf

@@ -31,7 +31,6 @@ from lowrank_oracle import (
     orthonormal_basis_design,
     sign_and_support,
 )
-from lowrank_oracle.designs import truth_predictions
 from lowrank_oracle.matrices import symmetrize, validate_symmetric
 from lowrank_oracle.solver import BOUNDARY_TOL
 
@@ -199,7 +198,7 @@ def directional_derivative(fn, s: np.ndarray, h: np.ndarray, step: float = 1e-6)
 
 def conditional_risk_functions(design, truth, loss, quadrature_nodes: int = 64) -> list:
     """Per atom, a closure for the exact map u -> E[loss(Y; u) | X = atom]."""
-    s = truth_predictions(truth, design)
+    s = design.forward(truth.s_star)
     if isinstance(truth.noise, ClassificationLink):
         p = np.asarray(truth.noise.link(s), dtype=float)
 
@@ -231,7 +230,7 @@ def conditional_risk_functions(design, truth, loss, quadrature_nodes: int = 64) 
 def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
     """Per-atom minimal conditional risk by one bounded scalar minimization
     per atom over the bracket [-half, half]."""
-    s = truth_predictions(truth, design)
+    s = design.forward(truth.s_star)
     cutoff = 0.0 if isinstance(truth.noise, ClassificationLink) else truth.noise.cutoff
     half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + cutoff))
     out = []

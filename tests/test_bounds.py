@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,3 +309,17 @@ def test_sampled_averages_match_direct_statistics():
     stats = estimate_rademacher_norm(design, 16, reps=3000, seed=14)
     # same distribution sampled two ways: means agree within joint error
     assert abs(float(np.mean(norms)) * math.sqrt(16) - stats.delta) <= 4 * math.sqrt(2) * stats.stderr * math.sqrt(16)
+
+
+def test_rademacher_monte_carlo_peak_memory():
+    # the batched adjoint's (reps, m^2) output plus two (reps, k) arrays at a
+    # time: the sample counts are freed before the adjoint's own temporary
+    design = orthonormal_basis_design(40)
+    reps = 1000
+    tracemalloc.start()
+    try:
+        estimate_rademacher_norm(design, n=32_000, reps=reps, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * reps * (design.dim**2 + 2.5 * design.num_atoms)

@@ -1,4 +1,6 @@
+import configparser
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +392,22 @@ def test_shipped_example_config_runs(tmp_path):
     code = main(["verify", "--config", "configs/verify_example.ini", "--out", str(out), "--workers", "2"])
     assert code == 0
     assert (out / "summary.json").is_file()
+
+
+def test_shipped_m200_config_runs_at_reduced_size(tmp_path):
+    # configs/verify_m200.ini with n = 2e5 and 50 Rademacher repetitions:
+    # one trial on the K = 20 100 atom basis design, whose dense atoms
+    # alone would take 6.4 GB
+    parser = configparser.ConfigParser()
+    parser.read(Path(__file__).resolve().parent.parent / "configs" / "verify_m200.ini")
+    assert parser["design"]["m"] == "200" and parser["experiment"]["trials"] == "1"
+    parser["experiment"]["n"] = "200000"
+    parser["bound"]["delta_reps"] = "50"
+    config = tmp_path / "m200.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(config), "--out", str(out), "--workers", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["m"] == 200 and summary["trials"] == 1
+    assert summary["converged"] == 1 and summary["nonconverged"] == 0

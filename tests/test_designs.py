@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,9 @@ from lowrank_oracle import (
     save_dataset,
     squared_loss,
 )
-from lowrank_oracle.designs import _truncated_gaussian, truth_predictions
+from lowrank_oracle.bounds import design_moment_bounds
+from lowrank_oracle.designs import BasisDesign, _truncated_gaussian
+from lowrank_oracle.matrices import frobenius_norm, nuclear_norm, operator_norm
 
 from helpers import bayes_risk_oracle, log_cosh_loss, random_low_rank, random_symmetric
 
@@ -128,6 +131,105 @@ def test_forward_and_adjoint_match_dense_reference(case):
     )
 
 
+
+def _dense_copy(design):
+    return DesignDistribution(dim=design.dim, atoms=design.atoms, probs=design.probs)
+
+
+def _assert_maps_bit_identical(design, rng):
+    dense = _dense_copy(design)
+    s = random_symmetric(rng, design.dim)
+    w = rng.standard_normal(design.num_atoms)
+    batch = rng.standard_normal((3, design.num_atoms))
+    assert design.forward(s).tobytes() == dense.forward(s).tobytes()
+    assert design.adjoint(w).tobytes() == dense.adjoint(w).tobytes()
+    assert design.adjoint(batch).tobytes() == dense.adjoint(batch).tobytes()
+    assert design.adjoint(batch).shape == (3, design.dim, design.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_basis_maps_are_bit_identical_to_dense_maps(m, seed):
+    _assert_maps_bit_identical(orthonormal_basis_design(m), np.random.default_rng(seed))
+
+
+def test_basis_maps_are_bit_identical_to_dense_maps_m40():
+    design = orthonormal_basis_design(40)
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        _assert_maps_bit_identical(design, rng)
+    assert design.forward(np.eye(40)).tobytes() == _dense_copy(design).forward(np.eye(40)).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 8, 9, 40])
+def test_basis_closed_form_norms_match_the_dense_atoms(m):
+    design = orthonormal_basis_design(m)
+    dense = _dense_copy(design)
+    atoms = design.atoms
+    assert design.atom_norms.sq_frobenius.tobytes() == dense.atom_norms.sq_frobenius.tobytes()
+    assert design.atom_norms.nuclear.tolist() == [nuclear_norm(a) for a in atoms]
+    assert design.atom_norms.operator.tolist() == [operator_norm(a) for a in atoms]
+    assert design.atom_norms.nuclear.tolist() == dense.atom_norms.nuclear.tolist()
+    assert design.atom_norms.operator.tolist() == dense.atom_norms.operator.tolist()
+    assert math.sqrt(max(design.atom_norms.sq_frobenius)) == max(frobenius_norm(a) for a in atoms)
+    assert design.second_moment.tobytes() == dense.second_moment.tobytes()
+    assert design_moment_bounds(design) == design_moment_bounds(dense)
+    for constraint in (OperatorNormBall(2.0), FrobeniusBall(2.0)):
+        assert prediction_bound(constraint, design) == prediction_bound(constraint, dense)
+
+
+def test_basis_closed_form_constants_are_pinned():
+    design = orthonormal_basis_design(40)
+    # the nuclear norm of an off-diagonal atom is 2 fl(1/sqrt 2), one ulp
+    # below fl(sqrt 2); the squared Frobenius norm is 2 fl(1/2 - ulp)
+    assert set(design.atom_norms.nuclear.tolist()) == {1.0, 1.414213562373095}
+    assert 1.414213562373095 != math.sqrt(2.0)
+    assert set(design.atom_norms.sq_frobenius.tolist()) == {1.0, 0.9999999999999998}
+    assert set(design.atom_norms.operator.tolist()) == {1.0, 0.7071067811865475}
+    assert prediction_bound(OperatorNormBall(2.0), design) == 2.82842712474619
+    assert prediction_bound(FrobeniusBall(2.0), design) == 2.0
+    assert float(np.max(design.atom_norms.sq_frobenius)) == 1.0
+    # sigma is one ulp above 1/sqrt(40), the rounding of the summed second moment
+    assert design_moment_bounds(design) == (0.158113883008419, 1.0)
+    assert orthonormal_basis_design(1).atom_norms.nuclear.tolist() == [1.0]
+
+
+def test_basis_design_holds_no_dense_atoms():
+    tracemalloc.start()
+    try:
+        design = orthonormal_basis_design(200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense (k, m, m) atoms at m = 200 would take 20_100 * 200 * 200 * 8 B = 6.4 GB
+    assert peak < 16 * 2**20
+    assert "atoms" not in vars(design)
+    assert design.num_atoms == 20_100
+
+
+def test_basis_index_arrays_are_checked():
+    m = 3
+    good = orthonormal_basis_design(m)
+    fields = dict(ia=good.ia, ib=good.ib, wa=good.wa, wb=good.wb)
+    BasisDesign(m, **fields)
+    twice_a, twice_b = good.ia.copy(), good.ib.copy()
+    twice_a[-1], twice_b[-1] = twice_a[-2], twice_b[-2]
+    broken = [
+        dict(fields, ia=twice_a, ib=twice_b),           # a position hit twice, one never
+        dict(fields, ib=good.ia),                       # off-diagonal atoms not symmetric
+        dict(fields, ia=good.ib, ib=good.ia),           # lower-triangle positions
+        dict(fields, wa=good.wa * (1.0 + 1e-6)),        # not unit norm
+        dict(fields, wb=np.full(good.num_atoms, 0.5)),  # weight on a diagonal's transpose
+        dict(fields, ia=good.ia[:-1]),                  # an atom missing
+        dict(fields, wa=np.r_[good.wa[:m], 0.6, good.wa[m + 1 :]],
+             wb=np.r_[good.wb[:m], 0.8, good.wb[m + 1 :]]),  # unit norm, but not symmetric
+        dict(fields, wa=np.r_[0.6, good.wa[1:]], wb=np.r_[0.8, good.wb[1:]]),  # diagonal weight twice
+    ]
+    for case in broken:
+        with pytest.raises(ValidationError, match="orthonormal basis"):
+            BasisDesign(m, **case)
+
+
 @pytest.mark.parametrize("noise", [GaussianNoise(sigma=0.3), ClassificationLink()])
 def test_sample_dataset_matches_dense_stack_formula(noise):
     design = orthonormal_basis_design(5)
@@ -170,6 +272,22 @@ def test_custom_design_validation():
     assert design.num_atoms == 2
 
 
+def test_custom_design_validation_names_the_first_failing_atom():
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    inf = np.array([[np.inf, 0.0], [0.0, 0.0]])
+    uniform = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ValidationError, match=r"^atom 1: matrix is not symmetric within tolerance$"):
+        custom_design(np.stack([np.eye(2), skew, inf]), uniform)
+    with pytest.raises(ValidationError, match=r"^atom 1: matrix has non-finite entries$"):
+        custom_design(np.stack([np.eye(2), inf, skew]), uniform)
+    # the tolerance scales with each atom's own largest entry, not the stack's
+    big = np.array([[1e6, 1e6], [1e6 + 1e-7, 0.0]])
+    custom_design(np.stack([big, np.eye(2)]), np.full(2, 0.5))
+    slightly_skew = np.eye(2) + np.array([[0.0, 1e-11], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"^atom 1: matrix is not symmetric"):
+        custom_design(np.stack([big, slightly_skew]), np.full(2, 0.5))
+
+
 def test_functional_l2_norm_values():
     design = orthonormal_basis_design(2)
     assert functional_l2_norm(np.diag([1.0, 0.0]), design) == pytest.approx(1 / np.sqrt(3))
@@ -192,7 +310,7 @@ def test_sample_dataset_deterministic_and_noiseless():
     d2 = sample_dataset(design, truth, 50, seed=99)
     assert d1.atom_indices.tolist() == d2.atom_indices.tolist()
     assert d1.y.tolist() == d2.y.tolist()
-    predictions = truth_predictions(truth, design)
+    predictions = design.forward(truth.s_star)
     assert np.allclose(d1.y, predictions[d1.atom_indices])
 
 
@@ -311,7 +429,7 @@ def test_quadrature_matches_adaptive_integration():
 
     c = noise.cutoff
     mass = norm.cdf(c / noise.sigma) - norm.cdf(-c / noise.sigma)
-    s_true = truth_predictions(truth, design)
+    s_true = design.forward(truth.s_star)
     s_pred = np.einsum("kij,ij->k", design.atoms, s)
     expected = 0.0
     for p, mu, u in zip(design.probs, s_true, s_pred):
@@ -371,7 +489,7 @@ def test_empirical_risk_converges_to_population():
     loss = squared_loss()
     emp = empirical_risk(s, data, loss)
     pop = population_risk(s, design, truth, loss)
-    u = truth_predictions(TruthModel(s_star=s, noise=truth.noise), design)
+    u = design.forward(s)
     values = loss.value(data.y, u[data.atom_indices])
     stderr = float(np.std(values, ddof=1) / np.sqrt(data.n))
     assert abs(emp - pop) <= 5 * stderr
@@ -398,7 +516,7 @@ def test_population_curvature_inequality_squared():
     truth = TruthModel(s_star=s_star, noise=GaussianNoise(sigma=0.3))
     loss = squared_loss()
     tau = 2.0
-    s_vals = truth_predictions(truth, design)
+    s_vals = design.forward(truth.s_star)
     for _ in range(10):
         s1 = random_low_rank(rng, 3, 2)
         s2 = random_low_rank(rng, 3, 1)
@@ -421,7 +539,7 @@ def test_population_curvature_inequality_exponential():
     from lowrank_oracle import loss_constants
 
     tau = loss_constants(loss, a).curvature
-    p = 1.0 / (1.0 + np.exp(-2.0 * truth_predictions(truth, design)))
+    p = 1.0 / (1.0 + np.exp(-2.0 * design.forward(truth.s_star)))
     for _ in range(10):
         s1 = random_low_rank(rng, 3, 2)
         s2 = random_low_rank(rng, 3, 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -428,3 +429,23 @@ def test_serial_trials_run_one_blas_thread(monkeypatch):
     assert harness.run_trials(None, 2, workers=1) == []
     assert len(seen) == 2 and all(count == 1 for counts in seen for count in counts), seen
     assert _openblas_threads() == before
+
+
+def test_resolved_basis_plan_is_small_and_builds_no_dense_atoms():
+    # the settings of the benchmark's completion-m40-r2 workload; the pool
+    # initializer sends this plan to every worker, and with the dense
+    # (820, 40, 40) atoms it pickled to 10 MB
+    config = ExperimentConfig(
+        m=40,
+        n=32_000,
+        trials=1,
+        truth_spectrum=(1.0, 1.0),
+        epsilon_rule="absolute",
+        epsilon_value=0.001,
+        delta_reps=1000,
+    )
+    plan = resolve_plan(config)
+    assert len(pickle.dumps(plan)) < 2**20
+    (record,) = harness.run_trials(plan, 1, workers=1)
+    assert record.converged and record.estimate_rank == 2
+    assert "atoms" not in vars(plan.design)
