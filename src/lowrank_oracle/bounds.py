@@ -15,19 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import (
-    DesignDistribution,
-    TruthModel,
-    excess_risk,
-    functional_l2_norm,
-    response_domain,
-)
+from .designs import DesignDistribution, functional_l2_norm
 from .errors import ValidationError
-from .losses import LossModel, loss_constants, q_value
-from .matrices import nuclear_norm, operator_norm, rank_at_tol, sign_and_support, symmetrize
+from .matrices import nuclear_norm, operator_norm, sign_and_support, symmetrize
 
 ENUMERATION_LIMIT = 20
 _CHUNK = 20_000
+_BLOCK_BYTES = 2 * 2**20  # adjoint output per block of Rademacher repetitions
 
 
 @dataclass(frozen=True)
@@ -85,19 +79,21 @@ def estimate_rademacher_norm(
 
     Conditioned on the multinomial atom counts, the signed coefficient of
     each atom is a centered binomial, so draws reduce to (counts, binomial)
-    pairs rather than materializing n covariates per rep.
+    pairs rather than materializing n covariates per rep.  Signs, adjoint
+    and norms run in row blocks of about ``_BLOCK_BYTES`` of adjoint output,
+    which draw the binomials in the order of one draw per chunk.
     """
     if n < 1 or reps < 1:
         raise ValidationError("n and reps must be at least 1")
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
+    block = max(1, _BLOCK_BYTES // (8 * design.dim * design.dim))
     for start in range(0, reps, _CHUNK):
-        chunk = min(_CHUNK, reps - start)
-        counts = rng.multinomial(n, design.probs, size=chunk)
-        coeff = 2.0 * rng.binomial(counts, 0.5) - counts
-        del counts  # this and the in-place scale leave room for the adjoint's
-        coeff /= np.sqrt(n)  # own (chunk, k) temporary
-        norms[start : start + chunk] = _batch_opnorms(design.adjoint(coeff))
+        counts = rng.multinomial(n, design.probs, size=min(_CHUNK, reps - start))
+        for lo in range(0, counts.shape[0], block):
+            rows = counts[lo : lo + block]
+            coeff = (2.0 * rng.binomial(rows, 0.5) - rows) / np.sqrt(n)
+            norms[start + lo : start + lo + rows.shape[0]] = _batch_opnorms(design.adjoint(coeff))
     return _stats_from_norms(norms, n)
 
 
@@ -286,56 +282,33 @@ class BoundReport:
     residual_term: float
     rhs: float
     violated: bool
-    oracle_rank: int
-    oracle_nuclear: float
-    beta: float
     confidence_term: float
     critical_c: float
-    epsilon: float
-    t: float
 
 
 def oracle_bound_report(
-    oracle_s: np.ndarray,
     estimate_excess: float,
-    design: DesignDistribution,
-    truth: TruthModel,
-    loss: LossModel,
+    oracle_excess: float,
+    oracle_rank: int,
+    oracle_nuclear: float,
     epsilon: float,
     t: float,
     constants: ConstantsConfig,
     a: float,
     n: int,
-    beta: float | None = None,
-    oracle_excess: float | None = None,
-    oracle_rank: int | None = None,
-    oracle_nuclear: float | None = None,
-    smoothness: float | None = None,
-    curvature: float | None = None,
-    q_bound: float | None = None,
+    beta: float,
+    smoothness: float,
+    curvature: float,
+    q_bound: float,
 ) -> BoundReport:
     """Assemble the right-hand side of the oracle inequality at one oracle.
 
-    The optional keyword arguments accept precomputed pieces so a harness
-    evaluating many trials against one oracle does the expensive work once;
-    left as None they are computed here.
+    The oracle enters only through its excess risk, rank and nuclear norm;
+    beta, L(a) = ``smoothness``, tau(a) = ``curvature`` and Q = ``q_bound``
+    are the plan's.
     """
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-    if smoothness is None or curvature is None:
-        consts = loss_constants(loss, a)
-        smoothness, curvature = consts.smoothness, consts.curvature
-    if q_bound is None:
-        q_bound = q_value(loss, response_domain(truth, design))
-    if beta is None:
-        beta = compatibility_basis(design)
-    if oracle_rank is None:
-        oracle_rank = rank_at_tol(oracle_s)
-    if oracle_nuclear is None:
-        oracle_nuclear = nuclear_norm(oracle_s)
-    if oracle_excess is None:
-        oracle_excess = excess_risk(oracle_s, design, truth, loss)
-
     rank_term = (3.0 / curvature) * beta**2 * oracle_rank * epsilon**2
     nuclear_term = 2.0 * epsilon * oracle_nuclear
     min_term = min(rank_term, nuclear_term)
@@ -361,11 +334,6 @@ def oracle_bound_report(
         residual_term=residual_term,
         rhs=rhs,
         violated=bool(estimate_excess > rhs),
-        oracle_rank=int(oracle_rank),
-        oracle_nuclear=float(oracle_nuclear),
-        beta=float(beta),
         confidence_term=confidence,
         critical_c=critical_c,
-        epsilon=epsilon,
-        t=t,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -49,11 +50,14 @@ class DataPaths:
 def _number(kind):
     def parse(section: str, key: str, raw: str):
         try:
-            return kind(raw)
+            value = kind(raw)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):  # nan and inf would pass every range check
             raise ValidationError(
-                f"config [{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-            ) from None
+                f"config [{section}] {key} = {raw!r} is not a valid finite {kind.__name__}"
+            )
+        return value
 
     return parse
 
@@ -152,6 +156,8 @@ def parse_config(path) -> tuple[ExperimentConfig, DataPaths, float]:
                 values[dest] = parsed
     data = DataPaths(dataset=values.pop("dataset", None), estimate=values.pop("estimate", None))
     certify_tol = values.pop("certify_tol", 1e-5)
+    if certify_tol < 0:
+        raise ValidationError(f"config [solver] certify_tol = {certify_tol!r} must be nonnegative")
     return ExperimentConfig(**values), data, certify_tol
 
 

@@ -52,9 +52,9 @@ from .designs import (
     excess_risk,
     orthonormal_basis_design,
     prediction_bound,
+    response_domain,
     sample_dataset,
 )
-from .designs import response_domain
 from .errors import ValidationError
 from .losses import LossModel, get_loss, loss_constants, q_value
 from .matrices import load_matrix, nuclear_norm, rank_at_tol, symmetrize
@@ -308,10 +308,8 @@ def make_truth_matrix(
     return symmetrize((frame * eigs) @ frame.T)
 
 
-def build_truth(config: ExperimentConfig, dim: int | None = None) -> TruthModel:
+def build_truth(config: ExperimentConfig, dim: int) -> TruthModel:
     """Truth model at the design's dimension (``config.m`` for basis designs)."""
-    if dim is None:
-        dim = config.m
     if config.truth_rank > dim:
         raise ValidationError("truth rank exceeds the design dimension")
     s_star = make_truth_matrix(
@@ -393,6 +391,18 @@ def resolve_problem(config: ExperimentConfig) -> tuple:
     return design, truth, loss, constraint, solver_config, terms
 
 
+def _oracle_terms(
+    oracle: np.ndarray, design: DesignDistribution, truth: TruthModel, loss: LossModel, bayes
+) -> dict:
+    """The three numbers through which an oracle enters the bound: its excess
+    risk (from the per-atom Bayes risks ``bayes``), rank and nuclear norm."""
+    return dict(
+        oracle_excess=excess_risk(oracle, design, truth, loss, bayes=bayes),
+        oracle_rank=rank_at_tol(oracle),
+        oracle_nuclear=nuclear_norm(oracle),
+    )
+
+
 def _truth_fields(
     design: DesignDistribution, truth: TruthModel, loss: LossModel, seed: int
 ) -> dict:
@@ -418,9 +428,7 @@ def _truth_fields(
         beta_kind=beta_kind,
         bayes=bayes,
         oracle=truth.s_star,
-        oracle_excess=excess_risk(truth.s_star, design, truth, loss, bayes=bayes),
-        oracle_rank=rank_at_tol(truth.s_star),
-        oracle_nuclear=nuclear_norm(truth.s_star),
+        **_oracle_terms(truth.s_star, design, truth, loss, bayes),
     )
 
 
@@ -438,19 +446,13 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
     )
 
 
-def _bound_report(plan: ResolvedPlan, lhs: float, oracle=None) -> BoundReport:
+def _bound_report(plan: ResolvedPlan, lhs: float, oracle_terms: dict | None = None) -> BoundReport:
     """The oracle inequality at an estimate of excess risk ``lhs``, with the
-    plan's precomputed terms: at the plan's own oracle, whose terms the plan
-    holds too, unless another ``oracle`` is given."""
-    known = {}
-    if oracle is None:
-        oracle = plan.oracle
-        known = plan.lookup(("oracle_excess", "oracle_rank", "oracle_nuclear"))
-    return oracle_bound_report(
-        oracle, lhs, plan.design, plan.truth, plan.loss, plan.epsilon, plan.config.t,
-        plan.constants, plan.a, plan.n,
-        **plan.lookup(("beta", "smoothness", "curvature", "q_bound")), **known,
-    )
+    plan's terms: at the plan's own oracle unless another oracle's
+    ``_oracle_terms`` are given."""
+    oracle_terms = oracle_terms or plan.lookup(("oracle_excess", "oracle_rank", "oracle_nuclear"))
+    terms = ("epsilon", "t", "constants", "a", "n", "beta", "smoothness", "curvature", "q_bound")
+    return oracle_bound_report(lhs, **oracle_terms, **plan.lookup(terms))
 
 
 _BOUND_COLUMNS = tuple(
@@ -580,14 +582,14 @@ def _run_worker_trial(index: int) -> TrialRecord:
     return _run_trial(_worker_plan, index)
 
 
-def run_trials(
-    plan: ResolvedPlan, trials: int, workers: int | None = None, log=None
-) -> list[TrialRecord]:
-    """Run independent trials; the collector orders records by trial index,
-    so the result is identical at any worker count.  Each worker process
-    receives the plan once, and every trial runs one BLAS thread, so that
-    no result depends on how the BLAS splits a product across threads."""
+def run_trials(plan: ResolvedPlan, workers: int | None = None, log=None) -> list[TrialRecord]:
+    """Run the plan's ``config.trials`` independent trials; the collector
+    orders records by trial index, so the result is identical at any worker
+    count.  Each worker process receives the plan once, and every trial runs
+    one BLAS thread, so that no result depends on how the BLAS splits a
+    product across threads."""
     workers = resolve_workers(workers)
+    trials = plan.config.trials
     records: list[TrialRecord | None] = [None] * trials
     if workers <= 1 or trials <= 1:
         with _one_blas_thread():
@@ -669,7 +671,7 @@ def run_oracle_trials(
     """Solve ``config.trials`` independent datasets and evaluate the bound
     with the ground truth as oracle."""
     plan = resolve_plan(config)
-    records = run_trials(plan, config.trials, workers=workers, log=log)
+    records = run_trials(plan, workers=workers, log=log)
     return records, summarize(records, plan)
 
 
@@ -718,7 +720,7 @@ def rank_sweep(
             config=point_config,
             **_truth_fields(plan.design, truth, plan.loss, config.seed),
         )
-        records = run_trials(point, config.trials, workers=workers, log=log)
+        records = run_trials(point, workers=workers, log=log)
         summary = summarize(records, point)
         records_by_rank[rank] = records
         stderr = float("nan")
@@ -767,7 +769,7 @@ def epsilon_sweep(
     rows = []
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)
-        records = run_trials(point, config.trials, workers=workers, log=log)
+        records = run_trials(point, workers=workers, log=log)
         summary = summarize(records, point)
         rows.append(
             {
@@ -801,7 +803,7 @@ def sharpness_experiment(
     ``oracle_set`` are matrices or (label, matrix) pairs.
     """
     plan = resolve_plan(config)
-    records = run_trials(plan, config.trials, workers=workers, log=log)
+    records = run_trials(plan, workers=workers, log=log)
     converged = [r for r in records if r.converged]
     rows = []
     headline = -math.inf
@@ -810,13 +812,14 @@ def sharpness_experiment(
             label, oracle = item
         else:
             label, oracle = f"oracle-{len(rows)}", item
-        reference = _bound_report(plan, 0.0, oracle)
+        terms = _oracle_terms(oracle, plan.design, plan.truth, plan.loss, plan.bayes)
+        reference = _bound_report(plan, 0.0, terms)
         gaps = np.array([r.lhs - reference.rhs for r in converged])
         violations = int(np.sum(gaps > 0)) if gaps.size else 0
         row = {
             "label": label,
             "oracle_excess": reference.oracle_excess,
-            "oracle_rank": reference.oracle_rank,
+            "oracle_rank": terms["oracle_rank"],
             "min_term": reference.min_term,
             "residual_term": reference.residual_term,
             "mean_error": float(np.mean([r.lhs for r in converged])) - reference.oracle_excess

@@ -183,14 +183,13 @@ def loss_constants(
     loss: LossModel,
     a: float,
     grid_size: int = GRID_SIZE_DEFAULT,
-    domain: ResponseDomain | None = None,
     method: str = "auto",
 ) -> LossConstants:
     """Compute (L(a), tau(a)) for ``loss`` on predictions in [-a, a].
 
-    ``method="auto"`` returns the loss's closed form when one exists and the
-    default response domain is used; ``method="grid"`` forces the grid
-    sup/inf.  A nonpositive curvature infimum means the loss is not of
+    ``method="auto"`` returns the loss's closed form when one exists;
+    ``method="grid"`` forces the grid sup/inf over the loss's default
+    response domain.  A nonpositive curvature infimum means the loss is not of
     quadratic type and is rejected.
     """
     if a < 0:
@@ -200,11 +199,10 @@ def loss_constants(
     if method not in ("auto", "grid"):
         raise ValidationError(f"unknown method {method!r}")
 
-    if method == "auto" and loss.closed_form is not None and domain is None:
+    if method == "auto" and loss.closed_form is not None:
         smoothness, curvature = loss.closed_form(a)
     else:
-        dom = domain if domain is not None else loss.default_domain(a)
-        ys = dom.points(grid_size)
+        ys = loss.default_domain(a).points(grid_size)
         us = np.array([0.0]) if a == 0 else np.linspace(-a, a, grid_size)
         smoothness = -np.inf
         curvature = np.inf

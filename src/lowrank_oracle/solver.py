@@ -145,12 +145,11 @@ def optimality_residuals(
     s_hat: np.ndarray,
     epsilon: float,
     constraint: ConstraintSet = Unconstrained(),
-    zero_tol: float | None = None,
 ) -> tuple[float, float]:
     """First-order residuals with the constraint's normal cone removed.
 
     In the eigenbasis of ``s_hat`` its support L (eigenvalues above
-    ``zero_tol``) and matrix sign are diagonal.  The residual R is
+    ``default_zero_tol``) and matrix sign are diagonal.  The residual R is
     W = -grad/epsilon minus the sign, minus the allowed normal-cone part:
     nothing unconstrained; on a Frobenius ball's boundary, the nonnegative
     multiple of the eigenvalues fitted to R's diagonal; on an operator-norm
@@ -169,10 +168,7 @@ def optimality_residuals(
 
     dec = spectral_decompose(s_hat)
     lam, phi = dec.eigenvalues, dec.eigenvectors
-    if zero_tol is None:
-        zero_tol = default_zero_tol(s_hat)
-    if zero_tol < 0:
-        raise ValidationError("zero_tol must be nonnegative")
+    zero_tol = default_zero_tol(s_hat)
     in_support = np.abs(lam) > zero_tol
     w = (-grad / epsilon) if epsilon > 0 else -grad
     residual = symmetrize(phi.T @ w @ phi)
@@ -322,7 +318,6 @@ def certify(
     epsilon: float,
     constraint: ConstraintSet = Unconstrained(),
     tol: float = 1e-5,
-    zero_tol: float | None = None,
 ) -> Certificate:
     """Recompute the first-order residuals at the solution and compare to tol.
 
@@ -332,7 +327,7 @@ def certify(
     """
     s_hat = result.s_hat if isinstance(result, SolveResult) else result
     g = gradient(s_hat, data, loss)
-    low, excess = optimality_residuals(g, s_hat, epsilon, constraint, zero_tol)
+    low, excess = optimality_residuals(g, s_hat, epsilon, constraint)
     feasible = constraint_violation(s_hat, constraint) <= tol
     return Certificate(
         kkt_low=low,

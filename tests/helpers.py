@@ -31,6 +31,7 @@ from lowrank_oracle import (
     orthonormal_basis_design,
     sign_and_support,
 )
+from lowrank_oracle.bounds import _stats_from_norms
 from lowrank_oracle.matrices import symmetrize, validate_symmetric
 from lowrank_oracle.solver import BOUNDARY_TOL
 
@@ -239,3 +240,17 @@ def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
         assert res.success, res.message
         out.append(float(res.fun))
     return np.array(out)
+
+
+def rademacher_norm_reference(design, n: int, reps: int, seed: int, chunk: int):
+    """Monte Carlo Delta as one multinomial, one binomial and one adjoint per
+    ``chunk`` repetitions: the unblocked loop that the row-blocked
+    ``estimate_rademacher_norm`` must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    norms = np.empty(reps)
+    for start in range(0, reps, chunk):
+        counts = rng.multinomial(n, design.probs, size=min(chunk, reps - start))
+        coeff = (2.0 * rng.binomial(counts, 0.5) - counts) / np.sqrt(n)
+        mats = design.adjoint(coeff)
+        norms[start : start + counts.shape[0]] = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+    return _stats_from_norms(norms, n)

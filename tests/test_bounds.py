@@ -6,8 +6,6 @@ import pytest
 
 from lowrank_oracle import (
     ConstantsConfig,
-    GaussianNoise,
-    TruthModel,
     ValidationError,
     adjusted_confidence,
     compatibility_basis,
@@ -18,7 +16,6 @@ from lowrank_oracle import (
     epsilon_threshold,
     estimate_rademacher_norm,
     estimate_rademacher_norm_fixed,
-    excess_risk,
     functional_l2_norm,
     matrix_bernstein_bound,
     oracle_bound_report,
@@ -27,10 +24,11 @@ from lowrank_oracle import (
     rank_at_tol,
     sample_rademacher_averages,
     sign_and_support,
-    squared_loss,
 )
 
-from helpers import random_low_rank, random_symmetric
+from lowrank_oracle import bounds
+
+from helpers import rademacher_norm_reference, random_low_rank, random_symmetric
 
 
 def random_design(rng, m: int, k: int):
@@ -213,16 +211,20 @@ def test_adjusted_confidence_values():
         adjusted_confidence(1.0, 1.0, 100, 1.0, -1.0, 1.0, 1.0, 2.0)
 
 
+# the terms of a rank-2, unit-spectrum oracle on the m = 4 basis design (K = 10)
+# under the squared loss at a = 2: beta = sqrt(K), L(a) = 4a and tau(a) = 2
+_ORACLE = dict(oracle_excess=0.02, oracle_rank=2, oracle_nuclear=2.0)
+_PLAN = dict(
+    epsilon=0.1, t=3.0, constants=ConstantsConfig(), a=2.0, n=200,
+    beta=math.sqrt(10.0), smoothness=8.0, curvature=2.0, q_bound=2.6,
+)
+
+
 def test_residual_scale_values():
     # the deviation term is C * max(L(a)^2 / tau(a), L(a) * a) * t_adj / n
-    design, truth = _report_inputs()
-
     def residual_scale(constants, smoothness, curvature, a):
-        report = oracle_bound_report(
-            truth.s_star, 0.0, design, truth, squared_loss(),
-            epsilon=0.1, t=3.0, constants=constants, a=a, n=200,
-            smoothness=smoothness, curvature=curvature,
-        )
+        terms = _PLAN | dict(constants=constants, smoothness=smoothness, curvature=curvature, a=a)
+        report = oracle_bound_report(0.0, **_ORACLE, **terms)
         return report.residual_term * 200 / report.confidence_term
 
     assert residual_scale(ConstantsConfig(c_const=1.0), 4.0, 2.0, 1.0) == pytest.approx(8.0)
@@ -230,21 +232,8 @@ def test_residual_scale_values():
     assert residual_scale(ConstantsConfig(c_const=1.0), 1.0, 1.0, 1.0) == pytest.approx(1.0)
 
 
-def _report_inputs(m=4, rank=2, sigma=0.1, seed=12):
-    rng = np.random.default_rng(seed)
-    design = orthonormal_basis_design(m)
-    truth = TruthModel(s_star=random_low_rank(rng, m, rank, spectrum=[1.0] * rank), noise=GaussianNoise(sigma))
-    return design, truth
-
-
 def test_bound_report_consistency():
-    design, truth = _report_inputs()
-    constants = ConstantsConfig()
-    lhs = excess_risk(truth.s_star, design, truth, squared_loss())
-    report = oracle_bound_report(
-        truth.s_star, lhs, design, truth, squared_loss(),
-        epsilon=0.1, t=3.0, constants=constants, a=2.0, n=200,
-    )
+    report = oracle_bound_report(_ORACLE["oracle_excess"], **_ORACLE, **_PLAN)
     assert report.min_term <= report.rank_term
     assert report.min_term <= report.nuclear_term
     assert report.rhs == pytest.approx(
@@ -255,11 +244,8 @@ def test_bound_report_consistency():
 
 
 def test_bound_report_rank_zero_oracle():
-    design, truth = _report_inputs()
-    report = oracle_bound_report(
-        np.zeros((4, 4)), 0.5, design, truth, squared_loss(),
-        epsilon=0.1, t=3.0, constants=ConstantsConfig(), a=2.0, n=200,
-    )
+    zero = dict(oracle_excess=0.2, oracle_rank=0, oracle_nuclear=0.0)
+    report = oracle_bound_report(0.5, **zero, **_PLAN)
     assert report.rank_term == 0.0
     assert report.nuclear_term == 0.0
     assert report.min_term == 0.0
@@ -267,18 +253,11 @@ def test_bound_report_rank_zero_oracle():
 
 
 def test_bound_report_critical_c_inverts_rhs():
-    design, truth = _report_inputs()
-    constants = ConstantsConfig(c_const=1.0)
-    report = oracle_bound_report(
-        truth.s_star, 0.9, design, truth, squared_loss(),
-        epsilon=0.05, t=3.0, constants=constants, a=2.0, n=200,
-    )
+    plan = _PLAN | dict(epsilon=0.05, constants=ConstantsConfig(c_const=1.0))
+    report = oracle_bound_report(0.9, **_ORACLE, **plan)
     # setting c_const to the critical value makes the bound exactly tight
-    tight = oracle_bound_report(
-        truth.s_star, 0.9, design, truth, squared_loss(),
-        epsilon=0.05, t=3.0, constants=ConstantsConfig(c_const=max(report.critical_c, 1e-12)),
-        a=2.0, n=200,
-    )
+    plan["constants"] = ConstantsConfig(c_const=max(report.critical_c, 1e-12))
+    tight = oracle_bound_report(0.9, **_ORACLE, **plan)
     assert tight.rhs == pytest.approx(0.9, rel=1e-9)
 
 
@@ -312,8 +291,8 @@ def test_sampled_averages_match_direct_statistics():
 
 
 def test_rademacher_monte_carlo_peak_memory():
-    # the batched adjoint's (reps, m^2) output plus two (reps, k) arrays at a
-    # time: the sample counts are freed before the adjoint's own temporary
+    # one chunk's (reps, k) multinomial counts plus a few row blocks of
+    # signs, adjoint output and eigenvalue work at a time
     design = orthonormal_basis_design(40)
     reps = 1000
     tracemalloc.start()
@@ -322,4 +301,18 @@ def test_rademacher_monte_carlo_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * reps * (design.dim**2 + 2.5 * design.num_atoms)
+    assert peak < 8 * reps * design.num_atoms + 3 * bounds._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 100])
+def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, chunk):
+    # at m = 60 a block is 72 rows of 28.8 kB: three blocks in one chunk,
+    # one block per chunk of 7, or two uneven blocks per chunk of 100;
+    # delta and stderr must not move by a bit
+    design = orthonormal_basis_design(60)
+    reps = 200
+    if chunk is not None:
+        monkeypatch.setattr(bounds, "_CHUNK", chunk)
+    assert reps > 2 * bounds._BLOCK_BYTES // (8 * design.dim**2)
+    got = estimate_rademacher_norm(design, n=5000, reps=reps, seed=21)
+    assert got == rademacher_norm_reference(design, 5000, reps, 21, bounds._CHUNK)

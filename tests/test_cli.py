@@ -152,6 +152,36 @@ def test_malformed_input_file_exits_one(tmp_path, capsys, command, key, name, te
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("bound", "t", "nan"),
+        ("bound", "b", "nan"),
+        ("bound", "c", "inf"),
+        ("constraint", "a", "nan"),
+        ("solver", "epsilon", "threshold:nan"),
+        ("truth", "sigma", "-inf"),
+        ("solver", "certify_tol", "-1e-5"),
+    ],
+)
+def test_non_finite_or_negative_config_value_exits_one(tmp_path, capsys, section, key, raw):
+    # every range check is false for nan, so these used to run: b = nan gave
+    # rhs = nan and no violations, t = nan an uncaught traceback
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_CONFIG)
+    parser[section][key] = raw
+    config = tmp_path / "bad-value.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    code = main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert f"[{section}] {key}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 

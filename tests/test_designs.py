@@ -76,23 +76,6 @@ def test_basis_design_m1_and_gram():
     assert np.max(np.abs(gram - np.eye(10))) <= 1e-12
 
 
-def test_orthonormal_basis_flag_is_checked():
-    basis = orthonormal_basis_design(2).atoms
-    uniform = np.full(3, 1.0 / 3.0)
-    rotated = np.stack(
-        [(basis[0] + basis[1]) / np.sqrt(2.0), (basis[0] - basis[1]) / np.sqrt(2.0), basis[2]]
-    )
-    DesignDistribution(dim=2, atoms=rotated, probs=uniform, is_orthonormal_basis=True)
-    skewed = np.stack([basis[0], basis[1], (basis[2] + 1e-6 * basis[0])])
-    for atoms in (skewed, basis * (1.0 + 1e-6)):
-        with pytest.raises(ValidationError, match="orthonormal"):
-            DesignDistribution(dim=2, atoms=atoms, probs=uniform, is_orthonormal_basis=True)
-    with pytest.raises(ValidationError, match="uniform"):
-        DesignDistribution(
-            dim=2, atoms=basis, probs=np.array([0.5, 0.25, 0.25]), is_orthonormal_basis=True
-        )
-
-
 @st.composite
 def design_and_rng(draw):
     """A basis design or a random dense custom design, with a seeded rng."""

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -319,6 +320,8 @@ def test_sharpness_experiment_rows():
     # misspecified oracle has a larger excess but the bound still holds
     assert by_label["rank-1"]["max_gap"] <= 0
     assert result.headline_gap == max(row["max_gap"] for row in result.rows)
+    # the truth row's terms are the plan's own, so its gaps are the trials' own
+    assert by_label["truth"]["max_gap"] == max(r.lhs - r.rhs for r in result.records if r.converged)
 
 
 def test_sharpness_with_previous_estimate_as_oracle():
@@ -426,7 +429,8 @@ def test_serial_trials_run_one_blas_thread(monkeypatch):
     seen = []
     monkeypatch.setattr(harness, "_run_trial", lambda plan, i: seen.append(_openblas_threads()))
     before = _openblas_threads()
-    assert harness.run_trials(None, 2, workers=1) == []
+    plan = SimpleNamespace(config=SimpleNamespace(trials=2))
+    assert harness.run_trials(plan, workers=1) == []
     assert len(seen) == 2 and all(count == 1 for counts in seen for count in counts), seen
     assert _openblas_threads() == before
 
@@ -446,6 +450,6 @@ def test_resolved_basis_plan_is_small_and_builds_no_dense_atoms():
     )
     plan = resolve_plan(config)
     assert len(pickle.dumps(plan)) < 2**20
-    (record,) = harness.run_trials(plan, 1, workers=1)
+    (record,) = harness.run_trials(plan, workers=1)
     assert record.converged and record.estimate_rank == 2
     assert "atoms" not in vars(plan.design)
