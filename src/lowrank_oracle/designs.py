@@ -240,12 +240,19 @@ class EmpiricalLaw:
     ``_response_law``: the sample mean of f(Y_j; u at X_j) is
     sum_r w[r] f(y[r]; u[atoms[r]]), plus ``const`` when f is the value of a
     loss that is quadratic in the response.  Every weight is positive, so
-    only responses that occur are ever evaluated."""
+    only responses that occur are ever evaluated.
+
+    For such a loss y[r] is an atom's response mean rounded to a double, and
+    ``d1_remainder[r]`` = -2 w[r] (mean - y[r]) is what the rounding leaves
+    out: it is added to row r of d1, and d1_remainder[r] (u - y[r]) to the
+    value.  Without it, y[r] - u cancels when responses are large next to
+    their residuals and leaves the rounding as the error."""
 
     atoms: np.ndarray  # (r,) atom index of each row
     y: np.ndarray      # (r,) response value
     w: np.ndarray      # (r,) positive weights summing to 1
     const: float = 0.0
+    d1_remainder: np.ndarray | None = None  # (r,)
 
 
 @dataclass(frozen=True)
@@ -290,19 +297,24 @@ class Dataset:
 
     @cached_property
     def _mean_law(self) -> EmpiricalLaw:
-        # y^2 + B(u) y + C(u) averages over an atom's responses to the loss at
-        # their mean plus their centered mean square, whatever u is
+        # (y - u)^2 + C(u) averages over an atom's responses to the loss at
+        # their mean plus their centered mean square, whatever u is; centered
+        # about the rounded mean, the responses sum to count * (mean - y)
         counts = np.bincount(self.atom_indices, minlength=self.design.num_atoms)
         mean = np.divide(
             self.response_sums, counts, out=np.zeros(counts.shape), where=counts > 0
         )
         centered = self.y - mean[self.atom_indices]
+        centered_sums = np.bincount(
+            self.atom_indices, weights=centered, minlength=self.design.num_atoms
+        )
         seen = np.flatnonzero(counts)
         return EmpiricalLaw(
             atoms=seen,
             y=mean[seen],
             w=counts[seen] / self.n,
             const=float(centered @ centered) / self.n,
+            d1_remainder=-2.0 * centered_sums[seen] / self.n,
         )
 
     @cached_property

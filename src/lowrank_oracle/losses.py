@@ -60,7 +60,7 @@ class LossModel:
     prediction bound ``a`` is fixed: the squared loss assumes responses in
     [-a, a], the exponential loss lives on {-1, +1}.  ``closed_form(a)``
     returns exact (L(a), tau(a)) when known.  ``quadratic_in_response``
-    declares value = y^2 + B(u) y + C(u), so that d1 and d2 are affine in y
+    declares value = (y - u)^2 + C(u), so that d1 and d2 are affine in y
     and the empirical risk depends on each atom's responses only through
     their count, mean and centered sum of squares.
     """

@@ -75,8 +75,11 @@ class SolveResult:
 
 def empirical_risk(s: np.ndarray, data: Dataset, loss: LossModel) -> float:
     """Sample mean of the loss at predictions <S, X_j>."""
-    law, rows = _law_rows(loss.value, s, data, loss, "empirical risk")
-    return law.const + float(np.sum(rows))
+    law, u, rows = _law_rows(loss.value, s, data, loss, "empirical risk")
+    risk = law.const + float(np.sum(rows))
+    if law.d1_remainder is not None:
+        risk += float(law.d1_remainder @ (u - law.y))
+    return risk
 
 
 def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> float:
@@ -89,20 +92,23 @@ def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> 
 def gradient(s: np.ndarray, data: Dataset, loss: LossModel) -> np.ndarray:
     """Riesz representer of the empirical-risk directional derivative."""
     s = validate_symmetric(s)
-    law, rows = _law_rows(loss.d1, s, data, loss, "gradient")
+    law, _, rows = _law_rows(loss.d1, s, data, loss, "gradient")
+    if law.d1_remainder is not None:
+        rows += law.d1_remainder
     per_atom = np.bincount(law.atoms, weights=rows, minlength=data.design.num_atoms)
     return symmetrize(data.design.adjoint(per_atom))
 
 
 def _law_rows(fn, s: np.ndarray, data: Dataset, loss: LossModel, what: str):
-    """The dataset's response law for ``loss`` and its weighted rows
-    w_r * fn(y_r; <S, X_{k_r}>); the loss is evaluated once per row, not
-    once per sample."""
+    """The dataset's response law for ``loss``, the predictions
+    u_r = <S, X_{k_r}> and the weighted rows w_r * fn(y_r; u_r); the loss is
+    evaluated once per row, not once per sample."""
     law = data.response_law(loss)
-    values = np.asarray(fn(law.y, data.design.forward(s)[law.atoms]), dtype=float)
+    u = data.design.forward(s)[law.atoms]
+    values = np.asarray(fn(law.y, u), dtype=float)
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"loss overflow while evaluating the {what}")
-    return law, law.w * values
+    return law, u, law.w * values
 
 
 def composite_prox(s: np.ndarray, theta: float, constraint: ConstraintSet) -> np.ndarray:

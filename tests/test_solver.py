@@ -391,6 +391,20 @@ def test_empirical_law_matches_per_sample_reference(instance):
         assert np.linalg.norm(grad - expected) <= 1e-12 * scale
 
 
+def test_empirical_law_keeps_the_rounding_of_large_response_means():
+    # the mean of these responses is not a double, and its rounding is
+    # 1e-10 of the residuals; the law rows must carry it, not cancel to it
+    design = orthonormal_basis_design(1)
+    y = np.array([242.42505667, 242.42497208])
+    data = Dataset(design=design, atom_indices=np.array([0, 0]), y=y, seed=None)
+    s = np.array([[242.42499636]])
+    loss = squared_loss()
+    risk, expected = empirical_risk(s, data, loss), empirical_risk_reference(s, data, loss)
+    assert abs(risk - expected) <= 1e-12 * expected
+    grad, expected = gradient(s, data, loss), gradient_reference(s, data, loss)
+    assert abs(grad[0, 0] - expected[0, 0]) <= 1e-12 * 2.0 * np.mean(np.abs(y - s[0, 0]))
+
+
 def test_empirical_law_rows():
     design = orthonormal_basis_design(2)
     idx = np.array([0, 0, 0, 2, 2])
@@ -398,8 +412,10 @@ def test_empirical_law_rows():
     law = data.response_law(squared_loss())
     assert law.atoms.tolist() == [0, 2] and law.y.tolist() == [3.0, 0.5]
     assert law.w.tolist() == [0.6, 0.4] and law.const == 14.0 / 5
+    assert law.d1_remainder.tolist() == [0.0, 0.0]  # both means are doubles
     law = data.response_law(log_cosh_loss())
     assert law.atoms is data.atom_indices and law.y is data.y and law.w.tolist() == [0.2] * 5
+    assert law.d1_remainder is None
     assert data.response_law(squared_loss()) is data.response_law(squared_loss())
 
 
