@@ -79,21 +79,19 @@ def estimate_rademacher_norm(
 
     Conditioned on the multinomial atom counts, the signed coefficient of
     each atom is a centered binomial, so draws reduce to (counts, binomial)
-    pairs rather than materializing n covariates per rep.  Signs, adjoint
-    and norms run in row blocks of about ``_BLOCK_BYTES`` of adjoint output,
-    which draw the binomials in the order of one draw per chunk.
+    pairs rather than materializing n covariates per rep.  Counts, signs,
+    adjoint and norms run in row blocks of about ``_BLOCK_BYTES`` of adjoint
+    output, each drawing its multinomials and then its binomials.
     """
     if n < 1 or reps < 1:
         raise ValidationError("n and reps must be at least 1")
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
     block = max(1, _BLOCK_BYTES // (8 * design.dim * design.dim))
-    for start in range(0, reps, _CHUNK):
-        counts = rng.multinomial(n, design.probs, size=min(_CHUNK, reps - start))
-        for lo in range(0, counts.shape[0], block):
-            rows = counts[lo : lo + block]
-            coeff = (2.0 * rng.binomial(rows, 0.5) - rows) / np.sqrt(n)
-            norms[start + lo : start + lo + rows.shape[0]] = _batch_opnorms(design.adjoint(coeff))
+    for lo in range(0, reps, block):
+        counts = rng.multinomial(n, design.probs, size=min(block, reps - lo))
+        coeff = (2.0 * rng.binomial(counts, 0.5) - counts) / np.sqrt(n)
+        norms[lo : lo + counts.shape[0]] = _batch_opnorms(design.adjoint(coeff))
     return _stats_from_norms(norms, n)
 
 

@@ -258,6 +258,8 @@ class EmpiricalLaw:
 @dataclass(frozen=True)
 class Dataset:
     """Sampled (X_j, Y_j) pairs; covariates stored as atom indices.  The
+    samples may come in any order: ``sample_dataset`` groups them by atom,
+    i.i.d. as a multiset, and the estimator never reads the order.  The
     per-atom statistics and response laws are computed once and cached, so
     the arrays are not to be modified after construction."""
 
@@ -319,17 +321,27 @@ class Dataset:
 
     @cached_property
     def _row_law(self) -> EmpiricalLaw:
-        # any other loss keeps one row per sample
-        return EmpiricalLaw(atoms=self.atom_indices, y=self.y, w=np.full(self.n, 1.0 / self.n))
+        # any other loss keeps one row per run of equal consecutive (atom,
+        # response) samples, weighted by its length: at most 2k rows for
+        # sampled labels, one per sample for distinct responses
+        idx, y = self.atom_indices, self.y
+        starts = np.flatnonzero(np.r_[True, (idx[1:] != idx[:-1]) | (y[1:] != y[:-1])])
+        lengths = np.diff(np.r_[starts, self.n])
+        return EmpiricalLaw(atoms=idx[starts], y=y[starts], w=lengths / self.n)
 
 
 def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: int) -> np.ndarray:
     if noise.sigma == 0:
         return np.zeros(size)
-    # inverse-CDF sampling keeps the draw count independent of rejections
+    # inverse-CDF sampling keeps the draw count independent of rejections;
+    # in place, each value is sigma * ndtri(tail + u * (1 - 2 tail)) exactly
     tail = ndtr(-noise.truncation)
     u = rng.random(size)
-    return noise.sigma * ndtri(tail + u * (1.0 - 2.0 * tail))
+    u *= 1.0 - 2.0 * tail
+    u += tail
+    ndtri(u, out=u)
+    u *= noise.sigma
+    return u
 
 
 def sample_dataset(
@@ -338,17 +350,28 @@ def sample_dataset(
     n: int,
     seed: int,
 ) -> Dataset:
-    """Draw n i.i.d. (X, Y) pairs; deterministic given the seed."""
+    """Draw n i.i.d. (X, Y) pairs; deterministic given the seed.
+
+    The atom counts are one multinomial draw, and the samples come grouped
+    by atom in index order: i.i.d. as a multiset, which is all the
+    estimator reads.  Regression adds truncated Gaussian noise to each
+    atom's prediction; labels draw each atom's +1 count as a binomial and
+    list its +1s before its -1s.
+    """
     if n < 1:
         raise ValidationError("sample count must be at least 1")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(design.num_atoms, size=n, p=design.probs)
-    s = design.forward(truth.s_star)[idx]
+    k = design.num_atoms
+    counts = rng.multinomial(n, design.probs)
+    idx = np.repeat(np.arange(k), counts)
+    s = design.forward(truth.s_star)
     if isinstance(truth.noise, ClassificationLink):
-        p = np.asarray(truth.noise.link(s), dtype=float)
-        y = np.where(rng.random(n) < p, 1.0, -1.0)
+        pos = rng.binomial(counts, np.asarray(truth.noise.link(s), dtype=float))
+        runs = np.stack([pos, counts - pos], axis=1).ravel()
+        y = np.repeat(np.tile([1.0, -1.0], k), runs)
     else:
-        y = s + _truncated_gaussian(truth.noise, rng, n)
+        y = _truncated_gaussian(truth.noise, rng, n)
+        y += np.repeat(s, counts)
     return Dataset(design=design, atom_indices=idx, y=y, seed=seed)
 
 

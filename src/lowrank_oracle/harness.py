@@ -129,6 +129,11 @@ class ExperimentConfig:
             raise ValidationError("noise sigma must be nonnegative")
         if self.constraint_kind not in ("none", "operator-ball", "frobenius-ball"):
             raise ValidationError(f"unknown constraint kind {self.constraint_kind!r}")
+        a = self.prediction_bound_override
+        if a is not None and not a > 0:
+            raise ValidationError(
+                f"config [constraint] a = {a!r} must be positive: the smoothness L(a) must be positive"
+            )
         if self.epsilon_rule not in ("threshold", "absolute"):
             raise ValidationError(f"unknown epsilon rule {self.epsilon_rule!r}")
         if self.epsilon_value < 0:

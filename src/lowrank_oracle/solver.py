@@ -9,7 +9,8 @@ iteration takes one proximal step, and termination is on the gradient
 mapping of that step, which bounds the first-order residual at the new
 iterate.  The smooth part is evaluated on the dataset's empirical response
 law: one row per sampled atom for a loss quadratic in the response, so an
-evaluation costs O(K) rather than O(n), and one row per sample otherwise.
+evaluation costs O(K) rather than O(n), and one row per run of equal
+consecutive samples otherwise, at most 2K for sampled labels.
 """
 
 from __future__ import annotations

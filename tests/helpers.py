@@ -242,15 +242,15 @@ def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
     return np.array(out)
 
 
-def rademacher_norm_reference(design, n: int, reps: int, seed: int, chunk: int):
-    """Monte Carlo Delta as one multinomial, one binomial and one adjoint per
-    ``chunk`` repetitions: the unblocked loop that the row-blocked
-    ``estimate_rademacher_norm`` must reproduce bit for bit."""
+def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
+    """Monte Carlo Delta with the multinomial and then the binomial draws of
+    each ``block`` repetitions in turn, and one adjoint and one batched
+    eigenvalue call over all repetitions: the unblocked linear algebra that
+    the row-blocked ``estimate_rademacher_norm`` must reproduce bit for bit."""
     rng = np.random.default_rng(seed)
-    norms = np.empty(reps)
-    for start in range(0, reps, chunk):
-        counts = rng.multinomial(n, design.probs, size=min(chunk, reps - start))
-        coeff = (2.0 * rng.binomial(counts, 0.5) - counts) / np.sqrt(n)
-        mats = design.adjoint(coeff)
-        norms[start : start + counts.shape[0]] = np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
-    return _stats_from_norms(norms, n)
+    coeffs = []
+    for start in range(0, reps, block):
+        counts = rng.multinomial(n, design.probs, size=min(block, reps - start))
+        coeffs.append((2.0 * rng.binomial(counts, 0.5) - counts) / np.sqrt(n))
+    mats = design.adjoint(np.concatenate(coeffs))
+    return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n)

@@ -291,8 +291,8 @@ def test_sampled_averages_match_direct_statistics():
 
 
 def test_rademacher_monte_carlo_peak_memory():
-    # one chunk's (reps, k) multinomial counts plus a few row blocks of
-    # signs, adjoint output and eigenvalue work at a time
+    # the norms plus a few row blocks of counts, signs, adjoint output and
+    # eigenvalue work at a time, whatever the number of repetitions
     design = orthonormal_basis_design(40)
     reps = 1000
     tracemalloc.start()
@@ -301,18 +301,21 @@ def test_rademacher_monte_carlo_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * reps * design.num_atoms + 3 * bounds._BLOCK_BYTES
+    assert peak < 8 * reps + 3 * bounds._BLOCK_BYTES
 
 
-@pytest.mark.parametrize("chunk", [None, 7, 100])
-def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, chunk):
-    # at m = 60 a block is 72 rows of 28.8 kB: three blocks in one chunk,
-    # one block per chunk of 7, or two uneven blocks per chunk of 100;
-    # delta and stderr must not move by a bit
+@pytest.mark.parametrize("rows", [None, 7, 100])
+def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, rows):
+    # at m = 60 a block is 72 rows of 28.8 kB: four uneven blocks, 36 blocks
+    # of at most 7 rows or three uneven blocks of at most 100; delta and
+    # stderr must not move by a bit, and the other estimators' chunk size
+    # plays no part
     design = orthonormal_basis_design(60)
-    reps = 200
-    if chunk is not None:
-        monkeypatch.setattr(bounds, "_CHUNK", chunk)
-    assert reps > 2 * bounds._BLOCK_BYTES // (8 * design.dim**2)
+    reps = 250
+    if rows is not None:
+        monkeypatch.setattr(bounds, "_BLOCK_BYTES", rows * 8 * design.dim**2)
+    monkeypatch.setattr(bounds, "_CHUNK", 3)
+    block = bounds._BLOCK_BYTES // (8 * design.dim**2)
+    assert reps > 2 * block
     got = estimate_rademacher_norm(design, n=5000, reps=reps, seed=21)
-    assert got == rademacher_norm_reference(design, 5000, reps, 21, bounds._CHUNK)
+    assert got == rademacher_norm_reference(design, 5000, reps, 21, block)

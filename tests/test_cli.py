@@ -182,6 +182,25 @@ def test_non_finite_or_negative_config_value_exits_one(tmp_path, capsys, section
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_nonpositive_prediction_bound_exits_one(tmp_path, capsys, raw):
+    # a = 0 used to fail in the threshold with a message naming neither the
+    # key nor the cause, and a = -1 in the loss constants
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_CONFIG)
+    parser["constraint"]["a"] = raw
+    config = tmp_path / "bad-a.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    code = main(["verify", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert "[constraint] a" in err and "L(a) must be positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 

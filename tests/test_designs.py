@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from lowrank_oracle import (
     ClassificationLink,
@@ -34,7 +36,7 @@ from lowrank_oracle import (
     squared_loss,
 )
 from lowrank_oracle.bounds import design_moment_bounds
-from lowrank_oracle.designs import BasisDesign, _truncated_gaussian
+from lowrank_oracle.designs import BasisDesign
 from lowrank_oracle.matrices import frobenius_norm, nuclear_norm, operator_norm
 
 from helpers import bayes_risk_oracle, log_cosh_loss, random_low_rank, random_symmetric
@@ -215,19 +217,60 @@ def test_basis_index_arrays_are_checked():
 
 @pytest.mark.parametrize("noise", [GaussianNoise(sigma=0.3), ClassificationLink()])
 def test_sample_dataset_matches_dense_stack_formula(noise):
+    # the same generator calls in plain numpy: one multinomial for the atom
+    # counts, then the noise or one binomial per atom, then each atom's block
     design = orthonormal_basis_design(5)
     truth = TruthModel(s_star=random_low_rank(np.random.default_rng(8), 5, 2), noise=noise)
     n = 2_000
     data = sample_dataset(design, truth, n, seed=21)
     rng = np.random.default_rng(21)
-    idx = rng.choice(design.num_atoms, size=n, p=design.probs)
+    counts = rng.multinomial(n, design.probs)
+    idx = np.repeat(np.arange(design.num_atoms), counts)
     s = np.einsum("kij,ij->k", design.atoms[idx], truth.s_star)
     if isinstance(noise, ClassificationLink):
-        y = np.where(rng.random(n) < noise.link(s), 1.0, -1.0)
+        pos = rng.binomial(counts, noise.link(np.einsum("kij,ij->k", design.atoms, truth.s_star)))
+        y = np.concatenate([np.repeat([1.0, -1.0], [p, c - p]) for p, c in zip(pos, counts)])
     else:
-        y = s + _truncated_gaussian(noise, rng, n)
+        tail = ndtr(-noise.truncation)
+        y = s + noise.sigma * ndtri(tail + rng.random(n) * (1.0 - 2.0 * tail))
     assert np.array_equal(data.atom_indices, idx)
     assert np.array_equal(data.y, y)
+
+
+def test_sample_dataset_fits_a_non_uniform_design():
+    # atom counts against the probabilities, and each atom's +1 count
+    # against the link at its prediction, by chi-square statistics
+    atoms = np.stack([
+        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0), np.eye(2) / np.sqrt(2.0),
+    ])
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    design = custom_design(atoms, probs)
+    truth = TruthModel(s_star=np.array([[0.9, -0.4], [-0.4, -0.3]]), noise=ClassificationLink())
+    n = 200_000
+    data = sample_dataset(design, truth, n, seed=17)
+    counts = np.bincount(data.atom_indices, minlength=design.num_atoms)
+    assert stats.chisquare(counts, n * probs).pvalue > 1e-3
+    p = truth.noise.link(design.forward(truth.s_star))
+    pos = np.bincount(data.atom_indices, weights=data.y > 0, minlength=design.num_atoms)
+    z = (pos - counts * p) / np.sqrt(counts * p * (1.0 - p))
+    assert stats.chi2.sf(float(z @ z), design.num_atoms) > 1e-3
+    # grouped by atom, each block's +1s first
+    assert np.all(np.diff(data.atom_indices) >= 0)
+    assert np.all(np.diff(data.y)[np.diff(data.atom_indices) == 0] <= 0)
+
+
+def test_sampled_labels_have_at_most_two_law_rows_per_atom():
+    design = orthonormal_basis_design(8)
+    truth = TruthModel(s_star=random_low_rank(np.random.default_rng(5), 8, 2), noise=ClassificationLink())
+    data = sample_dataset(design, truth, 3_000_000, seed=6)
+    law = data.response_law(exponential_loss())
+    assert law.atoms.size <= 2 * design.num_atoms
+    assert np.allclose(
+        np.bincount(law.atoms, weights=law.w, minlength=design.num_atoms),
+        np.bincount(data.atom_indices, minlength=design.num_atoms) / data.n,
+        rtol=0.0, atol=1e-15,
+    )
 
 
 def test_sample_dataset_builds_no_covariate_stack():

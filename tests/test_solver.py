@@ -338,12 +338,15 @@ def test_loss_overflow_raises_numerical_error():
 
 @st.composite
 def law_instance(draw):
-    """A dataset that may leave atoms unsampled, one of four (loss, response)
-    kinds, and a point S: near the matrix that generated the responses, so
-    that squared residuals are small next to large responses, or away from it."""
-    loss_name, labels = draw(st.sampled_from(
-        [("squared", False), ("squared", True), ("exponential", True), ("log-cosh", False)]
-    ))
+    """A dataset that may leave atoms unsampled, one of five (loss, response)
+    kinds, in sampled order or grouped by atom and then response so that
+    equal samples form runs, and a point S: near the matrix that generated
+    the responses, so that squared residuals are small next to large
+    responses, or away from it."""
+    loss_name, labels = draw(st.sampled_from([
+        ("squared", False), ("squared", True), ("exponential", True),
+        ("log-cosh", False), ("log-cosh", True),
+    ]))
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 80))
     scale = draw(st.sampled_from([1.0, 100.0]))
@@ -357,6 +360,9 @@ def law_instance(draw):
         y = rng.choice([-1.0, 1.0], size=n)
     else:
         y = design.forward(s0)[idx] + 0.1 * rng.standard_normal(n)
+    if draw(st.booleans()):
+        order = np.lexsort((y, idx))
+        idx, y = idx[order], y[order]
     s = s0 + (0.01 if near else 1.0) * random_symmetric(rng, m)
     loss = {"squared": squared_loss, "exponential": exponential_loss, "log-cosh": log_cosh_loss}[loss_name]()
     return Dataset(design=design, atom_indices=idx, y=y, seed=None), loss, s
@@ -413,9 +419,19 @@ def test_empirical_law_rows():
     assert law.atoms.tolist() == [0, 2] and law.y.tolist() == [3.0, 0.5]
     assert law.w.tolist() == [0.6, 0.4] and law.const == 14.0 / 5
     assert law.d1_remainder.tolist() == [0.0, 0.0]  # both means are doubles
+    # any other loss: one row per run of equal consecutive (atom, y) samples
     law = data.response_law(log_cosh_loss())
-    assert law.atoms is data.atom_indices and law.y is data.y and law.w.tolist() == [0.2] * 5
+    assert law.atoms.tolist() == [0, 0, 0, 2] and law.y.tolist() == [1.0, 2.0, 6.0, 0.5]
+    assert law.w.tolist() == [0.2, 0.2, 0.2, 0.4] and law.const == 0.0
     assert law.d1_remainder is None
+    # equal samples apart stay apart, and so do equal responses of two atoms
+    labels = Dataset(
+        design=design, atom_indices=np.array([1, 1, 1, 0, 0, 1]),
+        y=np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0]), seed=None,
+    )
+    law = labels.response_law(exponential_loss())
+    assert law.atoms.tolist() == [1, 1, 0, 1] and law.y.tolist() == [1.0, -1.0, -1.0, 1.0]
+    assert law.w.tolist() == [2 / 6, 1 / 6, 2 / 6, 1 / 6]
     assert data.response_law(squared_loss()) is data.response_law(squared_loss())
 
 
