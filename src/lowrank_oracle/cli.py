@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--workers", type=int, default=None, help="worker pool size")
         p.add_argument("--strict", action="store_true", help="non-convergence is an error")
-        p.add_argument("--verbose", action="store_true", help="progress on stderr")
+        p.add_argument("--verbose", action="store_true", help="a JSON line per trial on stderr")
     return parser
 
 
@@ -203,7 +204,7 @@ def _problem(config: ExperimentConfig, data_paths: DataPaths):
     return data, loss, constraint, solver_config
 
 
-def _cmd_solve(config, data_paths, certify_tol, args, log) -> int:
+def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
     data, loss, constraint, solver_config = _problem(config, data_paths)
     result = solve(data, loss, solver_config, constraint)
     out = Path(args.out)
@@ -231,7 +232,7 @@ def _cmd_solve(config, data_paths, certify_tol, args, log) -> int:
     return 0
 
 
-def _cmd_certify(config, data_paths, certify_tol, args, log) -> int:
+def _cmd_certify(config, data_paths, certify_tol, args, progress) -> int:
     data, loss, constraint, solver_config = _problem(config, data_paths)
     if data_paths.estimate is not None:
         estimate = load_matrix(data_paths.estimate)
@@ -258,7 +259,7 @@ def _cmd_certify(config, data_paths, certify_tol, args, log) -> int:
     return 0
 
 
-def _cmd_delta(config, data_paths, certify_tol, args, log) -> int:
+def _cmd_delta(config, data_paths, certify_tol, args, progress) -> int:
     design = build_design(config)
     stats = rademacher_statistics(config, design)
     sigma, uniform = design_moment_bounds(design)
@@ -280,7 +281,7 @@ def _cmd_delta(config, data_paths, certify_tol, args, log) -> int:
     return 0
 
 
-def _cmd_bound(config, data_paths, certify_tol, args, log) -> int:
+def _cmd_bound(config, data_paths, certify_tol, args, progress) -> int:
     plan = resolve_plan(config)
     record = _run_trial(plan, 0)
     ingredients = (
@@ -296,8 +297,8 @@ def _cmd_bound(config, data_paths, certify_tol, args, log) -> int:
     return 0
 
 
-def _cmd_verify(config, data_paths, certify_tol, args, log) -> int:
-    records, summary = run_oracle_trials(config, workers=args.workers, log=log)
+def _cmd_verify(config, data_paths, certify_tol, args, progress) -> int:
+    records, summary = run_oracle_trials(config, workers=args.workers, progress=progress)
     write_outputs(records, summary, args.out)
     print(
         f"verify: {summary.converged}/{summary.trials} converged, "
@@ -310,11 +311,11 @@ def _cmd_verify(config, data_paths, certify_tol, args, log) -> int:
     return 0
 
 
-def _cmd_sweep(config, data_paths, certify_tol, args, log) -> int:
-    result = rank_sweep(config, workers=args.workers, log=log)
+def _cmd_sweep(config, data_paths, certify_tol, args, progress) -> int:
+    result = rank_sweep(config, workers=args.workers, progress=progress)
     eps_rows = ()
     if config.eps_multiples:
-        eps_rows = epsilon_sweep(config, workers=args.workers, log=log)
+        eps_rows = epsilon_sweep(config, workers=args.workers, progress=progress)
     out = Path(args.out)
     write_json(
         out / "sweep.json",
@@ -335,6 +336,12 @@ def _cmd_sweep(config, data_paths, certify_tol, args, log) -> int:
     return 0
 
 
+def _print_progress(record) -> None:
+    """``--verbose``: one JSON line per finished trial, on stderr only."""
+    names = ("trial", "converged", "iterations", "backtracks", "restarts", "wall_time")
+    print(json.dumps({name: getattr(record, name) for name in names}), file=sys.stderr)
+
+
 _COMMANDS = {
     "solve": _cmd_solve,
     "certify": _cmd_certify,
@@ -350,11 +357,8 @@ def dispatch(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    def log(message: str) -> None:
-        if args.verbose:
-            print(message, file=sys.stderr)
-
-    return _COMMANDS[args.subcommand](config, data_paths, certify_tol, args, log)
+    progress = _print_progress if args.verbose else None
+    return _COMMANDS[args.subcommand](config, data_paths, certify_tol, args, progress)
 
 
 def main(argv=None) -> int:

@@ -257,11 +257,13 @@ class EmpiricalLaw:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sampled (X_j, Y_j) pairs; covariates stored as atom indices.  The
-    samples may come in any order: ``sample_dataset`` groups them by atom,
-    i.i.d. as a multiset, and the estimator never reads the order.  The
-    per-atom statistics and response laws are computed once and cached, so
-    the arrays are not to be modified after construction."""
+    """Sampled (X_j, Y_j) pairs; covariates stored as integer atom indices.
+    The estimator never reads the sample order, but the squared-loss law is
+    built per run of equal consecutive atoms, so it is fastest grouped by
+    atom (k runs), as ``sample_dataset`` returns and ``load_dataset`` keeps
+    it: at m = 8, n = 10^6 about 4 ms, against 21 ms shuffled.  The per-atom
+    statistics and response laws are computed once and cached, so the
+    arrays are not to be modified after construction."""
 
     design: DesignDistribution
     atom_indices: np.ndarray  # (n,)
@@ -269,17 +271,19 @@ class Dataset:
     seed: int | None
 
     def __post_init__(self):
-        idx = np.asarray(self.atom_indices, dtype=np.int64)
+        idx = np.asarray(self.atom_indices)
         y = np.asarray(self.y, dtype=float)
         if idx.ndim != 1 or y.shape != idx.shape:
             raise ValidationError("atom_indices and y must be matched 1-d arrays")
         if idx.size == 0:
             raise ValidationError("dataset must contain at least one sample")
+        if idx.dtype.kind not in "iu":  # no truncated floats, no booleans as 0/1
+            raise ValidationError(f"atom indices must be integers, not {idx.dtype}")
         if np.any(idx < 0) or np.any(idx >= self.design.num_atoms):
             raise ValidationError("atom index out of range")
         if not np.all(np.isfinite(y)):
             raise ValidationError("responses must be finite")
-        object.__setattr__(self, "atom_indices", idx)
+        object.__setattr__(self, "atom_indices", idx.astype(np.int64, copy=False))
         object.__setattr__(self, "y", y)
 
     @property
@@ -287,11 +291,21 @@ class Dataset:
         return self.atom_indices.shape[0]
 
     @cached_property
+    def _atom_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and length of each run of equal consecutive atom indices."""
+        idx = self.atom_indices
+        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+        return starts, np.diff(np.r_[starts, self.n])
+
+    def _per_atom_sums(self, values: np.ndarray) -> np.ndarray:
+        starts, _ = self._atom_runs
+        sums = np.add.reduceat(values, starts)
+        return np.bincount(self.atom_indices[starts], sums, minlength=self.design.num_atoms)
+
+    @cached_property
     def response_sums(self) -> np.ndarray:
         """Per atom, the sum of its sampled responses, shape (k,)."""
-        return np.bincount(
-            self.atom_indices, weights=self.y, minlength=self.design.num_atoms
-        )
+        return self._per_atom_sums(self.y)
 
     def response_law(self, loss: LossModel) -> EmpiricalLaw:
         """The sample's response law for ``loss``, built once per dataset."""
@@ -302,21 +316,20 @@ class Dataset:
         # (y - u)^2 + C(u) averages over an atom's responses to the loss at
         # their mean plus their centered mean square, whatever u is; centered
         # about the rounded mean, the responses sum to count * (mean - y)
-        counts = np.bincount(self.atom_indices, minlength=self.design.num_atoms)
+        starts, lengths = self._atom_runs
+        run_atoms = self.atom_indices[starts]
+        counts = np.bincount(run_atoms, weights=lengths, minlength=self.design.num_atoms)
         mean = np.divide(
             self.response_sums, counts, out=np.zeros(counts.shape), where=counts > 0
         )
-        centered = self.y - mean[self.atom_indices]
-        centered_sums = np.bincount(
-            self.atom_indices, weights=centered, minlength=self.design.num_atoms
-        )
+        centered = self.y - np.repeat(mean[run_atoms], lengths)
         seen = np.flatnonzero(counts)
         return EmpiricalLaw(
             atoms=seen,
             y=mean[seen],
             w=counts[seen] / self.n,
             const=float(centered @ centered) / self.n,
-            d1_remainder=-2.0 * centered_sums[seen] / self.n,
+            d1_remainder=-2.0 * self._per_atom_sums(centered)[seen] / self.n,
         )
 
     @cached_property

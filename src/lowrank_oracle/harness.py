@@ -587,12 +587,13 @@ def _run_worker_trial(index: int) -> TrialRecord:
     return _run_trial(_worker_plan, index)
 
 
-def run_trials(plan: ResolvedPlan, workers: int | None = None, log=None) -> list[TrialRecord]:
+def run_trials(plan: ResolvedPlan, workers: int | None = None, progress=None) -> list[TrialRecord]:
     """Run the plan's ``config.trials`` independent trials; the collector
     orders records by trial index, so the result is identical at any worker
     count.  Each worker process receives the plan once, and every trial runs
     one BLAS thread, so that no result depends on how the BLAS splits a
-    product across threads."""
+    product across threads.  ``progress``, if given, is called with each
+    record as its trial finishes."""
     workers = resolve_workers(workers)
     trials = plan.config.trials
     records: list[TrialRecord | None] = [None] * trials
@@ -600,19 +601,17 @@ def run_trials(plan: ResolvedPlan, workers: int | None = None, log=None) -> list
         with _one_blas_thread():
             for i in range(trials):
                 records[i] = _run_trial(plan, i)
-                if log:
-                    log(f"trial {i + 1}/{trials} done")
+                if progress:
+                    progress(records[i])
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(plan,)
         ) as pool:
             futures = {pool.submit(_run_worker_trial, i): i for i in range(trials)}
-            done = 0
             for future in as_completed(futures):
-                records[futures[future]] = future.result()
-                done += 1
-                if log:
-                    log(f"trial {done}/{trials} done")
+                records[futures[future]] = record = future.result()
+                if progress:
+                    progress(record)
     return [r for r in records if r is not None]
 
 
@@ -671,12 +670,12 @@ def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
 
 
 def run_oracle_trials(
-    config: ExperimentConfig, workers: int | None = None, log=None
+    config: ExperimentConfig, workers: int | None = None, progress=None
 ) -> tuple[list[TrialRecord], SummaryReport]:
     """Solve ``config.trials`` independent datasets and evaluate the bound
     with the ground truth as oracle."""
     plan = resolve_plan(config)
-    records = run_trials(plan, workers=workers, log=log)
+    records = run_trials(plan, workers=workers, progress=progress)
     return records, summarize(records, plan)
 
 
@@ -702,7 +701,7 @@ def rank_sweep(
     config: ExperimentConfig,
     ranks: tuple[int, ...] | None = None,
     workers: int | None = None,
-    log=None,
+    progress=None,
 ) -> RankSweepResult:
     """Repeat the oracle experiment with unit-spectrum truths of varying
     rank at one fixed regularization level.
@@ -725,7 +724,7 @@ def rank_sweep(
             config=point_config,
             **_truth_fields(plan.design, truth, plan.loss, config.seed),
         )
-        records = run_trials(point, workers=workers, log=log)
+        records = run_trials(point, workers=workers, progress=progress)
         summary = summarize(records, point)
         records_by_rank[rank] = records
         stderr = float("nan")
@@ -762,7 +761,7 @@ def epsilon_sweep(
     config: ExperimentConfig,
     multiples: tuple[float, ...] | None = None,
     workers: int | None = None,
-    log=None,
+    progress=None,
 ) -> tuple[dict, ...]:
     """Repeat the oracle experiment at multiples of the resolved
     regularization level; one plan is resolved and only its epsilon changes
@@ -774,7 +773,7 @@ def epsilon_sweep(
     rows = []
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)
-        records = run_trials(point, workers=workers, log=log)
+        records = run_trials(point, workers=workers, progress=progress)
         summary = summarize(records, point)
         rows.append(
             {
@@ -799,7 +798,7 @@ def sharpness_experiment(
     config: ExperimentConfig,
     oracle_set: list,
     workers: int | None = None,
-    log=None,
+    progress=None,
 ) -> SharpnessResult:
     """Evaluate the bound against a caller-supplied family of oracles.
 
@@ -808,7 +807,7 @@ def sharpness_experiment(
     ``oracle_set`` are matrices or (label, matrix) pairs.
     """
     plan = resolve_plan(config)
-    records = run_trials(plan, workers=workers, log=log)
+    records = run_trials(plan, workers=workers, progress=progress)
     converged = [r for r in records if r.converged]
     rows = []
     headline = -math.inf

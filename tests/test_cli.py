@@ -12,6 +12,7 @@ from lowrank_oracle import (
     load_matrix,
     mix_seed,
     orthonormal_basis_design,
+    read_trials_csv,
     sample_dataset,
     save_dataset,
     save_matrix,
@@ -223,6 +224,26 @@ def test_verify_deterministic_across_worker_counts(config_file, tmp_path):
     assert main(["verify", "--config", str(config_file), "--out", str(out2), "--workers", "2"]) == 0
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verbose_prints_one_json_line_per_trial(config_file, tmp_path, capsys, workers):
+    quiet, verbose = tmp_path / "quiet", tmp_path / "verbose"
+    assert main(["verify", "--config", str(config_file), "--out", str(quiet), "--workers", workers]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--config", str(config_file), "--out", str(verbose), "--workers", workers]
+    assert main([*argv, "--verbose"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    keys = {"trial", "converged", "iterations", "backtracks", "restarts", "wall_time"}
+    assert all(set(line) == keys for line in lines)
+    assert sorted(line["trial"] for line in lines) == [0, 1, 2, 3]
+    records = {r.trial: r for r in read_trials_csv(verbose / "trials.csv")}
+    for line in lines:
+        assert isinstance(line["converged"], bool) and line["wall_time"] > 0
+        record = records[line["trial"]]
+        assert all(line[k] == getattr(record, k) for k in keys - {"wall_time"})
+    for name in ("trials.csv", "summary.json"):
+        assert (verbose / name).read_bytes() == (quiet / name).read_bytes()
 
 
 def test_seed_override_changes_results_deterministically(config_file, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -592,3 +593,34 @@ def test_dataset_validation():
         Dataset(design=design, atom_indices=np.array([1]), y=np.array([np.nan]), seed=0)
     with pytest.raises(ValidationError):
         sample_dataset(design, TruthModel(np.zeros((2, 2)), GaussianNoise(0.1)), 0, seed=1)
+    for dtype in (np.int32, np.uint8):  # any integer dtype is stored as int64
+        data = Dataset(design=design, atom_indices=np.array([0, 2], dtype=dtype), y=np.array([1.0, 2.0]), seed=0)
+        assert data.atom_indices.dtype == np.int64 and data.atom_indices.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "indices", [np.array([0.7, 2.9]), np.array([0.0, 2.0]), np.array([True, False])],
+    ids=["fractional", "integral-floats", "booleans"],
+)
+def test_dataset_rejects_non_integer_indices(indices):
+    # a cast would store [0, 2] or [1, 0] without a word
+    design = orthonormal_basis_design(2)
+    with pytest.raises(ValidationError, match="atom indices must be integers"):
+        Dataset(design=design, atom_indices=indices, y=np.array([1.0, 2.0]), seed=0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("", "dataset must contain at least one sample"),
+        ("0,0.7,1.0\n", "malformed row"),
+        ("0,True,1.0\n", "malformed row"),
+        ("0,3,1.0\n", "atom index out of range"),
+    ],
+    ids=["empty", "fractional-index", "boolean-index", "out-of-range"],
+)
+def test_load_dataset_names_the_file(tmp_path, rows, message):
+    path = tmp_path / "dataset.csv"
+    path.write_text("j,atom_index,y\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}"):
+        load_dataset(path, orthonormal_basis_design(2))

@@ -380,6 +380,10 @@ def _evaluate(fn, *args):
 @given(law_instance())
 def test_empirical_law_matches_per_sample_reference(instance):
     data, loss, s = instance
+    k = data.design.num_atoms
+    sums = np.bincount(data.atom_indices, weights=data.y, minlength=k)
+    abs_sums = np.bincount(data.atom_indices, weights=np.abs(data.y), minlength=k)
+    assert np.all(np.abs(data.response_sums - sums) <= 1e-12 * abs_sums)
     risk = _evaluate(empirical_risk, s, data, loss)
     expected = _evaluate(empirical_risk_reference, s, data, loss)
     assert (risk is None) == (expected is None)  # overflow on both paths or neither
@@ -419,6 +423,13 @@ def test_empirical_law_rows():
     assert law.atoms.tolist() == [0, 2] and law.y.tolist() == [3.0, 0.5]
     assert law.w.tolist() == [0.6, 0.4] and law.const == 14.0 / 5
     assert law.d1_remainder.tolist() == [0.0, 0.0]  # both means are doubles
+    # an atom in two runs apart gets one row, at the mean of both runs
+    apart = Dataset(design=design, atom_indices=np.array([0, 2, 0]), y=np.array([1.0, 0.5, 3.0]), seed=None)
+    assert apart.response_sums.tolist() == [4.0, 0.0, 0.5]
+    law = apart.response_law(squared_loss())
+    assert law.atoms.tolist() == [0, 2] and law.y.tolist() == [2.0, 0.5]
+    assert law.w.tolist() == [2 / 3, 1 / 3] and law.const == 2 / 3
+    assert law.d1_remainder.tolist() == [0.0, 0.0]
     # any other loss: one row per run of equal consecutive (atom, y) samples
     law = data.response_law(log_cosh_loss())
     assert law.atoms.tolist() == [0, 0, 0, 2] and law.y.tolist() == [1.0, 2.0, 6.0, 0.5]
