@@ -31,7 +31,7 @@ from lowrank_oracle import (
     orthonormal_basis_design,
     sign_and_support,
 )
-from lowrank_oracle.bounds import _stats_from_norms
+from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.matrices import symmetrize, validate_symmetric
 from lowrank_oracle.solver import BOUNDARY_TOL
 
@@ -243,14 +243,14 @@ def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
 
 
 def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
-    """Monte Carlo Delta with the multinomial and then the binomial draws of
-    each ``block`` repetitions in turn, and one adjoint and one batched
+    """Monte Carlo Delta with the signed counts of each ``block`` repetitions
+    drawn in turn through ``_signed_counts``, and one adjoint and one batched
     eigenvalue call over all repetitions: the unblocked linear algebra that
     the row-blocked ``estimate_rademacher_norm`` must reproduce bit for bit."""
     rng = np.random.default_rng(seed)
-    coeffs = []
-    for start in range(0, reps, block):
-        counts = rng.multinomial(n, design.probs, size=min(block, reps - start))
-        coeffs.append((2.0 * rng.binomial(counts, 0.5) - counts) / np.sqrt(n))
+    coeffs = [
+        _signed_counts(rng, n, design.probs, min(block, reps - start)) / np.sqrt(n)
+        for start in range(0, reps, block)
+    ]
     mats = design.adjoint(np.concatenate(coeffs))
     return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n)

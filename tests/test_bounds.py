@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom, chisquare
 
 from lowrank_oracle import (
     ConstantsConfig,
@@ -262,23 +265,69 @@ def test_bound_report_critical_c_inverts_rhs():
 
 
 def test_shortcut_sampler_matches_definitional_sampler():
-    # the estimator draws (multinomial counts, binomial signs); check its mean
-    # against a naive sampler that materializes covariates and signs per draw
+    # the estimator draws (multinomial counts, signed counts); check its mean
+    # against a naive sampler that materializes covariates and signs per draw.
+    # At n = 20 every count takes the random-bit rule; at n = 2000 (K = 6)
+    # every count is above 64 and takes the binomial rule
     design = orthonormal_basis_design(3)
-    n, reps = 20, 4000
-    stats = estimate_rademacher_norm(design, n, reps=reps, seed=15)
+    reps = 4000
+    for n, seed in ((20, 15), (2000, 17)):
+        stats = estimate_rademacher_norm(design, n, reps=reps, seed=seed)
 
-    rng = np.random.default_rng(16)
-    norms = np.empty(reps)
-    for r in range(reps):
-        idx = rng.choice(design.num_atoms, size=n, p=design.probs)
-        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        total = np.tensordot(signs, design.atoms[idx], axes=1) / np.sqrt(n)
-        norms[r] = np.max(np.abs(np.linalg.eigvalsh(total)))
-    naive_mean = float(np.mean(norms))
-    naive_stderr = float(np.std(norms, ddof=1) / np.sqrt(reps))
-    joint = np.hypot(stats.stderr, naive_stderr)
-    assert abs(stats.delta - naive_mean) <= 4 * joint
+        rng = np.random.default_rng(seed + 1)
+        norms = np.empty(reps)
+        for r in range(reps):
+            idx = rng.choice(design.num_atoms, size=n, p=design.probs)
+            signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            total = np.tensordot(signs, design.atoms[idx], axes=1) / np.sqrt(n)
+            norms[r] = np.max(np.abs(np.linalg.eigvalsh(total)))
+        naive_mean = float(np.mean(norms))
+        naive_stderr = float(np.std(norms, ddof=1) / np.sqrt(reps))
+        joint = np.hypot(stats.stderr, naive_stderr)
+        assert abs(stats.delta - naive_mean) <= 4 * joint, n
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 63, 64, 65, 200, 5000])
+def test_signed_counts_follow_the_binomial_law(c):
+    # one atom of probability 1 gets all c draws; its plus count
+    # (s + c) / 2 must be Binomial(c, 1/2) on either side of the 64 cut
+    draws = 20_000
+    signed = bounds._signed_counts(np.random.default_rng(c + 31), c, np.array([1.0]), draws)
+    assert signed.shape == (draws, 1)
+    plus = (signed[:, 0] + c) / 2
+    assert np.array_equal(plus, np.round(plus))
+    observed = np.bincount(plus.astype(np.int64), minlength=c + 1)
+    expected = draws * binom.pmf(np.arange(c + 1), c, 0.5)
+    if c == 0:
+        assert observed[0] == draws
+        return
+    # pool the tails into the outermost bins expecting at least 5 draws
+    keep = np.flatnonzero(expected >= 5)
+    lo, hi = keep[0], keep[-1]
+
+    def pooled(v):
+        return np.concatenate(([v[: lo + 1].sum()], v[lo + 1 : hi], [v[hi:].sum()]))
+
+    assert chisquare(pooled(observed), pooled(expected)).pvalue > 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    st.integers(0, 600),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_signed_counts_parity_and_range(weights, n, size, seed):
+    # counts spread around 64: each sum has the parity of its count and
+    # lies within it; the counts are the generator's first draws
+    probs = np.array(weights) / sum(weights)
+    probs[-1] = 1.0 - float(np.sum(probs[:-1]))
+    signed = bounds._signed_counts(np.random.default_rng(seed), n, probs, size)
+    counts = np.random.default_rng(seed).multinomial(n, probs, size=size)
+    assert signed.shape == counts.shape
+    assert np.all(np.abs(signed) <= counts)
+    assert np.all((signed - counts) % 2 == 0)
 
 
 def test_sampled_averages_match_direct_statistics():
@@ -304,17 +353,29 @@ def test_rademacher_monte_carlo_peak_memory():
     assert peak < 8 * reps + 3 * bounds._BLOCK_BYTES
 
 
+def test_rademacher_monte_carlo_peak_memory_with_mixed_counts():
+    # as above at n = 64 K, where about half the counts exceed 64, so each
+    # block draws both random words and binomials
+    design = orthonormal_basis_design(40)
+    reps = 1000
+    tracemalloc.start()
+    try:
+        estimate_rademacher_norm(design, n=64 * design.num_atoms, reps=reps, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * reps + 3 * bounds._BLOCK_BYTES
+
+
 @pytest.mark.parametrize("rows", [None, 7, 100])
 def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, rows):
     # at m = 60 a block is 72 rows of 28.8 kB: four uneven blocks, 36 blocks
     # of at most 7 rows or three uneven blocks of at most 100; delta and
-    # stderr must not move by a bit, and the other estimators' chunk size
-    # plays no part
+    # stderr must not move by a bit
     design = orthonormal_basis_design(60)
     reps = 250
     if rows is not None:
         monkeypatch.setattr(bounds, "_BLOCK_BYTES", rows * 8 * design.dim**2)
-    monkeypatch.setattr(bounds, "_CHUNK", 3)
     block = bounds._BLOCK_BYTES // (8 * design.dim**2)
     assert reps > 2 * block
     got = estimate_rademacher_norm(design, n=5000, reps=reps, seed=21)
