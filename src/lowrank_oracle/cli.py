@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .bounds import design_moment_bounds, matrix_bernstein_bound
-from .constraints import describe
 from .designs import load_dataset, sample_dataset
 from .errors import NumericalError, ValidationError
 from .harness import (
@@ -222,7 +221,7 @@ def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
             "rank": rank_at_tol(result.s_hat),
             "epsilon": solver_config.epsilon,
             "n": data.n,
-            "constraint": describe(constraint),
+            "constraint": str(constraint),
         },
     )
     if not result.converged:
@@ -251,7 +250,7 @@ def _cmd_certify(config, data_paths, certify_tol, args, progress) -> int:
             "tol": certify_tol,
             "epsilon": epsilon,
             "objective": objective(estimate, data, loss, epsilon),
-            "constraint": describe(constraint),
+            "constraint": str(constraint),
         },
     )
     if not cert and args.strict:

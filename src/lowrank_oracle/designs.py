@@ -21,7 +21,6 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .constraints import ConstraintSet, FrobeniusBall, OperatorNormBall, Unconstrained
 from .errors import NumericalError, ValidationError
 from .losses import FiniteSet, Interval, LossModel, ResponseDomain
 from .matrices import SYMMETRY_TOL, validate_symmetric
@@ -417,27 +416,6 @@ def load_dataset(path, design: DesignDistribution) -> Dataset:
         return Dataset(design=design, atom_indices=np.array(indices), y=np.array(ys), seed=None)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-
-
-# -- prediction bound ----------------------------------------------------------
-
-def prediction_bound(constraint: ConstraintSet, design: DesignDistribution) -> float:
-    """Almost-sure bound on |<S, X>| over feasible S and design atoms.
-
-    Dual-norm evaluation per atom: an operator-norm ball of radius rho gives
-    rho * max nuclear norm of an atom, a Frobenius ball rho * max Frobenius
-    norm.  Unbounded feasible sets leave the bound undefined.
-    """
-    if isinstance(constraint, Unconstrained):
-        raise ValidationError(
-            "prediction bound undefined for an unconstrained feasible set; "
-            "supply the bound explicitly"
-        )
-    if isinstance(constraint, OperatorNormBall):
-        return constraint.rho * float(np.max(design.atom_norms.nuclear))
-    if isinstance(constraint, FrobeniusBall):
-        return constraint.rho * float(np.sqrt(np.max(design.atom_norms.sq_frobenius)))
-    raise ValidationError(f"unknown constraint {constraint!r}")
 
 
 # -- population and excess risk -------------------------------------------------

@@ -35,13 +35,7 @@ from .bounds import (
     estimate_rademacher_norm,
     oracle_bound_report,
 )
-from .constraints import (
-    ConstraintSet,
-    FrobeniusBall,
-    OperatorNormBall,
-    Unconstrained,
-    describe,
-)
+from .constraints import ConstraintSet, FrobeniusBall, OperatorNormBall, Unconstrained
 from .designs import (
     ClassificationLink,
     DesignDistribution,
@@ -51,7 +45,6 @@ from .designs import (
     custom_design,
     excess_risk,
     orthonormal_basis_design,
-    prediction_bound,
     response_domain,
     sample_dataset,
 )
@@ -355,7 +348,7 @@ def _threshold_terms(
     constants at a, the bound constants, Delta and the threshold itself."""
     a = config.prediction_bound_override
     if a is None:
-        a = prediction_bound(constraint, design)
+        a = constraint.prediction_bound(design.atom_norms)
     consts = loss_constants(loss, a)
     constants = ConstantsConfig(
         b_const=config.b_const, c_const=config.c_const, d_thresh=config.d_thresh
@@ -662,7 +655,7 @@ def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
         rank_term_active=sum(r.min_term == r.rank_term for r in converged),
         m=plan.design.dim,
         loss=plan.config.loss_name,
-        constraint=describe(plan.constraint),
+        constraint=str(plan.constraint),
     )
     return SummaryReport(
         **computed, **plan.lookup(name for name in SUMMARY_SCHEMA if name not in computed)
@@ -796,7 +789,7 @@ class SharpnessResult:
 
 def sharpness_experiment(
     config: ExperimentConfig,
-    oracle_set: list,
+    oracle_set: list[tuple[str, np.ndarray]],
     workers: int | None = None,
     progress=None,
 ) -> SharpnessResult:
@@ -804,18 +797,14 @@ def sharpness_experiment(
 
     Trials are solved once; each oracle (possibly misspecified, with large
     excess risk) then gets its own bound evaluation.  Entries of
-    ``oracle_set`` are matrices or (label, matrix) pairs.
+    ``oracle_set`` are (label, matrix) pairs.
     """
     plan = resolve_plan(config)
     records = run_trials(plan, workers=workers, progress=progress)
     converged = [r for r in records if r.converged]
     rows = []
     headline = -math.inf
-    for item in oracle_set:
-        if isinstance(item, tuple):
-            label, oracle = item
-        else:
-            label, oracle = f"oracle-{len(rows)}", item
+    for label, oracle in oracle_set:
         terms = _oracle_terms(oracle, plan.design, plan.truth, plan.loss, plan.bayes)
         reference = _bound_report(plan, 0.0, terms)
         gaps = np.array([r.lhs - reference.rhs for r in converged])

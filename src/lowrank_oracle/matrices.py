@@ -67,7 +67,7 @@ class SpectralDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         phi = self.eigenvectors
-        return symmetrize(phi @ np.diag(self.eigenvalues) @ phi.T)
+        return symmetrize((phi * self.eigenvalues) @ phi.T)
 
 
 def spectral_decompose(s: np.ndarray) -> SpectralDecomposition:
@@ -163,8 +163,7 @@ def sign_and_support(
         raise ValidationError("zero_tol must be nonnegative")
     keep = np.abs(dec.eigenvalues) > zero_tol
     phi = dec.eigenvectors[:, keep]
-    signs = np.sign(dec.eigenvalues[keep])
-    sign_matrix = symmetrize(phi @ np.diag(signs) @ phi.T)
+    sign_matrix = SpectralDecomposition(np.sign(dec.eigenvalues[keep]), phi).reconstruct()
     return sign_matrix, SupportProjector(dim=dec.dim, basis=phi)
 
 
@@ -204,8 +203,7 @@ def best_rank_approximation(s: np.ndarray, rank: int) -> np.ndarray:
     keep_order = np.argsort(-np.abs(dec.eigenvalues), kind="stable")[:rank]
     lam = np.zeros_like(dec.eigenvalues)
     lam[keep_order] = dec.eigenvalues[keep_order]
-    phi = dec.eigenvectors
-    return symmetrize((phi * lam) @ phi.T)
+    return SpectralDecomposition(lam, dec.eigenvectors).reconstruct()
 
 
 def save_matrix(path, a: np.ndarray) -> None:

@@ -19,17 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (
-    ConstraintSet,
-    FrobeniusBall,
-    OperatorNormBall,
-    Unconstrained,
-    constraint_violation,
-)
+from .constraints import ConstraintSet, Unconstrained
 from .designs import Dataset
 from .errors import NumericalError, ValidationError
 from .losses import LossModel
 from .matrices import (
+    SpectralDecomposition,
     default_zero_tol,
     inner,
     nuclear_norm,
@@ -40,7 +35,6 @@ from .matrices import (
 )
 
 GRAD_TOL_FACTOR = 1e-8
-BOUNDARY_TOL = 1e-8
 STEP_SHRINK = 0.5  # backtracking factor on a failed smoothness test
 STEP_GROWTH = 1.2  # re-expansion factor after each accepted iteration
 
@@ -113,38 +107,13 @@ def _law_rows(fn, s: np.ndarray, data: Dataset, loss: LossModel, what: str):
 
 
 def composite_prox(s: np.ndarray, theta: float, constraint: ConstraintSet) -> np.ndarray:
-    """Exact prox of theta * nuclear norm plus the constraint indicator.
-
-    Eigenvalue-wise: soft-threshold, then clip for an operator-norm ball.
-    For a Frobenius ball, soft-thresholding followed by a radial rescale
-    solves the coupled problem exactly: the Lagrangian stationarity gives
-    eigenvalues soft(lam, theta) / (1 + mu), so the dual multiplier acts as
-    a single scalar rescale pinned by the norm constraint.
-    """
+    """Exact prox of theta * nuclear norm plus the constraint indicator:
+    soft-threshold the eigenvalues, then the constraint's ``project``."""
     if theta < 0:
         raise ValidationError("threshold must be nonnegative")
     dec = spectral_decompose(s)
-    lam = soft_threshold(dec.eigenvalues, theta)
-    if isinstance(constraint, OperatorNormBall):
-        lam = np.clip(lam, -constraint.rho, constraint.rho)
-    elif isinstance(constraint, FrobeniusBall):
-        norm = float(np.linalg.norm(lam))
-        if norm > constraint.rho:
-            lam = lam * (constraint.rho / norm)
-    elif not isinstance(constraint, Unconstrained):
-        raise ValidationError(f"unknown constraint {constraint!r}")
-    phi = dec.eigenvectors
-    return symmetrize((phi * lam) @ phi.T)
-
-
-def _negative_part(block: np.ndarray) -> np.ndarray:
-    lam, phi = np.linalg.eigh(symmetrize(block))
-    lam = np.minimum(lam, 0.0)
-    return (phi * lam) @ phi.T
-
-
-def _positive_part(block: np.ndarray) -> np.ndarray:
-    return -_negative_part(-block)
+    lam = constraint.project(soft_threshold(dec.eigenvalues, theta))
+    return SpectralDecomposition(lam, dec.eigenvectors).reconstruct()
 
 
 def optimality_residuals(
@@ -157,21 +126,16 @@ def optimality_residuals(
 
     In the eigenbasis of ``s_hat`` its support L (eigenvalues above
     ``default_zero_tol``) and matrix sign are diagonal.  The residual R is
-    W = -grad/epsilon minus the sign, minus the allowed normal-cone part:
-    nothing unconstrained; on a Frobenius ball's boundary, the nonnegative
-    multiple of the eigenvalues fitted to R's diagonal; on an operator-norm
-    ball, the positive (negative) semidefinite part of R's block on the
-    eigenvalues at +rho (-rho).  Returns the Frobenius norm of R on the rows
-    and columns touching L, and how far the operator norm of R's block off L
-    exceeds 1 (clipped at zero).  With ``epsilon == 0``: 0 and the Frobenius
-    norm of R with W = -grad, for every constraint set.
+    W = -grad/epsilon minus the sign, minus the normal-cone part that the
+    constraint's ``remove_normal_cone`` allows.  Returns the Frobenius norm
+    of R on the rows and columns touching L, and how far the operator norm
+    of R's block off L exceeds 1 (clipped at zero).  With ``epsilon == 0``:
+    0 and the Frobenius norm of R with W = -grad, for every constraint set.
     """
     grad = validate_symmetric(grad)
     s_hat = validate_symmetric(s_hat)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
-    if not isinstance(constraint, (Unconstrained, FrobeniusBall, OperatorNormBall)):
-        raise ValidationError(f"unknown constraint {constraint!r}")
 
     dec = spectral_decompose(s_hat)
     lam, phi = dec.eigenvalues, dec.eigenvectors
@@ -182,21 +146,7 @@ def optimality_residuals(
     diag = np.diag_indices_from(residual)
     if epsilon > 0:
         residual[diag] -= np.where(in_support, np.sign(lam), 0.0)
-    if isinstance(constraint, FrobeniusBall):
-        norm_sq = float(lam @ lam)
-        rho = constraint.rho
-        if norm_sq > 0 and abs(np.sqrt(norm_sq) - rho) <= BOUNDARY_TOL * rho:
-            residual[diag] -= max(0.0, float(residual[diag] @ lam) / norm_sq) * lam
-    elif isinstance(constraint, OperatorNormBall):
-        rho = constraint.rho
-        act_tol = max(BOUNDARY_TOL * rho, zero_tol)
-        plus = lam >= rho - act_tol
-        minus = lam <= -rho + act_tol
-        # active blocks may absorb any signed-semidefinite normal component
-        if np.any(plus):
-            residual[np.ix_(plus, plus)] = _negative_part(residual[np.ix_(plus, plus)])
-        if np.any(minus):
-            residual[np.ix_(minus, minus)] = _positive_part(residual[np.ix_(minus, minus)])
+    constraint.remove_normal_cone(residual, lam, zero_tol)
     if epsilon == 0:
         return 0.0, float(np.linalg.norm(residual))
     touches_support = in_support[:, None] | in_support[None, :]
@@ -335,7 +285,7 @@ def certify(
     s_hat = result.s_hat if isinstance(result, SolveResult) else result
     g = gradient(s_hat, data, loss)
     low, excess = optimality_residuals(g, s_hat, epsilon, constraint)
-    feasible = constraint_violation(s_hat, constraint) <= tol
+    feasible = constraint.violation(s_hat) <= tol
     return Certificate(
         kkt_low=low,
         kkt_excess=excess,

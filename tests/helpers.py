@@ -7,9 +7,10 @@ squares oracle assembles explicit normal equations over an orthonormal
 basis of the symmetric matrix space.  The Bayes-risk oracle minimizes one
 conditional-risk closure per atom with scipy's bounded scalar search.  The
 first-order residual reference works in the original basis with the support
-projectors of the estimate, where the solver works in its eigenbasis.  The
-empirical risk and gradient references evaluate the loss at every sample,
-where the solver evaluates it once per row of the response law.
+and active-eigenspace projectors of the estimate, where the solver works in
+its eigenbasis.  The empirical risk and gradient references evaluate the
+loss at every sample, where the solver evaluates it once per row of the
+response law.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from lowrank_oracle import (
     sign_and_support,
 )
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
-from lowrank_oracle.matrices import symmetrize, validate_symmetric
-from lowrank_oracle.solver import BOUNDARY_TOL
+from lowrank_oracle.constraints import BOUNDARY_TOL
+from lowrank_oracle.matrices import default_zero_tol, symmetrize, validate_symmetric
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
 
@@ -132,27 +133,34 @@ def least_squares_oracle(data: Dataset) -> np.ndarray:
 def optimality_residuals_reference(
     grad: np.ndarray, s_hat: np.ndarray, epsilon: float, constraint
 ) -> tuple[float, float]:
-    """First-order residuals for the unconstrained set and the Frobenius
-    ball by the support projectors of ``s_hat``: the distance of the
-    supported part of W = -grad/epsilon from the matrix sign, and the excess
-    over 1 of the complement part's operator norm, after removing the best
-    nonnegative multiple of ``s_hat`` when it lies on the ball's boundary."""
-    denom = float(np.linalg.norm(s_hat)) ** 2
-    on_boundary = (
-        isinstance(constraint, FrobeniusBall)
-        and denom > 0
-        and abs(np.sqrt(denom) - constraint.rho) <= BOUNDARY_TOL * constraint.rho
-    )
-    if epsilon == 0:
-        shift = max(0.0, -float(np.sum(grad * s_hat)) / denom) if on_boundary else 0.0
-        return 0.0, float(np.linalg.norm(grad + shift * s_hat))
-    w = -grad / epsilon
+    """First-order residuals by the support projectors of ``s_hat``.
+
+    R is W = -grad/epsilon minus the matrix sign (-grad when epsilon is 0),
+    minus the normal-cone part: on the Frobenius ball's boundary, the best
+    nonnegative multiple of ``s_hat``; on an operator-norm ball, the positive
+    (negative) semidefinite part of R compressed by the projector onto the
+    eigenspace of the eigenvalues at +rho (-rho).  Returns the Frobenius norm
+    of R's supported part and the excess over 1 of the operator norm of its
+    complement part; 0 and the Frobenius norm of R when epsilon is 0."""
     sign, support = sign_and_support(s_hat)
-    if on_boundary:
-        w = w - max(0.0, float(np.sum((support.apply(w) - sign) * s_hat)) / denom) * s_hat
-    w_comp = support.apply_complement(w)
-    low = float(np.linalg.norm(w - w_comp - sign))
-    return low, max(0.0, operator_norm(w_comp) - 1.0)
+    r = -grad / epsilon - sign if epsilon > 0 else -grad
+    if isinstance(constraint, FrobeniusBall):
+        denom = float(np.linalg.norm(s_hat)) ** 2
+        if denom > 0 and abs(np.sqrt(denom) - constraint.rho) <= BOUNDARY_TOL * constraint.rho:
+            r = r - max(0.0, float(np.sum(r * s_hat)) / denom) * s_hat
+    if isinstance(constraint, OperatorNormBall):
+        rho = constraint.rho
+        act_tol = max(BOUNDARY_TOL * rho, default_zero_tol(s_hat))
+        lam, phi = np.linalg.eigh(s_hat)
+        at_plus, at_minus = lam >= rho - act_tol, lam <= -rho + act_tol
+        for active, part in ((at_plus, np.maximum), (at_minus, np.minimum)):
+            projector = phi[:, active] @ phi[:, active].T
+            mu, psi = np.linalg.eigh(symmetrize(projector @ r @ projector))
+            r = symmetrize(r - (psi * part(mu, 0.0)) @ psi.T)
+    if epsilon == 0:
+        return 0.0, float(np.linalg.norm(r))
+    r_comp = support.apply_complement(r)
+    return float(np.linalg.norm(r - r_comp)), max(0.0, operator_norm(r_comp) - 1.0)
 
 
 def empirical_risk_reference(s: np.ndarray, data: Dataset, loss) -> float:

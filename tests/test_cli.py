@@ -202,6 +202,25 @@ def test_nonpositive_prediction_bound_exits_one(tmp_path, capsys, raw):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "bound"])
+@pytest.mark.parametrize("epsilon", ["absolute:0.05", "threshold:1.0"])
+def test_unconstrained_without_prediction_bound_names_the_key(tmp_path, capsys, command, epsilon):
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_CONFIG)
+    parser["constraint"] = {"variant": "none"}
+    parser["solver"]["epsilon"] = epsilon
+    config = tmp_path / "no-a.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: prediction bound undefined")
+    assert "[constraint] a" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 

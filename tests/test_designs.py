@@ -29,7 +29,6 @@ from lowrank_oracle import (
     load_dataset,
     orthonormal_basis_design,
     population_risk,
-    prediction_bound,
     register_loss,
     response_domain,
     sample_dataset,
@@ -161,7 +160,8 @@ def test_basis_closed_form_norms_match_the_dense_atoms(m):
     assert design.second_moment.tobytes() == dense.second_moment.tobytes()
     assert design_moment_bounds(design) == design_moment_bounds(dense)
     for constraint in (OperatorNormBall(2.0), FrobeniusBall(2.0)):
-        assert prediction_bound(constraint, design) == prediction_bound(constraint, dense)
+        bound = constraint.prediction_bound
+        assert bound(design.atom_norms) == bound(dense.atom_norms)
 
 
 def test_basis_closed_form_constants_are_pinned():
@@ -172,8 +172,8 @@ def test_basis_closed_form_constants_are_pinned():
     assert 1.414213562373095 != math.sqrt(2.0)
     assert set(design.atom_norms.sq_frobenius.tolist()) == {1.0, 0.9999999999999998}
     assert set(design.atom_norms.operator.tolist()) == {1.0, 0.7071067811865475}
-    assert prediction_bound(OperatorNormBall(2.0), design) == 2.82842712474619
-    assert prediction_bound(FrobeniusBall(2.0), design) == 2.0
+    assert OperatorNormBall(2.0).prediction_bound(design.atom_norms) == 2.82842712474619
+    assert FrobeniusBall(2.0).prediction_bound(design.atom_norms) == 2.0
     assert float(np.max(design.atom_norms.sq_frobenius)) == 1.0
     # sigma is one ulp above 1/sqrt(40), the rounding of the summed second moment
     assert design_moment_bounds(design) == (0.158113883008419, 1.0)
@@ -386,15 +386,16 @@ def test_dataset_csv_round_trip(tmp_path):
 
 def test_prediction_bound_values():
     design = orthonormal_basis_design(2)
-    assert prediction_bound(OperatorNormBall(1.0), design) == pytest.approx(np.sqrt(2.0))
+    norms = design.atom_norms
+    assert OperatorNormBall(1.0).prediction_bound(norms) == pytest.approx(np.sqrt(2.0))
     diag_only = custom_design(
         np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), np.array([0.5, 0.5])
     )
-    assert prediction_bound(OperatorNormBall(2.5), diag_only) == pytest.approx(2.5)
-    assert prediction_bound(OperatorNormBall(0.0), diag_only) == 0.0
-    assert prediction_bound(FrobeniusBall(2.0), design) == pytest.approx(2.0)
-    with pytest.raises(ValidationError):
-        prediction_bound(Unconstrained(), design)
+    assert OperatorNormBall(2.5).prediction_bound(diag_only.atom_norms) == pytest.approx(2.5)
+    assert OperatorNormBall(0.0).prediction_bound(diag_only.atom_norms) == 0.0
+    assert FrobeniusBall(2.0).prediction_bound(norms) == pytest.approx(2.0)
+    with pytest.raises(ValidationError, match=r"\[constraint\] a"):
+        Unconstrained().prediction_bound(norms)
 
 
 def test_population_risk_noiseless_truth_is_bayes():

@@ -31,7 +31,7 @@ from lowrank_oracle import (
 )
 from lowrank_oracle import ClassificationLink
 from lowrank_oracle import solver as solver_module
-from lowrank_oracle.matrices import inner
+from lowrank_oracle.matrices import inner, symmetrize
 
 from helpers import (
     directional_derivative,
@@ -487,6 +487,17 @@ def test_optimality_residuals_match_support_projector_reference(instance):
     got = optimality_residuals(grad, s_hat, epsilon, loose)
     expected = optimality_residuals_reference(grad, s_hat, epsilon, off_boundary)
     assert _residuals_close(got, expected), (got, expected)
+    # an active operator-norm ball: s_hat's eigenvectors, its bottom and top
+    # max(1, m // 3) eigenvalues moved to -rho and +rho, the rest kept inside
+    m = len(s_hat)
+    if m >= 2:
+        lam, phi = np.linalg.eigh(s_hat)
+        rho, k = loose.rho, max(1, m // 3)
+        lam[:k], lam[-k:] = -rho, rho
+        s_active = symmetrize((phi * lam) @ phi.T)
+        got = optimality_residuals(grad, s_active, epsilon, loose)
+        expected = optimality_residuals_reference(grad, s_active, epsilon, loose)
+        assert _residuals_close(got, expected), (got, expected)
 
 
 def test_solver_config_validation():
