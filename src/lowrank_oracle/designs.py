@@ -31,6 +31,7 @@ QUADRATURE_NODES = 64
 NOISE_TRUNCATION = 6.0  # truncation at 6 sigma keeps the response domain bounded
 BAYES_XTOL = 1e-12     # relative step size at which the Newton iteration stops
 BAYES_MAX_ITERS = 100  # enough for bisection alone to reach BAYES_XTOL
+_NOISE_CHUNK = 1 << 15  # noise draws folded at a time: 256 kB
 
 
 class AtomNorms(NamedTuple):  # each of shape (k,)
@@ -254,15 +255,28 @@ class EmpiricalLaw:
     d1_remainder: np.ndarray | None = None  # (r,)
 
 
+def _quadratic_law(counts, shift, sums, squares, n: int) -> EmpiricalLaw:
+    """The law of a loss quadratic in the response from per-atom ``counts``
+    and ``sums`` of y - shift, and ``squares``, the total of (y - shift)^2:
+    about a shift at or near each atom's mean, neither sum cancels.  The
+    loss averages over an atom's responses to its value at their mean plus
+    their centered mean square; ``rest`` sums y - y[r] about the rounded mean."""
+    seen = np.flatnonzero(counts)
+    c, shift, sums = counts[seen], shift[seen], sums[seen]
+    mean = shift + sums / c
+    step = mean - shift
+    rest = sums - c * step
+    const = (float(np.sum(squares)) - float(step @ (sums + rest))) / n
+    return EmpiricalLaw(atoms=seen, y=mean, w=c / n, const=const, d1_remainder=-2.0 * rest / n)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Sampled (X_j, Y_j) pairs; covariates stored as integer atom indices.
-    The estimator never reads the sample order, but the squared-loss law is
-    built per run of equal consecutive atoms, so it is fastest grouped by
-    atom (k runs), as ``sample_dataset`` returns and ``load_dataset`` keeps
-    it: at m = 8, n = 10^6 about 4 ms, against 21 ms shuffled.  The per-atom
-    statistics and response laws are computed once and cached, so the
-    arrays are not to be modified after construction."""
+    The per-sample form, as ``load_dataset`` reads it; ``sample_dataset``
+    returns counts.  The laws are built per run of equal consecutive atoms,
+    so they are fastest grouped by atom, as a saved sample is.  They are
+    cached, so the arrays are not to be modified after construction."""
 
     design: DesignDistribution
     atom_indices: np.ndarray  # (n,)
@@ -312,9 +326,6 @@ class Dataset:
 
     @cached_property
     def _mean_law(self) -> EmpiricalLaw:
-        # (y - u)^2 + C(u) averages over an atom's responses to the loss at
-        # their mean plus their centered mean square, whatever u is; centered
-        # about the rounded mean, the responses sum to count * (mean - y)
         starts, lengths = self._atom_runs
         run_atoms = self.atom_indices[starts]
         counts = np.bincount(run_atoms, weights=lengths, minlength=self.design.num_atoms)
@@ -322,24 +333,78 @@ class Dataset:
             self.response_sums, counts, out=np.zeros(counts.shape), where=counts > 0
         )
         centered = self.y - np.repeat(mean[run_atoms], lengths)
-        seen = np.flatnonzero(counts)
-        return EmpiricalLaw(
-            atoms=seen,
-            y=mean[seen],
-            w=counts[seen] / self.n,
-            const=float(centered @ centered) / self.n,
-            d1_remainder=-2.0 * self._per_atom_sums(centered)[seen] / self.n,
+        return _quadratic_law(
+            counts, mean, self._per_atom_sums(centered), float(centered @ centered), self.n
         )
 
     @cached_property
     def _row_law(self) -> EmpiricalLaw:
         # any other loss keeps one row per run of equal consecutive (atom,
-        # response) samples, weighted by its length: at most 2k rows for
-        # sampled labels, one per sample for distinct responses
+        # response) samples, weighted by its length: one per sample for
+        # distinct responses
         idx, y = self.atom_indices, self.y
         starts = np.flatnonzero(np.r_[True, (idx[1:] != idx[:-1]) | (y[1:] != y[:-1])])
         lengths = np.diff(np.r_[starts, self.n])
         return EmpiricalLaw(atoms=idx[starts], y=y[starts], w=lengths / self.n)
+
+
+class CountedDataset(Dataset):
+    """n i.i.d. (X, Y) pairs held as per-atom statistics: the atom counts
+    (one multinomial draw), then each atom's +1 count (a binomial) for
+    labels, or for regression each atom's sum of its noise about its
+    prediction and the total squared noise, drawn ``_NOISE_CHUNK`` at a
+    time.  Memory is O(k + chunk), and for labels time is O(k).
+    ``atom_indices`` and ``y`` are built on first use from the counts and
+    the generator state before the response draws: grouped by atom, each
+    block's +1 labels first, as one draw of all n samples gives them.  Only
+    a non-quadratic loss on continuous responses reads them."""
+
+    def __init__(self, design: DesignDistribution, truth: TruthModel, n: int, seed: int):
+        rng = np.random.default_rng(seed)
+        counts = rng.multinomial(n, design.probs)
+        state = rng.bit_generator.state
+        s = design.forward(truth.s_star)
+        runs = None
+        if isinstance(truth.noise, ClassificationLink):
+            pos = rng.binomial(counts, np.asarray(truth.noise.link(s), dtype=float))
+            runs = np.stack([pos, counts - pos], axis=1).ravel()
+            rows = np.flatnonzero(runs)  # (k, +1, pos / n), (k, -1, (c - pos) / n)
+            vars(self)["_row_law"] = EmpiricalLaw(  # in place of the law from arrays
+                atoms=rows // 2, y=1.0 - 2.0 * (rows % 2), w=runs[rows] / n
+            )
+            s, sums, squares = np.zeros(s.shape), (2 * pos - counts).astype(float), float(n)
+        else:
+            sums, squares = _noise_sums(truth.noise, rng, counts)
+        vars(self).update(
+            design=design, seed=seed, counts=counts, _shift=s, _sums=sums,
+            _squares=squares, _runs=runs, _noise=truth.noise, _state=state,
+        )
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    @cached_property
+    def atom_indices(self) -> np.ndarray:
+        return np.repeat(np.arange(self.design.num_atoms), self.counts)
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        if self._runs is not None:
+            return np.repeat(np.tile([1.0, -1.0], self.design.num_atoms), self._runs)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self._state
+        y = _truncated_gaussian(self._noise, rng, self.n)
+        y += np.repeat(self._shift, self.counts)
+        return y
+
+    @cached_property
+    def response_sums(self) -> np.ndarray:
+        return self.counts * self._shift + self._sums
+
+    @cached_property
+    def _mean_law(self) -> EmpiricalLaw:
+        return _quadratic_law(self.counts, self._shift, self._sums, self._squares, self.n)
 
 
 def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -356,35 +421,33 @@ def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: in
     return u
 
 
-def sample_dataset(
-    design: DesignDistribution,
-    truth: TruthModel,
-    n: int,
-    seed: int,
-) -> Dataset:
-    """Draw n i.i.d. (X, Y) pairs; deterministic given the seed.
+def _noise_sums(noise: GaussianNoise, rng: np.random.Generator, counts: np.ndarray):
+    """Per atom, the sum of the noise of its block of samples, and the sum of
+    all squared noise, folded ``_NOISE_CHUNK`` draws at a time."""
+    sums, squares = np.zeros(counts.shape), 0.0
+    if noise.sigma == 0:
+        return sums, squares
+    seen = np.flatnonzero(counts)
+    ends = np.cumsum(counts[seen])  # one past each seen atom's block
+    block_sums = np.zeros(seen.shape)
+    for lo in range(0, int(ends[-1]), _NOISE_CHUNK):
+        x = _truncated_gaussian(noise, rng, min(_NOISE_CHUNK, int(ends[-1]) - lo))
+        first = np.searchsorted(ends, lo, side="right")        # the block of sample lo
+        last = np.searchsorted(ends, lo + x.size, side="left")  # the block of the chunk's last
+        cuts = np.concatenate(([0], ends[first:last] - lo))
+        block_sums[first : last + 1] += np.add.reduceat(x, cuts)
+        squares += float(x @ x)
+    sums[seen] = block_sums
+    return sums, squares
 
-    The atom counts are one multinomial draw, and the samples come grouped
-    by atom in index order: i.i.d. as a multiset, which is all the
-    estimator reads.  Regression adds truncated Gaussian noise to each
-    atom's prediction; labels draw each atom's +1 count as a binomial and
-    list its +1s before its -1s.
-    """
+
+def sample_dataset(
+    design: DesignDistribution, truth: TruthModel, n: int, seed: int
+) -> CountedDataset:
+    """Draw n i.i.d. (X, Y) pairs as counts; deterministic given the seed."""
     if n < 1:
         raise ValidationError("sample count must be at least 1")
-    rng = np.random.default_rng(seed)
-    k = design.num_atoms
-    counts = rng.multinomial(n, design.probs)
-    idx = np.repeat(np.arange(k), counts)
-    s = design.forward(truth.s_star)
-    if isinstance(truth.noise, ClassificationLink):
-        pos = rng.binomial(counts, np.asarray(truth.noise.link(s), dtype=float))
-        runs = np.stack([pos, counts - pos], axis=1).ravel()
-        y = np.repeat(np.tile([1.0, -1.0], k), runs)
-    else:
-        y = _truncated_gaussian(truth.noise, rng, n)
-        y += np.repeat(s, counts)
-    return Dataset(design=design, atom_indices=idx, y=y, seed=seed)
+    return CountedDataset(design, truth, n, seed)
 
 
 def save_dataset(path, dataset: Dataset) -> None:

@@ -122,6 +122,10 @@ class ExperimentConfig:
             raise ValidationError("noise sigma must be nonnegative")
         if self.constraint_kind not in ("none", "operator-ball", "frobenius-ball"):
             raise ValidationError(f"unknown constraint kind {self.constraint_kind!r}")
+        if not self.constraint_rho >= 0:
+            raise ValidationError(
+                f"config [constraint] rho = {self.constraint_rho!r} must be nonnegative: it is a ball radius"
+            )
         a = self.prediction_bound_override
         if a is not None and not a > 0:
             raise ValidationError(

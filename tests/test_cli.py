@@ -202,6 +202,26 @@ def test_nonpositive_prediction_bound_exits_one(tmp_path, capsys, raw):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("variant", ["none", "operator-ball", "frobenius-ball"])
+def test_negative_radius_names_the_key(tmp_path, capsys, variant):
+    # a ball used to fail in its own constructor with a message naming
+    # neither the key nor its section, and variant = none took rho = -1
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_CONFIG)
+    parser["constraint"] = {"variant": variant, "rho": "-1", "a": "2.0"}
+    config = tmp_path / "bad-rho.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ValidationError, match=r"\[constraint\] rho = -1.0 must be nonnegative"):
+        parse_config(config)
+    code = main(["solve", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: config [constraint] rho")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["verify", "bound"])
 @pytest.mark.parametrize("epsilon", ["absolute:0.05", "threshold:1.0"])
 def test_unconstrained_without_prediction_bound_names_the_key(tmp_path, capsys, command, epsilon):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from lowrank_oracle import (
     save_dataset,
     squared_loss,
 )
+from lowrank_oracle import designs
 from lowrank_oracle.bounds import design_moment_bounds
 from lowrank_oracle.designs import BasisDesign
 from lowrank_oracle.matrices import frobenius_norm, nuclear_norm, operator_norm
@@ -287,6 +289,122 @@ def test_sample_dataset_builds_no_covariate_stack():
         tracemalloc.stop()
     # the (n, m, m) stack of sampled atoms alone would take 10_000 * 40 * 40 * 8 B = 128 MB
     assert peak < 16 * 2**20
+
+
+def _per_sample_draws(design, truth, n, seed):
+    """The sample as n-long arrays, drawn by the same generator calls in
+    plain numpy: the atom counts, then one binomial per atom or all n noise
+    values at once."""
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, design.probs)
+    idx = np.repeat(np.arange(design.num_atoms), counts)
+    s = design.forward(truth.s_star)
+    if isinstance(truth.noise, ClassificationLink):
+        pos = rng.binomial(counts, truth.noise.link(s))
+        y = np.concatenate([np.repeat([1.0, -1.0], [p, c - p]) for p, c in zip(pos, counts)])
+    elif truth.noise.sigma == 0:
+        y = s[idx]
+    else:
+        tail = ndtr(-truth.noise.truncation)
+        y = s[idx] + truth.noise.sigma * ndtri(tail + rng.random(n) * (1.0 - 2.0 * tail))
+    return counts, idx, y
+
+
+def _assert_laws_match(data, reference):
+    """The counted sample's squared-loss law against the per-sample one: rows
+    to 1e-12 of their atom's mean |y|, const to 1e-12 of the mean y^2 (the
+    risk at zero), and the response sums to 1e-12 of their sums of |y|."""
+    k = data.design.num_atoms
+    abs_sums = np.bincount(reference.atom_indices, np.abs(reference.y), minlength=k)
+    assert np.all(np.abs(data.response_sums - reference.response_sums) <= 1e-12 * abs_sums)
+    law, want = data.response_law(squared_loss()), reference.response_law(squared_loss())
+    assert np.array_equal(law.atoms, want.atoms) and np.array_equal(law.w, want.w)
+    scale = abs_sums[want.atoms] / (want.w * reference.n)  # mean |y| per row
+    assert np.all(np.abs(law.y - want.y) <= 1e-12 * scale)
+    assert np.all(np.abs(law.d1_remainder - want.d1_remainder) <= 2e-12 * want.w * scale)
+    assert abs(law.const - want.const) <= 1e-12 * float(np.mean(reference.y ** 2))
+
+
+@st.composite
+def counted_instance(draw):
+    """(design, truth, n, seed, chunk): a basis design or a custom one with a
+    zero-probability atom, labels or truncated Gaussian noise (sigma = 0
+    included) about predictions of scale 1 or 100 (labels: 1, where the link
+    does not overflow), and a noise chunk larger
+    than n, smaller than the largest atom block, or ending at an atom's end."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        design = orthonormal_basis_design(m)
+    else:
+        k = draw(st.integers(2, 6))
+        probs = rng.random(k)
+        probs[draw(st.integers(0, k - 1))] = 0.0
+        design = custom_design(np.stack([random_symmetric(rng, m) for _ in range(k)]), probs / probs.sum())
+    noise = draw(st.sampled_from([ClassificationLink(), GaussianNoise(0.0), GaussianNoise(0.1), GaussianNoise(1.0)]))
+    scale = 1.0 if isinstance(noise, ClassificationLink) else draw(st.sampled_from([1.0, 100.0]))
+    truth = TruthModel(s_star=scale * random_symmetric(rng, m), noise=noise)
+    n = draw(st.integers(1, 3000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    counts = np.random.default_rng(seed).multinomial(n, design.probs)
+    chunk = {
+        "above n": n + 1,
+        "inside a block": max(1, int(counts.max()) // 2),
+        "at a block end": int(np.cumsum(counts)[np.flatnonzero(counts)[0]]),
+    }[draw(st.sampled_from(["above n", "inside a block", "at a block end"]))]
+    return design, truth, n, seed, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(counted_instance())
+def test_counted_sample_matches_per_sample_reference(instance):
+    design, truth, n, seed, chunk = instance
+    with mock.patch.object(designs, "_NOISE_CHUNK", chunk):
+        data = sample_dataset(design, truth, n, seed)
+    assert not {"atom_indices", "y"} & set(vars(data))  # nothing n-long yet
+    counts, idx, y = _per_sample_draws(design, truth, n, seed)
+    assert data.n == n and np.array_equal(data.counts, counts)
+    reference = Dataset(design, data.atom_indices, data.y, seed)
+    assert np.array_equal(data.atom_indices, idx) and np.array_equal(data.y, y)
+    _assert_laws_match(data, reference)
+    rows = data.response_law(log_cosh_loss())  # labels: counted rows, else per sample
+    want = reference.response_law(log_cosh_loss())
+    assert all(np.array_equal(getattr(rows, f), getattr(want, f)) for f in ("atoms", "y", "w"))
+
+
+@pytest.mark.parametrize("noise", [GaussianNoise(sigma=0.2), ClassificationLink()])
+def test_saved_counted_sample_loads_the_same_law(tmp_path, noise):
+    design = orthonormal_basis_design(4)
+    truth = TruthModel(s_star=random_low_rank(np.random.default_rng(2), 4, 2), noise=noise)
+    data = sample_dataset(design, truth, 5_000, seed=13)
+    save_dataset(tmp_path / "dataset.csv", data)
+    _assert_laws_match(data, load_dataset(tmp_path / "dataset.csv", design))
+
+
+@pytest.mark.parametrize(
+    "noise, n, limit",
+    [
+        (ClassificationLink(), 10**9, 2**20),                         # O(k)
+        (GaussianNoise(0.1), 4_000_000, 3 * 8 * designs._NOISE_CHUNK),  # a few chunks
+    ],
+)
+def test_counted_sample_peak_memory(noise, n, limit):
+    # sampling and both laws without the per-sample arrays, which would take
+    # 16 B per sample: 16 GB of labels, 64 MB of regression samples
+    design = orthonormal_basis_design(8)
+    truth = TruthModel(s_star=random_low_rank(np.random.default_rng(4), 8, 2), noise=noise)
+    tracemalloc.start()
+    try:
+        data = sample_dataset(design, truth, n, seed=5)
+        data.response_law(squared_loss())
+        data.response_sums
+        if isinstance(noise, ClassificationLink):
+            assert data.response_law(exponential_loss()).atoms.size <= 2 * design.num_atoms
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+    assert not {"atom_indices", "y"} & set(vars(data))
 
 
 def test_custom_design_validation():
