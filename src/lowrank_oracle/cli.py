@@ -23,6 +23,7 @@ from .errors import NumericalError, ValidationError
 from .harness import (
     TRIAL_COLUMNS,
     ExperimentConfig,
+    _one_blas_thread,
     _run_trial,
     atomic_path,
     build_design,
@@ -203,6 +204,8 @@ def _problem(config: ExperimentConfig, data_paths: DataPaths):
     return data, loss, constraint, solver_config
 
 
+# one BLAS thread, as in verify's trials: no result depends on the thread count
+@_one_blas_thread()
 def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
     data, loss, constraint, solver_config = _problem(config, data_paths)
     result = solve(data, loss, solver_config, constraint)
@@ -231,6 +234,7 @@ def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
     return 0
 
 
+@_one_blas_thread()
 def _cmd_certify(config, data_paths, certify_tol, args, progress) -> int:
     data, loss, constraint, solver_config = _problem(config, data_paths)
     if data_paths.estimate is not None:
@@ -280,6 +284,7 @@ def _cmd_delta(config, data_paths, certify_tol, args, progress) -> int:
     return 0
 
 
+@_one_blas_thread()
 def _cmd_bound(config, data_paths, certify_tol, args, progress) -> int:
     plan = resolve_plan(config)
     record = _run_trial(plan, 0)

@@ -28,7 +28,6 @@ from .matrices import SYMMETRY_TOL, validate_symmetric
 PROB_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-9
 QUADRATURE_NODES = 64
-NOISE_TRUNCATION = 6.0  # truncation at 6 sigma keeps the response domain bounded
 BAYES_XTOL = 1e-12     # relative step size at which the Newton iteration stops
 BAYES_MAX_ITERS = 100  # enough for bisection alone to reach BAYES_XTOL
 _NOISE_CHUNK = 1 << 15  # noise draws folded at a time: 256 kB
@@ -183,13 +182,23 @@ def functional_l2_norm(a: np.ndarray, design: DesignDistribution) -> float:
 
 
 # -- truth models --------------------------------------------------------------
+#
+# A noise model is the law of Y given each atom's prediction s_k = <S*, X_k>,
+# with its own rules: the response domain, the conditional law, the cutoff of
+# the Bayes bracket, a sample's counted draw (shift, per-atom sums of
+# y - shift, total of (y - shift)^2, row law or None) and its per-sample rebuild.
+
+@lru_cache(maxsize=8)
+def _legendre_nodes(num: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(num)
+
 
 @dataclass(frozen=True)
 class GaussianNoise:
     """Additive centered Gaussian noise truncated to [-c, c], c = truncation * sigma."""
 
     sigma: float
-    truncation: ClassVar[float] = NOISE_TRUNCATION
+    truncation: ClassVar[float] = 6.0  # in sigmas: keeps the response domain bounded
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -199,10 +208,65 @@ class GaussianNoise:
     def cutoff(self) -> float:
         return self.sigma * self.truncation
 
+    def domain(self, s: np.ndarray) -> ResponseDomain:
+        half = float(np.max(np.abs(s))) + self.cutoff
+        return Interval(-half, half)
+
+    def conditional_law(self, s: np.ndarray, quadrature_nodes: int):
+        """Gauss-Legendre nodes on [-cutoff, cutoff] about each prediction; a
+        noiseless truth is the single point of its prediction."""
+        if self.sigma == 0:
+            return s[:, None], np.ones(1)
+        nodes, weights = _legendre_nodes(quadrature_nodes)
+        xi = self.cutoff * nodes
+        density = np.exp(-0.5 * (xi / self.sigma) ** 2) / (self.sigma * np.sqrt(2.0 * np.pi))
+        mass = 1.0 - 2.0 * ndtr(-self.truncation)
+        return s[:, None] + xi, self.cutoff * weights * density / mass
+
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.sigma == 0:
+            return np.zeros(size)
+        # inverse-CDF sampling keeps the draw count independent of rejections;
+        # in place, each value is sigma * ndtri(tail + u * (1 - 2 tail)) exactly
+        tail = ndtr(-self.truncation)
+        u = rng.random(size)
+        u *= 1.0 - 2.0 * tail
+        u += tail
+        ndtri(u, out=u)
+        u *= self.sigma
+        return u
+
+    def counted_draw(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray):
+        """Per atom, the sum of the noise of its block of samples about its
+        prediction, and the sum of all squared noise, folded ``_NOISE_CHUNK``
+        draws at a time."""
+        sums, squares = np.zeros(counts.shape), 0.0
+        if self.sigma == 0:
+            return s, sums, squares, None
+        seen = np.flatnonzero(counts)
+        ends = np.cumsum(counts[seen])  # one past each seen atom's block
+        block_sums = np.zeros(seen.shape)
+        for lo in range(0, int(ends[-1]), _NOISE_CHUNK):
+            x = self._sample(rng, min(_NOISE_CHUNK, int(ends[-1]) - lo))
+            first = np.searchsorted(ends, lo, side="right")        # the block of sample lo
+            last = np.searchsorted(ends, lo + x.size, side="left")  # the block of the chunk's last
+            cuts = np.concatenate(([0], ends[first:last] - lo))
+            block_sums[first : last + 1] += np.add.reduceat(x, cuts)
+            squares += float(x @ x)
+        sums[seen] = block_sums
+        return s, sums, squares, None
+
+    def responses(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray) -> np.ndarray:
+        y = self._sample(rng, int(counts.sum()))
+        y += np.repeat(s, counts)
+        return y
+
 
 def _symmetric_logistic(s):
-    # chosen so the population minimizer of the exponential loss is s itself
-    return 1.0 / (1.0 + np.exp(-2.0 * np.asarray(s, dtype=float)))
+    # chosen so the population minimizer of the exponential loss is s itself;
+    # exp overflows to inf below s = -355, where the value is exactly 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-2.0 * np.asarray(s, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -210,6 +274,31 @@ class ClassificationLink:
     """Binary responses in {-1, +1} with P(Y = 1 | X) = link(<S*, X>)."""
 
     link: Callable = _symmetric_logistic
+    cutoff: ClassVar[float] = 0.0  # no noise about the prediction to bracket
+
+    def domain(self, s: np.ndarray) -> ResponseDomain:
+        return FiniteSet((-1.0, 1.0))
+
+    def conditional_law(self, s: np.ndarray, quadrature_nodes: int):
+        """Weights (p, 1 - p) on (+1, -1)."""
+        p = np.asarray(self.link(s), dtype=float)
+        return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
+
+    def _label_runs(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Per atom, its +1 count (one binomial) then its -1 count: sample order."""
+        pos = rng.binomial(counts, np.asarray(self.link(s), dtype=float))
+        return np.stack([pos, counts - pos], axis=1).ravel()
+
+    def counted_draw(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray):
+        """Sums 2 pos - c about the shift 0, and the row law (k, +1, pos / n),
+        (k, -1, (c - pos) / n) without zero weights: O(k) time and memory."""
+        runs, n = self._label_runs(rng, counts, s), int(counts.sum())
+        rows = np.flatnonzero(runs)
+        law = EmpiricalLaw(atoms=rows // 2, y=1.0 - 2.0 * (rows % 2), w=runs[rows] / n)
+        return np.zeros(s.shape), (2 * runs[::2] - counts).astype(float), float(n), law
+
+    def responses(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return np.repeat(np.tile([1.0, -1.0], counts.size), self._label_runs(rng, counts, s))
 
 
 @dataclass(frozen=True)
@@ -225,11 +314,7 @@ class TruthModel:
 
 def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDomain:
     """Range of the response variable under the truth model."""
-    if isinstance(truth.noise, ClassificationLink):
-        return FiniteSet((-1.0, 1.0))
-    s_max = float(np.max(np.abs(design.forward(truth.s_star))))
-    half = s_max + truth.noise.cutoff
-    return Interval(-half, half)
+    return truth.noise.domain(design.forward(truth.s_star))
 
 
 # -- datasets ------------------------------------------------------------------
@@ -237,7 +322,7 @@ def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDo
 @dataclass(frozen=True)
 class EmpiricalLaw:
     """A sample's response law as weighted rows, the empirical counterpart of
-    ``_response_law``: the sample mean of f(Y_j; u at X_j) is
+    the noise model's ``conditional_law``: the sample mean of f(Y_j; u at X_j) is
     sum_r w[r] f(y[r]; u[atoms[r]]), plus ``const`` when f is the value of a
     loss that is quadratic in the response.  Every weight is positive, so
     only responses that occur are ever evaluated.
@@ -299,7 +384,7 @@ class Dataset:
         object.__setattr__(self, "atom_indices", idx.astype(np.int64, copy=False))
         object.__setattr__(self, "y", y)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.atom_indices.shape[0]
 
@@ -350,39 +435,22 @@ class Dataset:
 
 class CountedDataset(Dataset):
     """n i.i.d. (X, Y) pairs held as per-atom statistics: the atom counts
-    (one multinomial draw), then each atom's +1 count (a binomial) for
-    labels, or for regression each atom's sum of its noise about its
-    prediction and the total squared noise, drawn ``_NOISE_CHUNK`` at a
-    time.  Memory is O(k + chunk), and for labels time is O(k).
-    ``atom_indices`` and ``y`` are built on first use from the counts and
-    the generator state before the response draws: grouped by atom, each
-    block's +1 labels first, as one draw of all n samples gives them.  Only
-    a non-quadratic loss on continuous responses reads them."""
+    (one multinomial draw), then the noise model's ``counted_draw``.  Memory
+    is O(k + chunk), and for labels time is O(k).  ``atom_indices`` and ``y``
+    are built on first use: the noise model's ``responses`` draws them again
+    from the generator state before the response draws.  Only a
+    non-quadratic loss on continuous responses reads them."""
 
     def __init__(self, design: DesignDistribution, truth: TruthModel, n: int, seed: int):
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(n, design.probs)
         state = rng.bit_generator.state
         s = design.forward(truth.s_star)
-        runs = None
-        if isinstance(truth.noise, ClassificationLink):
-            pos = rng.binomial(counts, np.asarray(truth.noise.link(s), dtype=float))
-            runs = np.stack([pos, counts - pos], axis=1).ravel()
-            rows = np.flatnonzero(runs)  # (k, +1, pos / n), (k, -1, (c - pos) / n)
-            vars(self)["_row_law"] = EmpiricalLaw(  # in place of the law from arrays
-                atoms=rows // 2, y=1.0 - 2.0 * (rows % 2), w=runs[rows] / n
-            )
-            s, sums, squares = np.zeros(s.shape), (2 * pos - counts).astype(float), float(n)
-        else:
-            sums, squares = _noise_sums(truth.noise, rng, counts)
+        shift, sums, squares, rows = truth.noise.counted_draw(rng, counts, s)
         vars(self).update(
-            design=design, seed=seed, counts=counts, _shift=s, _sums=sums,
-            _squares=squares, _runs=runs, _noise=truth.noise, _state=state,
+            design=design, truth=truth, seed=seed, n=int(n), counts=counts, _shift=shift,
+            _sums=sums, _squares=squares, _rows=rows, _state=state,
         )
-
-    @cached_property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
     @cached_property
     def atom_indices(self) -> np.ndarray:
@@ -390,13 +458,9 @@ class CountedDataset(Dataset):
 
     @cached_property
     def y(self) -> np.ndarray:
-        if self._runs is not None:
-            return np.repeat(np.tile([1.0, -1.0], self.design.num_atoms), self._runs)
         rng = np.random.default_rng()
         rng.bit_generator.state = self._state
-        y = _truncated_gaussian(self._noise, rng, self.n)
-        y += np.repeat(self._shift, self.counts)
-        return y
+        return self.truth.noise.responses(rng, self.counts, self.design.forward(self.truth.s_star))
 
     @cached_property
     def response_sums(self) -> np.ndarray:
@@ -406,39 +470,10 @@ class CountedDataset(Dataset):
     def _mean_law(self) -> EmpiricalLaw:
         return _quadratic_law(self.counts, self._shift, self._sums, self._squares, self.n)
 
-
-def _truncated_gaussian(noise: GaussianNoise, rng: np.random.Generator, size: int) -> np.ndarray:
-    if noise.sigma == 0:
-        return np.zeros(size)
-    # inverse-CDF sampling keeps the draw count independent of rejections;
-    # in place, each value is sigma * ndtri(tail + u * (1 - 2 tail)) exactly
-    tail = ndtr(-noise.truncation)
-    u = rng.random(size)
-    u *= 1.0 - 2.0 * tail
-    u += tail
-    ndtri(u, out=u)
-    u *= noise.sigma
-    return u
-
-
-def _noise_sums(noise: GaussianNoise, rng: np.random.Generator, counts: np.ndarray):
-    """Per atom, the sum of the noise of its block of samples, and the sum of
-    all squared noise, folded ``_NOISE_CHUNK`` draws at a time."""
-    sums, squares = np.zeros(counts.shape), 0.0
-    if noise.sigma == 0:
-        return sums, squares
-    seen = np.flatnonzero(counts)
-    ends = np.cumsum(counts[seen])  # one past each seen atom's block
-    block_sums = np.zeros(seen.shape)
-    for lo in range(0, int(ends[-1]), _NOISE_CHUNK):
-        x = _truncated_gaussian(noise, rng, min(_NOISE_CHUNK, int(ends[-1]) - lo))
-        first = np.searchsorted(ends, lo, side="right")        # the block of sample lo
-        last = np.searchsorted(ends, lo + x.size, side="left")  # the block of the chunk's last
-        cuts = np.concatenate(([0], ends[first:last] - lo))
-        block_sums[first : last + 1] += np.add.reduceat(x, cuts)
-        squares += float(x @ x)
-    sums[seen] = block_sums
-    return sums, squares
+    @cached_property
+    def _row_law(self) -> EmpiricalLaw:
+        # labels draw theirs with the counts; other responses need the samples
+        return self._rows or super()._row_law
 
 
 def sample_dataset(
@@ -483,40 +518,9 @@ def load_dataset(path, design: DesignDistribution) -> Dataset:
 
 # -- population and excess risk -------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _legendre_nodes(num: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(num)
-
-
-def _response_law(
-    design: DesignDistribution, truth: TruthModel, quadrature_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per atom, the conditional law of Y as support points ``ys`` and
-    weights ``w`` that broadcast to (k, q): E[f(Y) | X = atom k] is
-    sum_q w f(ys).  Classification puts weights (p, 1 - p) on (+1, -1),
-    Gaussian noise has Gauss-Legendre nodes on [-cutoff, cutoff], and a
-    noiseless truth is the single point of its prediction."""
-    s = design.forward(truth.s_star)
-    if isinstance(truth.noise, ClassificationLink):
-        p = np.asarray(truth.noise.link(s), dtype=float)
-        return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
-
-    noise = truth.noise
-    if noise.sigma == 0 or noise.cutoff == 0:
-        return s[:, None], np.ones(1)
-
-    nodes, weights = _legendre_nodes(quadrature_nodes)
-    c = noise.cutoff
-    xi = c * nodes
-    density = np.exp(-0.5 * (xi / noise.sigma) ** 2) / (
-        noise.sigma * np.sqrt(2.0 * np.pi)
-    )
-    mass = 1.0 - 2.0 * ndtr(-noise.truncation)
-    return s[:, None] + xi, c * weights * density / mass
-
-
 def _conditional_mean(fn: Callable, law: tuple, u: np.ndarray) -> np.ndarray:
-    """Per atom, E[fn(Y; u_k) | X = atom k] under the response law ``law``."""
+    """Per atom, E[fn(Y; u_k) | X = atom k] = sum_q w fn(ys; u_k) under the
+    response law ``law`` = (ys, w), arrays that broadcast to (k, q)."""
     ys, w = law
     return np.sum(w * np.asarray(fn(ys, u[:, None]), dtype=float), axis=-1)
 
@@ -532,7 +536,7 @@ def population_risk(
     design probabilities times each atom's conditional expected loss, one
     (k, q) array evaluation over the response law."""
     s = validate_symmetric(s)
-    law = _response_law(design, truth, quadrature_nodes)
+    law = truth.noise.conditional_law(design.forward(truth.s_star), quadrature_nodes)
     per_atom = _conditional_mean(loss.value, law, design.forward(s))
     if not np.all(np.isfinite(per_atom)):
         raise NumericalError("population risk overflowed; predictions too large for the loss")
@@ -552,10 +556,9 @@ def bayes_risk_per_atom(
     registered losses under the finite truth models.  Independent of the
     candidate matrix, so compute it once per truth.
     """
-    law = _response_law(design, truth, QUADRATURE_NODES)
     s = design.forward(truth.s_star)
-    cutoff = 0.0 if isinstance(truth.noise, ClassificationLink) else truth.noise.cutoff
-    half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + cutoff))
+    law = truth.noise.conditional_law(s, QUADRATURE_NODES)
+    half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + truth.noise.cutoff))
     lo, hi = np.full_like(s, -half), np.full_like(s, half)
     u = s.copy()
     for _ in range(BAYES_MAX_ITERS):

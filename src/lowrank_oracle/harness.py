@@ -318,10 +318,8 @@ def build_truth(config: ExperimentConfig, dim: int) -> TruthModel:
         dim, config.truth_rank, config.truth_spectrum, mix_seed(config.seed, _TRUTH_TAG)
     )
     if config.noise_kind == "classification":
-        noise = ClassificationLink()
-    else:
-        noise = GaussianNoise(sigma=config.noise_sigma)
-    return TruthModel(s_star=s_star, noise=noise)
+        return TruthModel(s_star=s_star, noise=ClassificationLink())
+    return TruthModel(s_star=s_star, noise=GaussianNoise(sigma=config.noise_sigma))
 
 
 def build_constraint(config: ExperimentConfig) -> ConstraintSet:

@@ -18,9 +18,10 @@ from lowrank_oracle import (
     save_matrix,
     validate_summary,
 )
+from lowrank_oracle import cli, harness, solver
 from lowrank_oracle.cli import _SECTION_KEYS, main, parse_config
 from lowrank_oracle.errors import ValidationError
-from lowrank_oracle.harness import TRIAL_COLUMNS, resolve_problem
+from lowrank_oracle.harness import TRIAL_COLUMNS, _openblas_thread_controls, resolve_problem
 
 SMALL_CONFIG = """
 [design]
@@ -402,6 +403,34 @@ def test_bound_subcommand(config_file, tmp_path):
     assert payload["rhs"] == pytest.approx(
         payload["oracle_excess"] + payload["min_term"] + payload["residual_term"]
     )
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "bound"])
+def test_solving_subcommands_run_one_blas_thread(config_file, tmp_path, monkeypatch, command):
+    # as verify's trials do, so that no result depends on the BLAS thread
+    # count; the process runs two threads before and after
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append([getter() for _, getter in controls])
+        return solver.solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    monkeypatch.setattr(harness, "solve", spy)  # bound solves in harness._run_trial
+    saved = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(2)
+    try:
+        assert [getter() for _, getter in controls] == [2] * len(controls)
+        assert main([command, "--config", str(config_file), "--out", str(tmp_path / "out")]) == 0
+        assert [getter() for _, getter in controls] == [2] * len(controls)
+    finally:
+        for (setter, _), count in zip(controls, saved):
+            setter(count)
+    assert len(seen) == 1 and all(count == 1 for count in seen[0]), seen
 
 
 def test_sweep_subcommand(config_file, tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr, ndtri
@@ -329,8 +329,7 @@ def _assert_laws_match(data, reference):
 def counted_instance(draw):
     """(design, truth, n, seed, chunk): a basis design or a custom one with a
     zero-probability atom, labels or truncated Gaussian noise (sigma = 0
-    included) about predictions of scale 1 or 100 (labels: 1, where the link
-    does not overflow), and a noise chunk larger
+    included) about predictions of scale 1 or 100, and a noise chunk larger
     than n, smaller than the largest atom block, or ending at an atom's end."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 4))
@@ -342,8 +341,7 @@ def counted_instance(draw):
         probs[draw(st.integers(0, k - 1))] = 0.0
         design = custom_design(np.stack([random_symmetric(rng, m) for _ in range(k)]), probs / probs.sum())
     noise = draw(st.sampled_from([ClassificationLink(), GaussianNoise(0.0), GaussianNoise(0.1), GaussianNoise(1.0)]))
-    scale = 1.0 if isinstance(noise, ClassificationLink) else draw(st.sampled_from([1.0, 100.0]))
-    truth = TruthModel(s_star=scale * random_symmetric(rng, m), noise=noise)
+    truth = TruthModel(s_star=draw(st.sampled_from([1.0, 100.0])) * random_symmetric(rng, m), noise=noise)
     n = draw(st.integers(1, 3000))
     seed = draw(st.integers(0, 2**32 - 1))
     counts = np.random.default_rng(seed).multinomial(n, design.probs)
@@ -357,6 +355,9 @@ def counted_instance(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(counted_instance())
+@example(  # labels at a prediction of -400, where exp(-2 s) overflows to inf
+    (orthonormal_basis_design(1), TruthModel(np.array([[-400.0]]), ClassificationLink()), 10, 0, 11)
+)
 def test_counted_sample_matches_per_sample_reference(instance):
     design, truth, n, seed, chunk = instance
     with mock.patch.object(designs, "_NOISE_CHUNK", chunk):
@@ -364,6 +365,9 @@ def test_counted_sample_matches_per_sample_reference(instance):
     assert not {"atom_indices", "y"} & set(vars(data))  # nothing n-long yet
     counts, idx, y = _per_sample_draws(design, truth, n, seed)
     assert data.n == n and np.array_equal(data.counts, counts)
+    if isinstance(truth.noise, ClassificationLink):  # the label row law comes from the counts
+        data.response_law(log_cosh_loss())
+        assert not {"atom_indices", "y"} & set(vars(data))
     reference = Dataset(design, data.atom_indices, data.y, seed)
     assert np.array_equal(data.atom_indices, idx) and np.array_equal(data.y, y)
     _assert_laws_match(data, reference)
