@@ -13,7 +13,7 @@ two positions and two weights per atom; custom designs store dense atoms.
 
 from __future__ import annotations
 
-import csv
+import io
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, NamedTuple
@@ -355,55 +355,50 @@ def _quadratic_law(counts, shift, sums, squares, n: int) -> EmpiricalLaw:
     return EmpiricalLaw(atoms=seen, y=mean, w=c / n, const=const, d1_remainder=-2.0 * rest / n)
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Sampled (X_j, Y_j) pairs; covariates stored as integer atom indices.
-    The per-sample form, as ``load_dataset`` reads it; ``sample_dataset``
-    returns counts.  The laws are built per run of equal consecutive atoms,
-    so they are fastest grouped by atom, as a saved sample is.  They are
-    cached, so the arrays are not to be modified after construction."""
+    The solver reads a sample only through its per-atom statistics: ``n``,
+    the atom ``counts``, the ``response_sums`` and the ``moments`` about a
+    per-atom shift.  This per-sample form, as ``load_dataset`` reads it,
+    derives them on first use, in any sample order; ``sample_dataset`` draws
+    them directly.  They are cached, so the arrays are not to be modified
+    after construction."""
 
-    design: DesignDistribution
-    atom_indices: np.ndarray  # (n,)
-    y: np.ndarray             # (n,)
-    seed: int | None
-
-    def __post_init__(self):
-        idx = np.asarray(self.atom_indices)
-        y = np.asarray(self.y, dtype=float)
+    def __init__(self, design: DesignDistribution, atom_indices, y, seed: int | None):
+        idx = np.asarray(atom_indices)
+        y = np.asarray(y, dtype=float)
         if idx.ndim != 1 or y.shape != idx.shape:
             raise ValidationError("atom_indices and y must be matched 1-d arrays")
         if idx.size == 0:
             raise ValidationError("dataset must contain at least one sample")
         if idx.dtype.kind not in "iu":  # no truncated floats, no booleans as 0/1
             raise ValidationError(f"atom indices must be integers, not {idx.dtype}")
-        if np.any(idx < 0) or np.any(idx >= self.design.num_atoms):
+        if np.any(idx < 0) or np.any(idx >= design.num_atoms):
             raise ValidationError("atom index out of range")
         if not np.all(np.isfinite(y)):
             raise ValidationError("responses must be finite")
-        object.__setattr__(self, "atom_indices", idx.astype(np.int64, copy=False))
-        object.__setattr__(self, "y", y)
+        self.design, self.seed, self.n = design, seed, idx.shape[0]
+        self.atom_indices, self.y = idx.astype(np.int64, copy=False), y
 
     @cached_property
-    def n(self) -> int:
-        return self.atom_indices.shape[0]
-
-    @cached_property
-    def _atom_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Start and length of each run of equal consecutive atom indices."""
-        idx = self.atom_indices
-        starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
-        return starts, np.diff(np.r_[starts, self.n])
-
-    def _per_atom_sums(self, values: np.ndarray) -> np.ndarray:
-        starts, _ = self._atom_runs
-        sums = np.add.reduceat(values, starts)
-        return np.bincount(self.atom_indices[starts], sums, minlength=self.design.num_atoms)
+    def counts(self) -> np.ndarray:
+        """Per atom, its number of samples, shape (k,)."""
+        return np.bincount(self.atom_indices, minlength=self.design.num_atoms)
 
     @cached_property
     def response_sums(self) -> np.ndarray:
         """Per atom, the sum of its sampled responses, shape (k,)."""
-        return self._per_atom_sums(self.y)
+        return np.bincount(self.atom_indices, self.y, minlength=self.design.num_atoms)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The shift (here each atom's rounded mean), each atom's sum of
+        y - shift and the total of (y - shift)^2."""
+        counts = self.counts
+        mean = np.divide(self.response_sums, counts, out=np.zeros(counts.shape), where=counts > 0)
+        centered = self.y - mean[self.atom_indices]
+        sums = np.bincount(self.atom_indices, centered, minlength=self.design.num_atoms)
+        return mean, sums, float(centered @ centered)
 
     def response_law(self, loss: LossModel) -> EmpiricalLaw:
         """The sample's response law for ``loss``, built once per dataset."""
@@ -411,16 +406,7 @@ class Dataset:
 
     @cached_property
     def _mean_law(self) -> EmpiricalLaw:
-        starts, lengths = self._atom_runs
-        run_atoms = self.atom_indices[starts]
-        counts = np.bincount(run_atoms, weights=lengths, minlength=self.design.num_atoms)
-        mean = np.divide(
-            self.response_sums, counts, out=np.zeros(counts.shape), where=counts > 0
-        )
-        centered = self.y - np.repeat(mean[run_atoms], lengths)
-        return _quadratic_law(
-            counts, mean, self._per_atom_sums(centered), float(centered @ centered), self.n
-        )
+        return _quadratic_law(self.counts, *self.moments, self.n)
 
     @cached_property
     def _row_law(self) -> EmpiricalLaw:
@@ -443,14 +429,14 @@ class CountedDataset(Dataset):
 
     def __init__(self, design: DesignDistribution, truth: TruthModel, n: int, seed: int):
         rng = np.random.default_rng(seed)
-        counts = rng.multinomial(n, design.probs)
-        state = rng.bit_generator.state
-        s = design.forward(truth.s_star)
-        shift, sums, squares, rows = truth.noise.counted_draw(rng, counts, s)
-        vars(self).update(
-            design=design, truth=truth, seed=seed, n=int(n), counts=counts, _shift=shift,
-            _sums=sums, _squares=squares, _rows=rows, _state=state,
+        self.design, self.truth, self.seed, self.n = design, truth, seed, int(n)
+        self.counts = rng.multinomial(n, design.probs)
+        self._state = rng.bit_generator.state
+        shift, sums, squares, self._rows = truth.noise.counted_draw(
+            rng, self.counts, design.forward(truth.s_star)
         )
+        self.response_sums = self.counts * shift + sums
+        self.moments = shift, sums, squares
 
     @cached_property
     def atom_indices(self) -> np.ndarray:
@@ -461,14 +447,6 @@ class CountedDataset(Dataset):
         rng = np.random.default_rng()
         rng.bit_generator.state = self._state
         return self.truth.noise.responses(rng, self.counts, self.design.forward(self.truth.s_star))
-
-    @cached_property
-    def response_sums(self) -> np.ndarray:
-        return self.counts * self._shift + self._sums
-
-    @cached_property
-    def _mean_law(self) -> EmpiricalLaw:
-        return _quadratic_law(self.counts, self._shift, self._sums, self._squares, self.n)
 
     @cached_property
     def _row_law(self) -> EmpiricalLaw:
@@ -486,32 +464,33 @@ def sample_dataset(
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """Write the dataset CSV: columns (j, atom_index, y)."""
+    """Write the dataset CSV: columns (j, atom_index, y), one line per sample."""
+    rows = zip(dataset.atom_indices.tolist(), dataset.y.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "atom_index", "y"])
-        for j, (idx, y) in enumerate(zip(dataset.atom_indices, dataset.y)):
-            writer.writerow([j, int(idx), repr(float(y))])
+        fh.write("j,atom_index,y\r\n")
+        fh.writelines(f"{j},{i},{y!r}\r\n" for j, (i, y) in enumerate(rows))
+
+
+_CSV_ROW = np.dtype([("j", "U0"), ("atom_index", np.int64), ("y", float)])  # j is not parsed
 
 
 def load_dataset(path, design: DesignDistribution) -> Dataset:
     """Read a dataset CSV back against its generating design; every error
     names the file."""
-    indices, ys = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["j", "atom_index", "y"]:
-            raise ValidationError(f"{path}: expected header j,atom_index,y")
-        for row in reader:
-            try:
-                _, index, y = row
-                indices.append(int(index))
-                ys.append(float(y))
-            except ValueError:
-                raise ValidationError(f"{path}: malformed row {row!r}") from None
+    with open(path, "rb") as fh:  # a BytesIO shares bytes; a StringIO copies text at 4 B a character
+        header, body = fh.readline(), fh.read()
     try:
-        return Dataset(design=design, atom_indices=np.array(indices), y=np.array(ys), seed=None)
+        if header.rstrip(b"\r\n") != b"j,atom_index,y":
+            raise ValidationError("expected header j,atom_index,y")
+        if body.startswith((b"\n", b"\r")) or b"\n\n" in body or b"\n\r" in body:  # loadtxt skips it
+            raise ValidationError("malformed row: a blank line")
+        try:
+            rows = np.loadtxt(
+                io.BytesIO(body), _CSV_ROW, comments=None, delimiter=",", ndmin=1, encoding="utf-8"
+            ) if body else np.zeros(0, _CSV_ROW)  # loadtxt warns on no data
+        except ValueError as exc:  # a field that is not a number, or other than three fields
+            raise ValidationError(f"malformed row: {exc}") from None
+        return Dataset(design, rows["atom_index"].copy(), rows["y"].copy(), seed=None)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -583,31 +583,30 @@ def _run_worker_trial(index: int) -> TrialRecord:
 
 
 def run_trials(plan: ResolvedPlan, workers: int | None = None, progress=None) -> list[TrialRecord]:
-    """Run the plan's ``config.trials`` independent trials; the collector
-    orders records by trial index, so the result is identical at any worker
-    count.  Each worker process receives the plan once, and every trial runs
-    one BLAS thread, so that no result depends on how the BLAS splits a
-    product across threads.  ``progress``, if given, is called with each
-    record as its trial finishes."""
+    """Run the plan's ``config.trials`` independent trials; records come
+    back in trial order, so the result is identical at any worker count.
+    Each worker process receives the plan once, and every trial runs one
+    BLAS thread, so that no result depends on how the BLAS splits a product
+    across threads.  ``progress``, if given, is called with each record in
+    trial order."""
     workers = resolve_workers(workers)
     trials = plan.config.trials
-    records: list[TrialRecord | None] = [None] * trials
+    records: list[TrialRecord] = []
     if workers <= 1 or trials <= 1:
         with _one_blas_thread():
             for i in range(trials):
-                records[i] = _run_trial(plan, i)
+                records.append(_run_trial(plan, i))
                 if progress:
-                    progress(records[i])
+                    progress(records[-1])
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(plan,)
         ) as pool:
-            futures = {pool.submit(_run_worker_trial, i): i for i in range(trials)}
-            for future in as_completed(futures):
-                records[futures[future]] = record = future.result()
+            for record in pool.map(_run_worker_trial, range(trials)):
+                records.append(record)
                 if progress:
                     progress(record)
-    return [r for r in records if r is not None]
+    return records
 
 
 def calibrate_constant(criticals: list[float], target_frequency: float) -> float:

@@ -411,6 +411,23 @@ def test_counted_sample_peak_memory(noise, n, limit):
     assert not {"atom_indices", "y"} & set(vars(data))
 
 
+def test_counted_sample_repr_and_equality_read_no_samples():
+    # repr and == must not build the 16 B per sample arrays: 160 MB here
+    design = orthonormal_basis_design(8)
+    truth = TruthModel(s_star=random_low_rank(np.random.default_rng(4), 8, 2), noise=ClassificationLink())
+    data = sample_dataset(design, truth, 10**7, seed=5)
+    tracemalloc.start()
+    try:
+        repr(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert data == data
+    assert isinstance(data == sample_dataset(design, truth, 10**7, seed=5), bool)
+    assert not {"atom_indices", "y"} & set(vars(data))
+
+
 def test_custom_design_validation():
     atoms = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ValidationError):
@@ -495,15 +512,17 @@ def test_classification_sampling():
 
 
 def test_dataset_csv_round_trip(tmp_path):
-    design = orthonormal_basis_design(3)
-    truth = TruthModel(s_star=np.eye(3), noise=GaussianNoise(sigma=0.2))
-    data = sample_dataset(design, truth, 40, seed=12)
-    path = tmp_path / "dataset.csv"
-    save_dataset(path, data)
-    back = load_dataset(path, design)
-    assert back.atom_indices.tolist() == data.atom_indices.tolist()
-    assert back.y.tolist() == data.y.tolist()
-    assert back.seed is None
+    # save -> load -> save writes the same bytes and loads the same arrays
+    design = orthonormal_basis_design(4)
+    s_star = random_low_rank(np.random.default_rng(3), 4, 2)
+    for noise in (ClassificationLink(), GaussianNoise(sigma=0.1)):
+        data = sample_dataset(design, TruthModel(s_star=s_star, noise=noise), 20_000, seed=8)
+        save_dataset(tmp_path / "first.csv", data)
+        back = load_dataset(tmp_path / "first.csv", design)
+        save_dataset(tmp_path / "second.csv", back)
+        assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+        assert np.array_equal(back.atom_indices, data.atom_indices) and np.array_equal(back.y, data.y)
+        assert back.seed is None
 
 
 def test_prediction_bound_values():
@@ -739,8 +758,11 @@ def test_dataset_rejects_non_integer_indices(indices):
         ("0,0.7,1.0\n", "malformed row"),
         ("0,True,1.0\n", "malformed row"),
         ("0,3,1.0\n", "atom index out of range"),
+        ("0,1,1.0\n0,1\n", "malformed row"),
+        ("0,1,1.0,2\n", "malformed row"),
+        ("0,1,1.0\n\n0,1,2.0\n", "malformed row"),
     ],
-    ids=["empty", "fractional-index", "boolean-index", "out-of-range"],
+    ids=["empty", "fractional-index", "boolean-index", "out-of-range", "two-fields", "four-fields", "blank-line"],
 )
 def test_load_dataset_names_the_file(tmp_path, rows, message):
     path = tmp_path / "dataset.csv"

@@ -427,10 +427,10 @@ def test_openblas_paths_read_the_whole_path_field():
 def test_serial_trials_run_one_blas_thread(monkeypatch):
     # the serial path runs the BLAS as pool workers do, then restores it
     seen = []
-    monkeypatch.setattr(harness, "_run_trial", lambda plan, i: seen.append(_openblas_threads()))
+    monkeypatch.setattr(harness, "_run_trial", lambda plan, i: seen.append(_openblas_threads()) or i)
     before = _openblas_threads()
     plan = SimpleNamespace(config=SimpleNamespace(trials=2))
-    assert harness.run_trials(plan, workers=1) == []
+    assert harness.run_trials(plan, workers=1) == [0, 1]
     assert len(seen) == 2 and all(count == 1 for counts in seen for count in counts), seen
     assert _openblas_threads() == before
 
