@@ -337,6 +337,10 @@ def _cmd_sweep(config, data_paths, certify_tol, args, progress) -> int:
         out / "error_vs_eps.dat", [(row["epsilon"], row["mean_error"]) for row in eps_rows]
     )
     print(f"sweep: error-vs-rank exponent {result.exponent:.3f}")
+    if any(row["converged"] < row["trials"] for row in (*result.rows, *eps_rows)):
+        print("warning: a sweep trial did not converge within max_iters", file=sys.stderr)
+        if args.strict:
+            return 2
     return 0
 
 

@@ -14,7 +14,7 @@ two positions and two weights per atom; custom designs store dense atoms.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
@@ -39,20 +39,18 @@ class AtomNorms(NamedTuple):  # each of shape (k,)
     operator: np.ndarray
 
 
-@dataclass(frozen=True)
 class DesignDistribution:
-    """Finite-support law of the matrix covariate, stored as dense atoms."""
+    """Finite-support law of the matrix covariate, stored as dense atoms:
+    ``atoms`` is the (k, dim, dim) stack and ``probs`` its (k,) sampling
+    probabilities, which sum to 1.  Equality is identity."""
 
-    dim: int
-    atoms: np.ndarray = field(repr=False)  # (k, dim, dim)
-    probs: np.ndarray          # (k,), sums to 1
-    is_orthonormal_basis: ClassVar[bool] = False
+    is_orthonormal_basis = False
 
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if atoms.ndim != 3 or atoms.shape[1:] != (self.dim, self.dim):
-            raise ValidationError(f"atoms must be (k, {self.dim}, {self.dim})")
+    def __init__(self, dim: int, atoms, probs):
+        atoms = np.asarray(atoms, dtype=float)
+        probs = np.asarray(probs, dtype=float)
+        if atoms.ndim != 3 or atoms.shape[1:] != (dim, dim):
+            raise ValidationError(f"atoms must be (k, {dim}, {dim})")
         if probs.shape != (atoms.shape[0],):
             raise ValidationError("one probability per atom required")
         if np.any(probs < 0) or abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
@@ -65,8 +63,7 @@ class DesignDistribution:
             i = int(np.argmax(bad))
             problem = "is not symmetric within tolerance" if finite[i] else "has non-finite entries"
             raise ValidationError(f"atom {i}: matrix {problem}")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
+        self.dim, self.atoms, self.probs = dim, atoms, probs
 
     @property
     def num_atoms(self) -> int:
@@ -98,7 +95,7 @@ class BasisDesign(DesignDistribution):
     wa = wb off it), checked in O(k).  The maps are a gather and a scatter,
     the norms come from the weights, and ``atoms`` is built only on first use."""
 
-    is_orthonormal_basis: ClassVar[bool] = True
+    is_orthonormal_basis = True
 
     def __init__(self, dim: int, ia, ib, wa, wb):
         k = dim * (dim + 1) // 2
@@ -112,8 +109,8 @@ class BasisDesign(DesignDistribution):
             and np.all(np.abs(wa * wa + wb * wb - 1.0) <= ORTHONORMAL_TOL)
         ):
             raise ValidationError("index arrays do not form an orthonormal basis")
-        probs = np.full(k, 1.0 / k)  # the base is frozen: fill the instance directly
-        vars(self).update(dim=dim, probs=probs, ia=ia, ib=ib, wa=wa, wb=wb)
+        self.dim, self.probs = dim, np.full(k, 1.0 / k)
+        self.ia, self.ib, self.wa, self.wb = ia, ib, wa, wb
 
     @cached_property
     def atoms(self) -> np.ndarray:
@@ -301,15 +298,12 @@ class ClassificationLink:
         return np.repeat(np.tile([1.0, -1.0], counts.size), self._label_runs(rng, counts, s))
 
 
-@dataclass(frozen=True)
 class TruthModel:
-    """Ground-truth matrix plus the conditional law of the response."""
+    """Ground-truth matrix ``s_star`` plus the conditional law of the
+    response, ``noise``.  Equality is identity."""
 
-    s_star: np.ndarray
-    noise: GaussianNoise | ClassificationLink
-
-    def __post_init__(self):
-        object.__setattr__(self, "s_star", validate_symmetric(self.s_star))
+    def __init__(self, s_star, noise: GaussianNoise | ClassificationLink):
+        self.s_star, self.noise = validate_symmetric(s_star), noise
 
 
 def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDomain:

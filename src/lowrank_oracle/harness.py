@@ -773,6 +773,8 @@ def epsilon_sweep(
             {
                 "multiple": multiple,
                 "epsilon": point.epsilon,
+                "trials": summary.trials,
+                "converged": summary.converged,
                 "mean_error": summary.mean_error,
                 "violation_frequency": summary.violation_frequency,
                 "calibrated_c": summary.calibrated_c,

@@ -13,7 +13,7 @@ symmetry invariant survives floating-point arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def default_zero_tol(s: np.ndarray) -> float:
-    """Default eigenvalue zero tolerance, scaled by the operator norm."""
-    return DEFAULT_ZERO_TOL_FACTOR * operator_norm(s)
+def default_zero_tol(lam: np.ndarray) -> float:
+    """Default eigenvalue zero tolerance from a matrix's eigenvalues ``lam``,
+    scaled by the operator norm, their largest absolute value."""
+    return DEFAULT_ZERO_TOL_FACTOR * float(np.max(np.abs(lam), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -107,28 +108,21 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-@dataclass(frozen=True)
 class SupportProjector:
     """Orthonormal basis of the span of eigenvectors with nonzero
     eigenvalues, together with the induced projectors on matrix space.
 
-    ``apply`` keeps the low-rank part A - P_perp A P_perp and
-    ``apply_complement`` the rest; their sum reassembles A exactly because
-    the complement is computed once and subtracted.
+    ``basis`` is (dim, rank) with orthonormal columns.  ``apply`` keeps the
+    low-rank part A - P_perp A P_perp and ``apply_complement`` the rest;
+    their sum reassembles A exactly because the complement is computed once
+    and subtracted.  Equality is identity.
     """
 
-    dim: int
-    basis: np.ndarray  # (dim, rank), orthonormal columns
-    rank: int = field(init=False)
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != self.dim:
-            raise ValidationError(
-                f"support basis must be ({self.dim}, r), got {basis.shape}"
-            )
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "rank", basis.shape[1])
+    def __init__(self, dim: int, basis):
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != dim:
+            raise ValidationError(f"support basis must be ({dim}, r), got {basis.shape}")
+        self.dim, self.basis, self.rank = dim, basis, basis.shape[1]
 
     def complement_projector(self) -> np.ndarray:
         """The vector-space projector P_perp onto the orthogonal complement."""
@@ -158,7 +152,7 @@ def sign_and_support(
     """
     dec = spectral_decompose(s)
     if zero_tol is None:
-        zero_tol = default_zero_tol(s)
+        zero_tol = default_zero_tol(dec.eigenvalues)
     if zero_tol < 0:
         raise ValidationError("zero_tol must be nonnegative")
     keep = np.abs(dec.eigenvalues) > zero_tol
@@ -170,10 +164,10 @@ def sign_and_support(
 def rank_at_tol(s: np.ndarray, zero_tol: float | None = None) -> int:
     """Number of eigenvalues above the zero tolerance (by default
     ``default_zero_tol``, taken from the same eigenvalues)."""
-    lam = np.abs(np.linalg.eigvalsh(validate_symmetric(s)))
+    lam = np.linalg.eigvalsh(validate_symmetric(s))
     if zero_tol is None:
-        zero_tol = DEFAULT_ZERO_TOL_FACTOR * float(np.max(lam, initial=0.0))
-    return int(np.sum(lam > zero_tol))
+        zero_tol = default_zero_tol(lam)
+    return int(np.sum(np.abs(lam) > zero_tol))
 
 
 def cone_gap(a: np.ndarray, support: SupportProjector, b: float) -> float:

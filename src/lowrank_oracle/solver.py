@@ -139,7 +139,7 @@ def optimality_residuals(
 
     dec = spectral_decompose(s_hat)
     lam, phi = dec.eigenvalues, dec.eigenvectors
-    zero_tol = default_zero_tol(s_hat)
+    zero_tol = default_zero_tol(lam)
     in_support = np.abs(lam) > zero_tol
     w = (-grad / epsilon) if epsilon > 0 else -grad
     residual = symmetrize(phi.T @ w @ phi)

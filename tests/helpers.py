@@ -150,8 +150,8 @@ def optimality_residuals_reference(
             r = r - max(0.0, float(np.sum(r * s_hat)) / denom) * s_hat
     if isinstance(constraint, OperatorNormBall):
         rho = constraint.rho
-        act_tol = max(BOUNDARY_TOL * rho, default_zero_tol(s_hat))
         lam, phi = np.linalg.eigh(s_hat)
+        act_tol = max(BOUNDARY_TOL * rho, default_zero_tol(lam))
         at_plus, at_minus = lam >= rho - act_tol, lam <= -rho + act_tol
         for active, part in ((at_plus, np.maximum), (at_minus, np.minimum)):
             projector = phi[:, active] @ phi[:, active].T

@@ -475,6 +475,27 @@ def test_strict_mode_flags_nonconvergence(config_file, tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out), "--strict"]) == 2
 
 
+def test_sweep_strict_mode_flags_nonconvergence(config_file, tmp_path, monkeypatch):
+    config = tmp_path / "short.ini"
+    config.write_text(SMALL_CONFIG.replace("max_iters = 20000", "max_iters = 1"))
+    out = tmp_path / "strict"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    rows = (*payload["rank_rows"], *payload["eps_rows"])
+    assert [(row["trials"], row["converged"]) for row in rows] == [(4, 0)] * 4
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--strict"]) == 2
+    # one epsilon point short of its trials is enough
+    sweep = cli.epsilon_sweep
+
+    def one_short(*args, **kwargs):
+        first, *rest = sweep(*args, **kwargs)
+        return (dict(first, converged=first["trials"] - 1), *rest)
+
+    monkeypatch.setattr(cli, "epsilon_sweep", one_short)
+    assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--strict"]) == 2
+
+
 def test_custom_design_from_matrix_files(tmp_path):
     for i, mat in enumerate(
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))

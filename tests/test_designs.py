@@ -428,6 +428,24 @@ def test_counted_sample_repr_and_equality_read_no_samples():
     assert not {"atom_indices", "y"} & set(vars(data))
 
 
+def test_design_and_truth_equality_is_identity():
+    # == used to compare the dense atoms, building both (k, m, m) stacks
+    # (2.1 MB here, 6.4 GB each at m = 200) and then raising on the array
+    a, b = orthonormal_basis_design(20), orthonormal_basis_design(20)
+    tracemalloc.start()
+    try:
+        assert (a == b, a == a, hash(a) == hash(a)) == (False, True, True)
+        repr(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert "atoms" not in vars(a) and "atoms" not in vars(b)
+    s_star = random_low_rank(np.random.default_rng(3), 20, 2)
+    t, u = TruthModel(s_star, GaussianNoise(0.1)), TruthModel(s_star, GaussianNoise(0.1))
+    assert (t == u, t == t, hash(t) == hash(t)) == (False, True, True)
+
+
 def test_custom_design_validation():
     atoms = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ValidationError):
