@@ -38,7 +38,7 @@ from .harness import (
     write_outputs,
     write_series,
 )
-from .matrices import load_matrix, nuclear_norm, rank_at_tol, save_matrix
+from .matrices import load_matrix, nuclear_norm_and_rank, save_matrix
 from .solver import certify, objective, solve
 
 
@@ -212,6 +212,7 @@ def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
     out = Path(args.out)
     with atomic_path(out / "estimate.mtx") as tmp:
         save_matrix(tmp, result.s_hat)
+    nuclear, rank = nuclear_norm_and_rank(result.s_hat)
     write_json(
         out / "solve.json",
         {
@@ -220,8 +221,8 @@ def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
             "converged": result.converged,
             "kkt_low": result.kkt[0],
             "kkt_excess": result.kkt[1],
-            "nuclear_norm": nuclear_norm(result.s_hat),
-            "rank": rank_at_tol(result.s_hat),
+            "nuclear_norm": nuclear,
+            "rank": rank,
             "epsilon": solver_config.epsilon,
             "n": data.n,
             "constraint": str(constraint),

@@ -50,7 +50,7 @@ from .designs import (
 )
 from .errors import ValidationError
 from .losses import LossModel, get_loss, loss_constants, q_value
-from .matrices import load_matrix, nuclear_norm, rank_at_tol, symmetrize
+from .matrices import load_matrix, nuclear_norm_and_rank, symmetrize
 from .solver import SolverConfig, solve
 
 DEFAULT_SEED = 1729  # fixed default so runs without --seed are reproducible
@@ -396,10 +396,11 @@ def _oracle_terms(
 ) -> dict:
     """The three numbers through which an oracle enters the bound: its excess
     risk (from the per-atom Bayes risks ``bayes``), rank and nuclear norm."""
+    nuclear, rank = nuclear_norm_and_rank(oracle)
     return dict(
         oracle_excess=excess_risk(oracle, design, truth, loss, bayes=bayes),
-        oracle_rank=rank_at_tol(oracle),
-        oracle_nuclear=nuclear_norm(oracle),
+        oracle_rank=rank,
+        oracle_nuclear=nuclear,
     )
 
 
@@ -470,6 +471,7 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
     result = solve(data, plan.loss, solver_config, plan.constraint)
     lhs = excess_risk(result.s_hat, plan.design, plan.truth, plan.loss, bayes=plan.bayes)
     report = _bound_report(plan, lhs)
+    nuclear, rank = nuclear_norm_and_rank(result.s_hat)
     return TrialRecord(
         trial=index,
         seed=seed,
@@ -479,8 +481,8 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
         restarts=result.restarts,
         kkt_low=result.kkt[0],
         kkt_excess=result.kkt[1],
-        estimate_nuclear=nuclear_norm(result.s_hat),
-        estimate_rank=rank_at_tol(result.s_hat),
+        estimate_nuclear=nuclear,
+        estimate_rank=rank,
         objective=float(result.objective_trace[-1]),
         **{name: getattr(report, name) for name in _BOUND_COLUMNS},
         wall_time=time.perf_counter() - start,

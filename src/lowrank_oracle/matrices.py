@@ -76,7 +76,12 @@ def spectral_decompose(s: np.ndarray) -> SpectralDecomposition:
 
     Ties keep the backend's order (deterministic for a fixed input).
     """
-    s = validate_symmetric(s)
+    return _descending_eigh(validate_symmetric(s))
+
+
+def _descending_eigh(s: np.ndarray) -> SpectralDecomposition:
+    """``spectral_decompose`` without the check, for a matrix that is
+    symmetric by construction: one ``eigh``."""
     lam, phi = np.linalg.eigh(s)
     order = np.argsort(-lam, kind="stable")
     return SpectralDecomposition(eigenvalues=lam[order], eigenvectors=phi[:, order])
@@ -86,6 +91,13 @@ def nuclear_norm(s: np.ndarray) -> float:
     """Sum of absolute eigenvalues."""
     s = validate_symmetric(s)
     return float(np.sum(np.abs(np.linalg.eigvalsh(s))))
+
+
+def nuclear_norm_and_rank(s: np.ndarray) -> tuple[float, int]:
+    """``nuclear_norm`` and ``rank_at_tol`` at its default tolerance, from
+    one ``eigvalsh``."""
+    lam = np.linalg.eigvalsh(validate_symmetric(s))
+    return float(np.sum(np.abs(lam))), int(np.sum(np.abs(lam) > default_zero_tol(lam)))
 
 
 def frobenius_norm(s: np.ndarray) -> float:

@@ -11,6 +11,10 @@ iterate.  The smooth part is evaluated on the dataset's empirical response
 law: one row per sampled atom for a loss quadratic in the response, so an
 evaluation costs O(K) rather than O(n), and one row per run of equal
 consecutive samples otherwise, at most 2K for sampled labels.
+
+An iteration makes one eigendecomposition, inside the prox, whose
+thresholded eigenvalues also give the objective's nuclear norm, and one
+forward at the extrapolated point for both the risk and the gradient there.
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ConstraintSet, Unconstrained
-from .designs import Dataset
+from .designs import Dataset, EmpiricalLaw
 from .errors import NumericalError, ValidationError
 from .losses import LossModel
 from .matrices import (
     SpectralDecomposition,
+    _descending_eigh,
     default_zero_tol,
     inner,
     nuclear_norm,
     soft_threshold,
-    spectral_decompose,
+    spectral_decompose,  # unused here; kept importable for perfbench/tracing.py
     symmetrize,
     validate_symmetric,
 )
@@ -70,11 +75,8 @@ class SolveResult:
 
 def empirical_risk(s: np.ndarray, data: Dataset, loss: LossModel) -> float:
     """Sample mean of the loss at predictions <S, X_j>."""
-    law, u, rows = _law_rows(loss.value, s, data, loss, "empirical risk")
-    risk = law.const + float(np.sum(rows))
-    if law.d1_remainder is not None:
-        risk += float(law.d1_remainder @ (u - law.y))
-    return risk
+    law = data.response_law(loss)
+    return _risk(law, loss, _predict(data.design, law, validate_symmetric(s)))
 
 
 def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> float:
@@ -86,24 +88,7 @@ def objective(s: np.ndarray, data: Dataset, loss: LossModel, epsilon: float) -> 
 
 def gradient(s: np.ndarray, data: Dataset, loss: LossModel) -> np.ndarray:
     """Riesz representer of the empirical-risk directional derivative."""
-    s = validate_symmetric(s)
-    law, _, rows = _law_rows(loss.d1, s, data, loss, "gradient")
-    if law.d1_remainder is not None:
-        rows += law.d1_remainder
-    per_atom = np.bincount(law.atoms, weights=rows, minlength=data.design.num_atoms)
-    return symmetrize(data.design.adjoint(per_atom))
-
-
-def _law_rows(fn, s: np.ndarray, data: Dataset, loss: LossModel, what: str):
-    """The dataset's response law for ``loss``, the predictions
-    u_r = <S, X_{k_r}> and the weighted rows w_r * fn(y_r; u_r); the loss is
-    evaluated once per row, not once per sample."""
-    law = data.response_law(loss)
-    u = data.design.forward(s)[law.atoms]
-    values = np.asarray(fn(law.y, u), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"loss overflow while evaluating the {what}")
-    return law, u, law.w * values
+    return _gradient(validate_symmetric(s), data, loss)
 
 
 def composite_prox(s: np.ndarray, theta: float, constraint: ConstraintSet) -> np.ndarray:
@@ -111,9 +96,7 @@ def composite_prox(s: np.ndarray, theta: float, constraint: ConstraintSet) -> np
     soft-threshold the eigenvalues, then the constraint's ``project``."""
     if theta < 0:
         raise ValidationError("threshold must be nonnegative")
-    dec = spectral_decompose(s)
-    lam = constraint.project(soft_threshold(dec.eigenvalues, theta))
-    return SpectralDecomposition(lam, dec.eigenvectors).reconstruct()
+    return _prox(validate_symmetric(s), theta, constraint)[0]
 
 
 def optimality_residuals(
@@ -136,8 +119,73 @@ def optimality_residuals(
     s_hat = validate_symmetric(s_hat)
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
+    return _residuals(grad, s_hat, epsilon, constraint)
 
-    dec = spectral_decompose(s_hat)
+
+# -- unchecked kernels ----------------------------------------------------------
+# The public functions above validate their matrices and then call these.  The
+# iteration of ``solve`` calls them directly: its iterates are symmetric by
+# construction (reconstructed or symmetrized, and z is an elementwise affine
+# combination of them), so it validates nothing and decomposes once per prox.
+
+
+def _predict(design, law: EmpiricalLaw, s: np.ndarray) -> np.ndarray:
+    """The predictions u_r = <S, X_{k_r}> on the law's rows: one forward."""
+    return design.forward(s)[law.atoms]
+
+
+def _weighted_rows(fn, law: EmpiricalLaw, u: np.ndarray, what: str) -> np.ndarray:
+    """The rows w_r * fn(y_r; u_r): the loss is evaluated once per row of the
+    response law, not once per sample."""
+    values = np.asarray(fn(law.y, u), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"loss overflow while evaluating the {what}")
+    return law.w * values
+
+
+def _risk(law: EmpiricalLaw, loss: LossModel, u: np.ndarray) -> float:
+    risk = law.const + float(np.sum(_weighted_rows(loss.value, law, u, "empirical risk")))
+    if law.d1_remainder is not None:
+        risk += float(law.d1_remainder @ (u - law.y))
+    return risk
+
+
+def _d1_rows(law: EmpiricalLaw, loss: LossModel, u: np.ndarray) -> np.ndarray:
+    rows = _weighted_rows(loss.d1, law, u, "gradient")
+    if law.d1_remainder is not None:
+        rows += law.d1_remainder
+    return rows
+
+
+def _law_pass(law: EmpiricalLaw, loss: LossModel, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """The risk and the d1 rows at the same predictions u, so that a point
+    which needs both gets one forward."""
+    rows = _d1_rows(law, loss, u)
+    return _risk(law, loss, u), rows
+
+
+def _pullback(design, law: EmpiricalLaw, rows: np.ndarray) -> np.ndarray:
+    """The gradient from d1 rows: their per-atom sums through the adjoint."""
+    per_atom = np.bincount(law.atoms, weights=rows, minlength=design.num_atoms)
+    return symmetrize(design.adjoint(per_atom))
+
+
+def _gradient(s: np.ndarray, data: Dataset, loss: LossModel) -> np.ndarray:
+    law = data.response_law(loss)
+    return _pullback(data.design, law, _d1_rows(law, loss, _predict(data.design, law, s)))
+
+
+def _prox(v: np.ndarray, theta: float, constraint: ConstraintSet) -> tuple[np.ndarray, float]:
+    """``composite_prox`` of a symmetric ``v`` and the nuclear norm of the
+    result, the sum of its absolute eigenvalues: one ``eigh`` for both."""
+    dec = _descending_eigh(v)
+    lam = constraint.project(soft_threshold(dec.eigenvalues, theta))
+    return SpectralDecomposition(lam, dec.eigenvectors).reconstruct(), float(np.sum(np.abs(lam)))
+
+
+def _residuals(grad, s_hat, epsilon: float, constraint: ConstraintSet) -> tuple[float, float]:
+    """``optimality_residuals`` of symmetric ``grad`` and ``s_hat``."""
+    dec = _descending_eigh(s_hat)
     lam, phi = dec.eigenvalues, dec.eigenvectors
     zero_tol = default_zero_tol(lam)
     in_support = np.abs(lam) > zero_tol
@@ -186,9 +234,9 @@ def solve(
         grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
 
     # initial step: inverse of a curvature estimate at the zero matrix
-    law = data.response_law(loss)
+    design, law = data.design, data.response_law(loss)
     curvature = np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
-    bound = float(np.max(curvature) * np.max(data.design.atom_norms.sq_frobenius[law.atoms]))
+    bound = float(np.max(curvature) * np.max(design.atom_norms.sq_frobenius[law.atoms]))
     step = 1.0 / max(bound, 1e-12)
 
     step_cap = np.inf
@@ -200,12 +248,12 @@ def solve(
         # point, and confident failures cap future growth
         nonlocal step_cap, backtracks
         while True:
-            candidate = composite_prox(point - step * g, step * epsilon, constraint)
+            candidate, nuclear = _prox(point - step * g, step * epsilon, constraint)
             diff = candidate - point
-            f_cand = empirical_risk(candidate, data, loss)
+            f_cand = _risk(law, loss, _predict(design, law, candidate))
             quad = f_point + inner(g, diff) + float(np.sum(diff * diff)) / (2.0 * step)
             if f_cand <= quad:
-                return candidate, f_cand, step
+                return candidate, f_cand + epsilon * nuclear, step
             if f_cand - quad > 1e-13 * max(1.0, abs(f_point)):
                 step_cap = min(step_cap, step)
             step *= STEP_SHRINK
@@ -214,17 +262,15 @@ def solve(
                 raise NumericalError("backtracking step underflow; loss may be non-smooth")
 
     x = np.zeros((m, m))
-    obj_x = objective(x, data, loss, epsilon)
+    obj_x = _risk(law, loss, _predict(design, law, x))  # the nuclear norm of 0 is 0
     z = x  # at the start and after a restart, the step is taken from x
     t = 1.0
     trace = [obj_x]
     converged = False
 
     for iterations in range(1, config.max_iters + 1):
-        g_z = gradient(z, data, loss)
-        f_z = empirical_risk(z, data, loss)
-        x_new, f_new, step = prox_step(z, g_z, f_z, step)
-        obj_new = f_new + epsilon * nuclear_norm(x_new)
+        f_z, rows = _law_pass(law, loss, _predict(design, law, z))
+        x_new, obj_new, step = prox_step(z, _pullback(design, law, rows), f_z, step)
         if not np.isfinite(obj_new):
             raise NumericalError("objective became non-finite")
         if obj_new > obj_x and z is not x:
@@ -241,7 +287,7 @@ def solve(
         # grow after restarts too, or backtracks failing on rounding shrink it away
         step = min(step * STEP_GROWTH, step_cap)
 
-    kkt = optimality_residuals(gradient(x, data, loss), x, epsilon, constraint)
+    kkt = _residuals(_gradient(x, data, loss), x, epsilon, constraint)
     return SolveResult(
         s_hat=x,
         objective_trace=np.array(trace),
@@ -282,9 +328,10 @@ def certify(
     iff both residual components are within ``tol`` and the constraint is
     satisfied within ``tol``.
     """
-    s_hat = result.s_hat if isinstance(result, SolveResult) else result
-    g = gradient(s_hat, data, loss)
-    low, excess = optimality_residuals(g, s_hat, epsilon, constraint)
+    s_hat = validate_symmetric(result.s_hat if isinstance(result, SolveResult) else result)
+    if epsilon < 0:
+        raise ValidationError("epsilon must be nonnegative")
+    low, excess = _residuals(_gradient(s_hat, data, loss), s_hat, epsilon, constraint)
     feasible = constraint.violation(s_hat) <= tol
     return Certificate(
         kkt_low=low,

@@ -10,7 +10,8 @@ first-order residual reference works in the original basis with the support
 and active-eigenspace projectors of the estimate, where the solver works in
 its eigenbasis.  The empirical risk and gradient references evaluate the
 loss at every sample, where the solver evaluates it once per row of the
-response law.
+response law.  The solver reference runs the proximal-gradient iteration on
+the validated public functions, where ``solve`` runs it on unchecked kernels.
 """
 
 from __future__ import annotations
@@ -27,14 +28,21 @@ from lowrank_oracle import (
     LossModel,
     NumericalError,
     OperatorNormBall,
+    SolveResult,
     Unconstrained,
+    composite_prox,
+    empirical_risk,
+    gradient,
+    nuclear_norm,
     operator_norm,
+    optimality_residuals,
     orthonormal_basis_design,
     sign_and_support,
 )
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.constraints import BOUNDARY_TOL
-from lowrank_oracle.matrices import default_zero_tol, symmetrize, validate_symmetric
+from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
+from lowrank_oracle.solver import GRAD_TOL_FACTOR, STEP_GROWTH, STEP_SHRINK
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
 
@@ -262,3 +270,79 @@ def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
     ]
     mats = design.adjoint(np.concatenate(coeffs))
     return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n)
+
+
+def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> SolveResult:
+    """``solve``'s iteration on the public functions, each of which validates
+    its matrices: a gradient and a risk at z, a checked prox per step tried,
+    and the objective's nuclear norm from a second decomposition of x+."""
+    m = data.design.dim
+    epsilon = config.epsilon
+
+    grad_tol = config.grad_tol
+    if grad_tol is None:
+        data_scale = float(np.linalg.norm(data.design.adjoint(data.response_sums / data.n)))
+        grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
+
+    law = data.response_law(loss)
+    curvature = np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
+    bound = float(np.max(curvature) * np.max(data.design.atom_norms.sq_frobenius[law.atoms]))
+    step = 1.0 / max(bound, 1e-12)
+
+    step_cap = np.inf
+    backtracks = restarts = 0
+
+    def prox_step(point, g, f_point, step):
+        nonlocal step_cap, backtracks
+        while True:
+            candidate = composite_prox(point - step * g, step * epsilon, constraint)
+            diff = candidate - point
+            f_cand = empirical_risk(candidate, data, loss)
+            quad = f_point + inner(g, diff) + float(np.sum(diff * diff)) / (2.0 * step)
+            if f_cand <= quad:
+                return candidate, f_cand, step
+            if f_cand - quad > 1e-13 * max(1.0, abs(f_point)):
+                step_cap = min(step_cap, step)
+            step *= STEP_SHRINK
+            backtracks += 1
+            if step < 1e-18:
+                raise NumericalError("backtracking step underflow; loss may be non-smooth")
+
+    x = np.zeros((m, m))
+    obj_x = empirical_risk(x, data, loss) + epsilon * nuclear_norm(x)
+    z = x
+    t = 1.0
+    trace = [obj_x]
+    converged = False
+
+    for iterations in range(1, config.max_iters + 1):
+        g_z = gradient(z, data, loss)
+        f_z = empirical_risk(z, data, loss)
+        x_new, f_new, step = prox_step(z, g_z, f_z, step)
+        obj_new = f_new + epsilon * nuclear_norm(x_new)
+        if not np.isfinite(obj_new):
+            raise NumericalError("objective became non-finite")
+        if obj_new > obj_x and z is not x:
+            z, t = x, 1.0
+            restarts += 1
+        else:
+            converged = float(np.linalg.norm(x_new - z)) / step <= grad_tol
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = x_new + ((t - 1.0) / t_next) * (x_new - x)
+            x, obj_x, t = x_new, obj_new, t_next
+        trace.append(obj_x)
+        if converged:
+            break
+        step = min(step * STEP_GROWTH, step_cap)
+
+    kkt = optimality_residuals(gradient(x, data, loss), x, epsilon, constraint)
+    return SolveResult(
+        s_hat=x,
+        objective_trace=np.array(trace),
+        iterations=iterations,
+        kkt=kkt,
+        converged=converged,
+        grad_tol=grad_tol,
+        backtracks=backtracks,
+        restarts=restarts,
+    )

@@ -446,6 +446,13 @@ def test_design_and_truth_equality_is_identity():
     assert (t == u, t == t, hash(t) == hash(t)) == (False, True, True)
 
 
+def test_truth_model_rejects_bad_matrices():
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.inf, 0.0], [0.0, 0.0]])):
+        for noise in (GaussianNoise(0.1), ClassificationLink()):
+            with pytest.raises(ValidationError):
+                TruthModel(bad, noise)
+
+
 def test_custom_design_validation():
     atoms = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ValidationError):

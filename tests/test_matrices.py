@@ -20,7 +20,12 @@ from lowrank_oracle import (
     sign_and_support,
     spectral_decompose,
 )
-from lowrank_oracle.matrices import SupportProjector, default_zero_tol, validate_symmetric
+from lowrank_oracle.matrices import (
+    SupportProjector,
+    default_zero_tol,
+    nuclear_norm_and_rank,
+    validate_symmetric,
+)
 
 from helpers import prox_scalar_oracle, random_low_rank, random_symmetric
 
@@ -46,6 +51,36 @@ def test_validate_rejects_asymmetric_and_nonfinite():
         validate_symmetric(np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         validate_symmetric(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.inf, 0.0], [0.0, 0.0]])],
+    ids=["asymmetric", "non-finite"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [nuclear_norm, nuclear_norm_and_rank, spectral_decompose, operator_norm, rank_at_tol,
+     sign_and_support, lambda a: best_rank_approximation(a, 1)],
+    ids=["nuclear_norm", "nuclear_norm_and_rank", "spectral_decompose", "operator_norm",
+         "rank_at_tol", "sign_and_support", "best_rank_approximation"],
+)
+def test_public_matrix_functions_reject_bad_matrices(call, bad):
+    # the solver's loop calls an unchecked eigh, so every public entry must check
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
+def test_save_matrix_rejects_bad_matrices(tmp_path):
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValidationError):
+            save_matrix(tmp_path / "bad.mtx", bad)
+    assert not (tmp_path / "bad.mtx").exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(symmetric())
+def test_nuclear_norm_and_rank_is_both_functions(s):
+    assert nuclear_norm_and_rank(s) == (nuclear_norm(s), rank_at_tol(s))
 
 
 def test_spectral_decompose_diagonal():

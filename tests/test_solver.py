@@ -16,6 +16,7 @@ from lowrank_oracle import (
     ValidationError,
     certify,
     composite_prox,
+    custom_design,
     empirical_risk,
     exponential_loss,
     frobenius_norm,
@@ -30,6 +31,7 @@ from lowrank_oracle import (
     squared_loss,
 )
 from lowrank_oracle import ClassificationLink
+from lowrank_oracle import matrices as matrices_module
 from lowrank_oracle import solver as solver_module
 from lowrank_oracle.matrices import inner, symmetrize
 
@@ -43,6 +45,7 @@ from helpers import (
     prox_eigenvalues_oracle,
     random_low_rank,
     random_symmetric,
+    solve_reference,
 )
 
 
@@ -55,6 +58,13 @@ def full_observation_data(m: int, seed: int, s_star=None, sigma=0.0) -> Dataset:
     if sigma:
         y = y + sigma * rng.standard_normal(design.num_atoms)
     return Dataset(design=design, atom_indices=np.arange(design.num_atoms), y=y, seed=seed)
+
+
+def labels_data() -> Dataset:
+    design = orthonormal_basis_design(3)
+    rng = np.random.default_rng(56)
+    truth = TruthModel(s_star=random_low_rank(rng, 3, 1, spectrum=[0.8]), noise=ClassificationLink())
+    return sample_dataset(design, truth, 400, seed=77)
 
 
 def sampled_instance(m=5, n=300, sigma=0.1, seed=0, rank=2):
@@ -200,17 +210,147 @@ def test_objective_trace_monotone_and_residual_small():
 
 
 def test_solve_evaluates_one_gradient_per_iteration(monkeypatch):
+    # per iteration one fused law pass (risk and d1 rows) at z; per prox one
+    # eigh and no eigvalsh; no validate_symmetric call anywhere in the loop.
+    # The phase turns to "certificate" when the final residuals start, after
+    # the final gradient
     _, _, data = sampled_instance(seed=48)
-    calls = []
+    phase = ["loop"]
+    calls = {}
 
-    def counting_gradient(s, data, loss):
-        calls.append(1)
-        return gradient(s, data, loss)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            key = (phase[0], name)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "gradient", counting_gradient)
+        return counted
+
+    for name in ("_law_pass", "_prox"):
+        monkeypatch.setattr(solver_module, name, counting(name, getattr(solver_module, name)))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for module in (solver_module, matrices_module):
+        monkeypatch.setattr(module, "validate_symmetric",
+                            counting("validate", module.validate_symmetric))
+    residuals = solver_module._residuals
+
+    def certificate(*args):
+        phase[0] = "certificate"
+        return residuals(*args)
+
+    monkeypatch.setattr(solver_module, "_residuals", certificate)
     result = solve(data, squared_loss(), SolverConfig(epsilon=0.05))
-    assert result.converged
-    assert len(calls) == result.iterations + 1
+    assert result.converged and result.backtracks > 0
+    proxes = result.iterations + result.backtracks
+    assert calls == {
+        ("loop", "_law_pass"): result.iterations,
+        ("loop", "_prox"): proxes,
+        ("loop", "eigh"): proxes,
+        ("certificate", "eigh"): 1,
+        ("certificate", "eigvalsh"): 1,
+    }
+
+
+@st.composite
+def solve_instance(draw):
+    """A small problem on the basis design or on a custom one: a random
+    orthogonal mix of the basis atoms, dense and orthonormal, with random
+    probabilities of at least 1/(2K).  Every atom is sampled at least once,
+    so the risk is strictly convex and well conditioned and the minimizer
+    unique.  (On random non-orthogonal atoms both loops can stall in
+    backtracks that fail by rounding, and which one stalls depends on the
+    rounding.)  Squared-loss or log-cosh regression, or exponential-loss
+    labels; one of the three constraint sets."""
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = orthonormal_basis_design(m)
+    k = design.num_atoms
+    if draw(st.booleans()):
+        mix, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        atoms = np.tensordot(mix, design.atoms, axes=1)
+        atoms = 0.5 * (atoms + atoms.transpose(0, 2, 1))
+        design = custom_design(atoms, 0.5 / k + 0.5 * rng.dirichlet(np.ones(k)))
+    idx = np.concatenate([np.arange(k), rng.choice(k, size=draw(st.integers(0, 150)), p=design.probs)])
+    loss_name = draw(st.sampled_from(["squared", "exponential", "log-cosh"]))
+    if loss_name == "exponential":
+        y = rng.choice([-1.0, 1.0], size=idx.size)
+    else:
+        y = design.forward(random_low_rank(rng, m, 1))[idx] + 0.1 * rng.standard_normal(idx.size)
+    loss = {"squared": squared_loss, "exponential": exponential_loss, "log-cosh": log_cosh_loss}[loss_name]()
+    constraint = draw(st.sampled_from([Unconstrained(), OperatorNormBall(1.0), FrobeniusBall(1.0)]))
+    epsilon = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    data = Dataset(design=design, atom_indices=idx, y=y, seed=None)
+    # a stopping tolerance above the default 1e-8, which needs risk decreases
+    # near the rounding of a risk near 1 (exponential loss near 0): there the
+    # exact smoothness test fails by rounding, backtracking can underflow, and
+    # which loop does so depends on the rounding
+    config = SolverConfig(epsilon=epsilon, max_iters=5000, grad_tol=1e-6)
+    return data, loss, config, constraint
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_instance())
+def test_solve_matches_reference_loop(instance):
+    # the kernels' loop against the loop on validated public functions; the
+    # objective's nuclear norm differs by rounding, which may flip a near-tie
+    # restart, so the estimates agree to the stopping tolerance, not bits
+    data, loss, config, constraint = instance
+    result = solve(data, loss, config, constraint)
+    expected = solve_reference(data, loss, config, constraint)
+    assert result.converged == expected.converged
+    scale = max(1.0, float(np.linalg.norm(expected.s_hat)))
+    assert np.linalg.norm(result.s_hat - expected.s_hat) <= 1e-6 * scale
+    obj, obj_ref = result.objective_trace[-1], expected.objective_trace[-1]
+    assert abs(obj - obj_ref) <= 1e-9 * abs(obj_ref)
+
+
+@pytest.mark.parametrize(
+    "make_data, constraint, loss",
+    [(lambda: sampled_instance(seed=48)[2], Unconstrained(), squared_loss()),
+     (lambda: sampled_instance(seed=49)[2], OperatorNormBall(1.0), squared_loss()),
+     (lambda: sampled_instance(seed=10)[2], FrobeniusBall(1.5), squared_loss()),
+     (lambda: sampled_instance(seed=11)[2], FrobeniusBall(1.5), log_cosh_loss()),
+     (labels_data, OperatorNormBall(2.0), exponential_loss())],
+    ids=["squared", "operator-ball", "frobenius-ball", "log-cosh", "labels"],
+)
+def test_solve_counts_match_reference_loop(make_data, constraint, loss):
+    data = make_data()
+    config = SolverConfig(epsilon=0.01)
+    result = solve(data, loss, config, constraint)
+    expected = solve_reference(data, loss, config, constraint)
+    assert (result.iterations, result.backtracks, result.restarts) == (
+        expected.iterations, expected.backtracks, expected.restarts
+    )
+    assert result.restarts > 0 and result.backtracks > 0
+
+
+_BAD_MATRICES = {
+    "asymmetric": np.arange(16.0).reshape(4, 4),
+    "non-finite": np.diag([1.0, np.nan, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_MATRICES.values(), ids=_BAD_MATRICES.keys())
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad, data: gradient(bad, data, squared_loss()),
+        lambda bad, data: empirical_risk(bad, data, squared_loss()),
+        lambda bad, data: objective(bad, data, squared_loss(), 0.1),
+        lambda bad, data: composite_prox(bad, 0.1, Unconstrained()),
+        lambda bad, data: optimality_residuals(bad, np.eye(4), 0.1),
+        lambda bad, data: optimality_residuals(np.eye(4), bad, 0.1),
+        lambda bad, data: certify(bad, data, squared_loss(), 0.1),
+    ],
+    ids=["gradient", "empirical_risk", "objective", "composite_prox",
+         "optimality_residuals-grad", "optimality_residuals-s_hat", "certify"],
+)
+def test_public_solver_entries_reject_bad_matrices(call, bad):
+    # the loop skips validation, so every public entry must keep it
+    _, _, data = sampled_instance(m=4, seed=3)
+    with pytest.raises(ValidationError):
+        call(bad, data)
 
 
 @pytest.mark.parametrize(
@@ -307,10 +447,7 @@ def test_certify_zero_solution_under_large_epsilon():
 
 
 def test_exponential_loss_solve_and_certify():
-    design = orthonormal_basis_design(3)
-    rng = np.random.default_rng(56)
-    truth = TruthModel(s_star=random_low_rank(rng, 3, 1, spectrum=[0.8]), noise=ClassificationLink())
-    data = sample_dataset(design, truth, 400, seed=77)
+    data = labels_data()
     constraint = OperatorNormBall(2.0)
     result = solve(data, exponential_loss(), SolverConfig(epsilon=0.01), constraint)
     assert result.converged
