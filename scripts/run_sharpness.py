@@ -21,7 +21,7 @@ from lowrank_oracle import (
     sharpness_experiment,
     write_outputs,
 )
-from lowrank_oracle.harness import write_json
+from lowrank_oracle.harness import summarize, write_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,7 +61,7 @@ def main() -> int:
     write_json(
         out / "sharpness.json", {"rows": list(result.rows), "headline_gap": result.headline_gap}
     )
-    write_outputs(result.records, {"headline_gap": result.headline_gap}, out / "trials")
+    write_outputs(result.records, summarize(result.records, plan), out / "trials")
 
     for row in result.rows:
         print(

@@ -204,6 +204,14 @@ def _problem(config: ExperimentConfig, data_paths: DataPaths):
     return data, loss, constraint, solver_config
 
 
+def _exit_code(args, ok: bool, warning: str | None = None) -> int:
+    """A finished command's exit code: 2 under ``--strict`` when ``ok`` is
+    false, else 0.  ``warning``, if given, goes to stderr when ``ok`` is false."""
+    if not ok and warning:
+        print(f"warning: {warning}", file=sys.stderr)
+    return 2 if args.strict and not ok else 0
+
+
 # one BLAS thread, as in verify's trials: no result depends on the thread count
 @_one_blas_thread()
 def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
@@ -228,11 +236,7 @@ def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
             "constraint": str(constraint),
         },
     )
-    if not result.converged:
-        print("warning: solver did not converge within max_iters", file=sys.stderr)
-        if args.strict:
-            return 2
-    return 0
+    return _exit_code(args, result.converged, "solver did not converge within max_iters")
 
 
 @_one_blas_thread()
@@ -258,9 +262,7 @@ def _cmd_certify(config, data_paths, certify_tol, args, progress) -> int:
             "constraint": str(constraint),
         },
     )
-    if not cert and args.strict:
-        return 2
-    return 0
+    return _exit_code(args, bool(cert))
 
 
 def _cmd_delta(config, data_paths, certify_tol, args, progress) -> int:
@@ -295,11 +297,7 @@ def _cmd_bound(config, data_paths, certify_tol, args, progress) -> int:
     )
     payload = {key: getattr(record, key) for key in TRIAL_COLUMNS} | plan.lookup(ingredients)
     write_json(Path(args.out) / "bound.json", payload)
-    if not record.converged:
-        print("warning: solver did not converge within max_iters", file=sys.stderr)
-        if args.strict:
-            return 2
-    return 0
+    return _exit_code(args, record.converged, "solver did not converge within max_iters")
 
 
 def _cmd_verify(config, data_paths, certify_tol, args, progress) -> int:
@@ -311,9 +309,7 @@ def _cmd_verify(config, data_paths, certify_tol, args, progress) -> int:
         f"(target {summary.target_frequency:.4f}), "
         f"calibrated C {summary.calibrated_c:.6g}"
     )
-    if summary.nonconverged and args.strict:
-        return 2
-    return 0
+    return _exit_code(args, not summary.nonconverged)
 
 
 def _cmd_sweep(config, data_paths, certify_tol, args, progress) -> int:
@@ -338,11 +334,8 @@ def _cmd_sweep(config, data_paths, certify_tol, args, progress) -> int:
         out / "error_vs_eps.dat", [(row["epsilon"], row["mean_error"]) for row in eps_rows]
     )
     print(f"sweep: error-vs-rank exponent {result.exponent:.3f}")
-    if any(row["converged"] < row["trials"] for row in (*result.rows, *eps_rows)):
-        print("warning: a sweep trial did not converge within max_iters", file=sys.stderr)
-        if args.strict:
-            return 2
-    return 0
+    converged = all(row["converged"] == row["trials"] for row in (*result.rows, *eps_rows))
+    return _exit_code(args, converged, "a sweep trial did not converge within max_iters")
 
 
 def _print_progress(record) -> None:

@@ -19,7 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -447,18 +447,18 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
     )
 
 
-def _bound_report(plan: ResolvedPlan, lhs: float, oracle_terms: dict | None = None) -> BoundReport:
-    """The oracle inequality at an estimate of excess risk ``lhs``, with the
-    plan's terms: at the plan's own oracle unless another oracle's
-    ``_oracle_terms`` are given."""
-    oracle_terms = oracle_terms or plan.lookup(("oracle_excess", "oracle_rank", "oracle_nuclear"))
-    terms = ("epsilon", "t", "constants", "a", "n", "beta", "smoothness", "curvature", "q_bound")
-    return oracle_bound_report(lhs, **oracle_terms, **plan.lookup(terms))
-
-
 _BOUND_COLUMNS = tuple(
     name for name in TRIAL_COLUMNS if name in {f.name for f in fields(BoundReport)}
 )
+
+
+def _bound_report(plan: ResolvedPlan, lhs: float) -> dict:
+    """The trial-record fields of the oracle inequality at an estimate of
+    excess risk ``lhs``, with the plan's oracle and terms."""
+    terms = ("oracle_excess", "oracle_rank", "oracle_nuclear", "epsilon", "t", "constants",
+             "a", "n", "beta", "smoothness", "curvature", "q_bound")
+    report = oracle_bound_report(lhs, **plan.lookup(terms))
+    return {name: getattr(report, name) for name in _BOUND_COLUMNS}
 
 
 def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
@@ -470,7 +470,6 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
     )
     result = solve(data, plan.loss, solver_config, plan.constraint)
     lhs = excess_risk(result.s_hat, plan.design, plan.truth, plan.loss, bayes=plan.bayes)
-    report = _bound_report(plan, lhs)
     nuclear, rank = nuclear_norm_and_rank(result.s_hat)
     return TrialRecord(
         trial=index,
@@ -484,7 +483,7 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
         estimate_nuclear=nuclear,
         estimate_rank=rank,
         objective=float(result.objective_trace[-1]),
-        **{name: getattr(report, name) for name in _BOUND_COLUMNS},
+        **_bound_report(plan, lhs),
         wall_time=time.perf_counter() - start,
     )
 
@@ -624,6 +623,11 @@ def calibrate_constant(criticals: list[float], target_frequency: float) -> float
     return max(0.0, float(values[idx]))
 
 
+def _errors(converged: list[TrialRecord]) -> np.ndarray:
+    """Excess risk over the oracle's, lhs - oracle_excess, of each trial."""
+    return np.array([r.lhs - r.oracle_excess for r in converged])
+
+
 def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
     """The trials' statistics and the fields that need describing; every
     other field is read by name from the plan or its config."""
@@ -631,7 +635,7 @@ def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
     violations = sum(1 for r in converged if r.violated)
     zeros = sum(r.estimate_rank == 0 for r in converged)
     target = math.exp(-plan.config.t)
-    errors = np.array([r.lhs - r.oracle_excess for r in converged])
+    errors = _errors(converged)
     if errors.size:
         quantiles = {
             "q50": float(np.quantile(errors, 0.5)),
@@ -649,7 +653,7 @@ def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
         converged=len(converged),
         nonconverged=len(records) - len(converged),
         violations=violations,
-        violation_frequency=violations / len(converged) if converged else 0.0,
+        violation_frequency=violations / len(converged) if converged else float("nan"),
         target_frequency=target,
         calibrated_c=calibrate_constant([r.critical_c for r in converged], target),
         mean_error=mean_error,
@@ -676,6 +680,17 @@ def run_oracle_trials(
 
 
 # -- sweeps ----------------------------------------------------------------------
+
+# the summary fields of every sweep and sharpness row
+_ROW_FIELDS = ("trials", "converged", "mean_error", "violation_frequency", "calibrated_c")
+
+
+def _point_row(point: ResolvedPlan, records: list[TrialRecord], **key) -> dict:
+    """One row of a sweep or sharpness run: the point's key, its epsilon and
+    the ``_ROW_FIELDS`` of the summary of its trials."""
+    summary = summarize(records, point)
+    return {**key, "epsilon": point.epsilon} | {name: getattr(summary, name) for name in _ROW_FIELDS}
+
 
 @dataclass(frozen=True)
 class RankSweepResult:
@@ -720,25 +735,12 @@ def rank_sweep(
             config=point_config,
             **_truth_fields(plan.design, truth, plan.loss, config.seed),
         )
-        records = run_trials(point, workers=workers, progress=progress)
-        summary = summarize(records, point)
-        records_by_rank[rank] = records
+        records = records_by_rank[rank] = run_trials(point, workers=workers, progress=progress)
+        errors = _errors([r for r in records if r.converged])
         stderr = float("nan")
-        errors = [r.lhs - r.oracle_excess for r in records if r.converged]
-        if len(errors) > 1:
-            stderr = float(np.std(errors, ddof=1) / np.sqrt(len(errors)))
-        rows.append(
-            {
-                "rank": rank,
-                "epsilon": plan.epsilon,
-                "trials": summary.trials,
-                "converged": summary.converged,
-                "mean_error": summary.mean_error,
-                "stderr": stderr,
-                "violation_frequency": summary.violation_frequency,
-                "calibrated_c": summary.calibrated_c,
-            }
-        )
+        if errors.size > 1:
+            stderr = float(np.std(errors, ddof=1) / np.sqrt(errors.size))
+        rows.append(_point_row(point, records, rank=rank, stderr=stderr))
     xs = np.array([row["rank"] for row in rows], dtype=float)
     ys = np.array([row["mean_error"] for row in rows], dtype=float)
     finite = np.isfinite(ys)
@@ -770,18 +772,7 @@ def epsilon_sweep(
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)
         records = run_trials(point, workers=workers, progress=progress)
-        summary = summarize(records, point)
-        rows.append(
-            {
-                "multiple": multiple,
-                "epsilon": point.epsilon,
-                "trials": summary.trials,
-                "converged": summary.converged,
-                "mean_error": summary.mean_error,
-                "violation_frequency": summary.violation_frequency,
-                "calibrated_c": summary.calibrated_c,
-            }
-        )
+        rows.append(_point_row(point, records, multiple=multiple))
     return tuple(rows)
 
 
@@ -801,35 +792,34 @@ def sharpness_experiment(
     """Evaluate the bound against a caller-supplied family of oracles.
 
     Trials are solved once; each oracle (possibly misspecified, with large
-    excess risk) then gets its own bound evaluation.  Entries of
-    ``oracle_set`` are (label, matrix) pairs.
+    excess risk) is a point of the plan, and the trials are bounded again at
+    it.  Entries of ``oracle_set`` are (label, matrix) pairs.
     """
     plan = resolve_plan(config)
     records = run_trials(plan, workers=workers, progress=progress)
-    converged = [r for r in records if r.converged]
     rows = []
     headline = -math.inf
     for label, oracle in oracle_set:
         terms = _oracle_terms(oracle, plan.design, plan.truth, plan.loss, plan.bayes)
-        reference = _bound_report(plan, 0.0, terms)
-        gaps = np.array([r.lhs - reference.rhs for r in converged])
-        violations = int(np.sum(gaps > 0)) if gaps.size else 0
-        row = {
-            "label": label,
-            "oracle_excess": reference.oracle_excess,
-            "oracle_rank": terms["oracle_rank"],
-            "min_term": reference.min_term,
-            "residual_term": reference.residual_term,
-            "mean_error": float(np.mean([r.lhs for r in converged])) - reference.oracle_excess
-            if converged
-            else float("nan"),
-            "max_gap": float(np.max(gaps)) if gaps.size else float("nan"),
-            "mean_gap": float(np.mean(gaps)) if gaps.size else float("nan"),
-            "violation_frequency": violations / len(converged) if converged else 0.0,
-        }
-        rows.append(row)
+        point = replace(plan, oracle=oracle, **terms)
+        bounded = [replace(r, **_bound_report(point, r.lhs)) for r in records]
+        gaps = np.array([r.lhs - r.rhs for r in bounded if r.converged])
+        rows.append(
+            _point_row(
+                point,
+                bounded,
+                label=label,
+                oracle_excess=point.oracle_excess,
+                oracle_rank=point.oracle_rank,
+                # neither term depends on the estimate, so every trial has the same
+                min_term=bounded[0].min_term,
+                residual_term=bounded[0].residual_term,
+                max_gap=float(np.max(gaps)) if gaps.size else float("nan"),
+                mean_gap=float(np.mean(gaps)) if gaps.size else float("nan"),
+            )
+        )
         if gaps.size:
-            headline = max(headline, row["max_gap"])
+            headline = max(headline, rows[-1]["max_gap"])
     return SharpnessResult(rows=tuple(rows), headline_gap=headline, records=records)
 
 
@@ -885,12 +875,11 @@ def write_series(path, points) -> Path:
     return Path(path)
 
 
-def write_outputs(records: list[TrialRecord], summary, out_dir) -> dict[str, Path]:
+def write_outputs(records: list[TrialRecord], summary: SummaryReport, out_dir) -> dict[str, Path]:
     """Persist trials.csv, summary.json and the violation_vs_c series.
 
     The CSV has the stable column order ``TRIAL_COLUMNS`` and round-trips
-    losslessly through :func:`read_trials_csv`.  ``summary`` is a
-    :class:`SummaryReport` or a plain dict.
+    losslessly through :func:`read_trials_csv`.
     """
     out = Path(out_dir)
     paths: dict[str, Path] = {"trials": out / "trials.csv"}
@@ -902,10 +891,7 @@ def write_outputs(records: list[TrialRecord], summary, out_dir) -> dict[str, Pat
                 writer.writerow(
                     [_format_cell(col, getattr(record, col)) for col in TRIAL_COLUMNS]
                 )
-
-    summary_dict = asdict(summary) if is_dataclass(summary) else dict(summary)
-    paths["summary"] = write_json(out / "summary.json", summary_dict)
-
+    paths["summary"] = write_json(out / "summary.json", asdict(summary))
     paths["violation_vs_c"] = write_series(
         out / "violation_vs_c.dat", _violation_series(records)
     )

@@ -464,15 +464,27 @@ def test_verify_without_converged_trials_writes_strict_json(tmp_path):
     validate_summary(summary)
     assert summary["converged"] == 0
     assert summary["mean_error"] is None
+    assert summary["violation_frequency"] is None
     assert set(summary["error_quantiles"].values()) == {None}
 
 
-def test_strict_mode_flags_nonconvergence(config_file, tmp_path):
+def test_strict_mode_flags_nonconvergence(config_file, tmp_path, capsys):
     config = tmp_path / "short.ini"
     config.write_text(SMALL_CONFIG.replace("max_iters = 20000", "max_iters = 1"))
-    out = tmp_path / "strict"
-    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
-    assert main(["solve", "--config", str(config), "--out", str(out), "--strict"]) == 2
+    # every solving command warns alike (verify's summary line counts the
+    # converged trials instead) and exits 2 only under --strict
+    warnings = {
+        "solve": "warning: solver did not converge within max_iters\n",
+        "bound": "warning: solver did not converge within max_iters\n",
+        "verify": "",
+        "sweep": "warning: a sweep trial did not converge within max_iters\n",
+    }
+    for command, warning in warnings.items():
+        out = tmp_path / command
+        for flags, code in (([], 0), (["--strict"], 2)):
+            capsys.readouterr()
+            assert main([command, "--config", str(config), "--out", str(out), *flags]) == code
+            assert capsys.readouterr().err == warning
 
 
 def test_sweep_strict_mode_flags_nonconvergence(config_file, tmp_path, monkeypatch):
@@ -483,6 +495,8 @@ def test_sweep_strict_mode_flags_nonconvergence(config_file, tmp_path, monkeypat
     payload = json.loads((out / "sweep.json").read_text())
     rows = (*payload["rank_rows"], *payload["eps_rows"])
     assert [(row["trials"], row["converged"]) for row in rows] == [(4, 0)] * 4
+    # no trial converged, so no violation frequency is defined
+    assert [row["violation_frequency"] for row in rows] == [None] * 4
     assert main(["sweep", "--config", str(config), "--out", str(out), "--strict"]) == 2
     # one epsilon point short of its trials is enough
     sweep = cli.epsilon_sweep

@@ -277,15 +277,30 @@ def test_sweeps_resolve_one_plan_and_match_separate_runs(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
 
+    # every row field is the key, epsilon or the separate run's summary field
+    summary_fields = {"trials", "converged", "mean_error", "violation_frequency", "calibrated_c"}
     epsilon = resolve_plan(config).epsilon
-    for rank in (1, 3):
+    for row in result.rows:
         separate = dataclasses.replace(
-            config, truth_rank=rank, truth_spectrum=(), epsilon_value=epsilon
+            config, truth_rank=row["rank"], truth_spectrum=(), epsilon_value=epsilon
         )
-        assert result.records[rank] == run_oracle_trials(separate, workers=1)[0]
+        records, summary = run_oracle_trials(separate, workers=1)
+        assert result.records[row["rank"]] == records
+        errors = [r.lhs - r.oracle_excess for r in records if r.converged]
+        assert set(row) == {"rank", "epsilon", "stderr"} | summary_fields
+        assert row["epsilon"] == summary.epsilon == epsilon
+        assert row["stderr"] == float(np.std(errors, ddof=1) / np.sqrt(len(errors)))
+        assert {name: row[name] for name in summary_fields} == {
+            name: getattr(summary, name) for name in summary_fields
+        }
     for row in rows:
         separate = dataclasses.replace(config, epsilon_value=row["multiple"] * epsilon)
-        assert row["mean_error"] == run_oracle_trials(separate, workers=1)[1].mean_error
+        summary = run_oracle_trials(separate, workers=1)[1]
+        assert set(row) == {"multiple", "epsilon"} | summary_fields
+        assert row["epsilon"] == summary.epsilon
+        assert {name: row[name] for name in summary_fields} == {
+            name: getattr(summary, name) for name in summary_fields
+        }
 
 
 def test_rank_sweep_doubling_epsilon_quadruples_rank_term():
@@ -320,8 +335,12 @@ def test_sharpness_experiment_rows():
     # misspecified oracle has a larger excess but the bound still holds
     assert by_label["rank-1"]["max_gap"] <= 0
     assert result.headline_gap == max(row["max_gap"] for row in result.rows)
-    # the truth row's terms are the plan's own, so its gaps are the trials' own
+    # the truth row's terms are the plan's own, so its gaps and statistics
+    # are the trials' own
     assert by_label["truth"]["max_gap"] == max(r.lhs - r.rhs for r in result.records if r.converged)
+    summary = run_oracle_trials(config, workers=1)[1]
+    assert by_label["truth"]["violation_frequency"] == summary.violation_frequency
+    assert by_label["truth"]["mean_error"] == summary.mean_error
 
 
 def test_sharpness_with_previous_estimate_as_oracle():
