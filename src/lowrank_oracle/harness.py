@@ -35,7 +35,13 @@ from .bounds import (
     estimate_rademacher_norm,
     oracle_bound_report,
 )
-from .constraints import ConstraintSet, FrobeniusBall, OperatorNormBall, Unconstrained
+from .constraints import (
+    BOUNDARY_TOL,
+    ConstraintSet,
+    FrobeniusBall,
+    OperatorNormBall,
+    Unconstrained,
+)
 from .designs import (
     ClassificationLink,
     DesignDistribution,
@@ -392,10 +398,25 @@ def resolve_problem(config: ExperimentConfig) -> tuple:
 
 
 def _oracle_terms(
-    oracle: np.ndarray, design: DesignDistribution, truth: TruthModel, loss: LossModel, bayes
+    oracle: np.ndarray,
+    design: DesignDistribution,
+    truth: TruthModel,
+    loss: LossModel,
+    bayes,
+    constraint: ConstraintSet,
 ) -> dict:
     """The three numbers through which an oracle enters the bound: its excess
-    risk (from the per-atom Bayes risks ``bayes``), rank and nuclear norm."""
+    risk (from the per-atom Bayes risks ``bayes``), rank and nuclear norm.
+
+    The paper's bound is an infimum over oracles in the constraint set, so an
+    oracle outside it, beyond the rounding of a point on a ball's boundary,
+    is refused."""
+    violation = constraint.violation(oracle)  # 0.0 when unconstrained, which has no rho
+    if violation > 0 and violation > BOUNDARY_TOL * constraint.rho:
+        raise ValidationError(
+            f"the oracle lies outside the constraint set {constraint}: its norm "
+            f"{constraint.rho + violation:.6g} exceeds rho = {constraint.rho:g}"
+        )
     nuclear, rank = nuclear_norm_and_rank(oracle)
     return dict(
         oracle_excess=excess_risk(oracle, design, truth, loss, bayes=bayes),
@@ -405,7 +426,11 @@ def _oracle_terms(
 
 
 def _truth_fields(
-    design: DesignDistribution, truth: TruthModel, loss: LossModel, seed: int
+    design: DesignDistribution,
+    truth: TruthModel,
+    loss: LossModel,
+    constraint: ConstraintSet,
+    seed: int,
 ) -> dict:
     """The plan fields that depend on the truth: the truth itself, q_bound,
     beta, the per-atom Bayes risks and the oracle terms.  Everything else in
@@ -429,7 +454,7 @@ def _truth_fields(
         beta_kind=beta_kind,
         bayes=bayes,
         oracle=truth.s_star,
-        **_oracle_terms(truth.s_star, design, truth, loss, bayes),
+        **_oracle_terms(truth.s_star, design, truth, loss, bayes, constraint),
     )
 
 
@@ -443,7 +468,7 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
         constraint=constraint,
         epsilon=solver_config.epsilon,
         **(terms or _threshold_terms(config, design, loss, constraint)),
-        **_truth_fields(design, truth, loss, config.seed),
+        **_truth_fields(design, truth, loss, constraint, config.seed),
     )
 
 
@@ -725,16 +750,18 @@ def rank_sweep(
     if not ranks:
         raise ValidationError("rank sweep needs at least one rank")
     plan = resolve_plan(config)
-    rows = []
-    records_by_rank: dict[int, list[TrialRecord]] = {}
+    points = {}  # every truth is checked against the constraint before any trial runs
     for rank in ranks:
         point_config = replace(config, truth_rank=rank, truth_spectrum=())
         truth = build_truth(point_config, dim=plan.design.dim)
-        point = replace(
+        points[rank] = replace(
             plan,
             config=point_config,
-            **_truth_fields(plan.design, truth, plan.loss, config.seed),
+            **_truth_fields(plan.design, truth, plan.loss, plan.constraint, config.seed),
         )
+    rows = []
+    records_by_rank: dict[int, list[TrialRecord]] = {}
+    for rank, point in points.items():
         records = records_by_rank[rank] = run_trials(point, workers=workers, progress=progress)
         errors = _errors([r for r in records if r.converged])
         stderr = float("nan")
@@ -796,12 +823,16 @@ def sharpness_experiment(
     it.  Entries of ``oracle_set`` are (label, matrix) pairs.
     """
     plan = resolve_plan(config)
+    points = []  # every oracle is checked against the constraint before any trial runs
+    for label, oracle in oracle_set:
+        terms = _oracle_terms(
+            oracle, plan.design, plan.truth, plan.loss, plan.bayes, plan.constraint
+        )
+        points.append((label, replace(plan, oracle=oracle, **terms)))
     records = run_trials(plan, workers=workers, progress=progress)
     rows = []
     headline = -math.inf
-    for label, oracle in oracle_set:
-        terms = _oracle_terms(oracle, plan.design, plan.truth, plan.loss, plan.bayes)
-        point = replace(plan, oracle=oracle, **terms)
+    for label, point in points:
         bounded = [replace(r, **_bound_report(point, r.lhs)) for r in records]
         gaps = np.array([r.lhs - r.rhs for r in bounded if r.converged])
         rows.append(

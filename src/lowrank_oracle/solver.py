@@ -183,6 +183,17 @@ def _prox(v: np.ndarray, theta: float, constraint: ConstraintSet) -> tuple[np.nd
     return SpectralDecomposition(lam, dec.eigenvectors).reconstruct(), float(np.sum(np.abs(lam)))
 
 
+def _initial_step(design, law: EmpiricalLaw, loss: LossModel) -> float:
+    """The first step, 1 / max_k a_k ||X_k||_F^2, where a_k sums w_r d2(y_r; 0)
+    over atom k's rows of the law.  The Hessian of the risk at zero is
+    sum_k a_k vec(X_k) vec(X_k)^T, so the step's inverse is that Hessian's
+    largest eigenvalue when the atoms are orthogonal, and at most it
+    otherwise."""
+    curvature = _weighted_rows(loss.d2, law, np.zeros(law.y.shape), "curvature")
+    per_atom = np.bincount(law.atoms, weights=curvature, minlength=design.num_atoms)
+    return 1.0 / max(float(np.max(per_atom * design.atom_norms.sq_frobenius)), 1e-12)
+
+
 def _residuals(grad, s_hat, epsilon: float, constraint: ConstraintSet) -> tuple[float, float]:
     """``optimality_residuals`` of symmetric ``grad`` and ``s_hat``."""
     dec = _descending_eigh(s_hat)
@@ -213,9 +224,12 @@ def solve(
 
     Each iteration takes one proximal step x+ = prox(z - step * grad(z))
     from the extrapolated point z, backtracking on the smoothness test; the
-    step re-expands geometrically after every iteration.  A step from z that
-    is not x and raises the objective is rejected and the momentum dropped
-    (z = x, t = 1); a step from x itself is always accepted.  The objective
+    step re-expands geometrically after every iteration.  The first step is
+    ``_initial_step``, the inverse curvature of the risk at zero measured
+    atom by atom: exactly 1/L at zero when the atoms are orthogonal, as on
+    the basis design, and otherwise a step that backtracking may shorten.
+    A step from z that is not x and raises the objective is rejected and the
+    momentum dropped (z = x, t = 1); a step from x itself is always accepted.  The objective
     trace thus has one entry per iteration, repeats a value at each restart
     and is nonincreasing up to rounding.
 
@@ -233,11 +247,8 @@ def solve(
         data_scale = float(np.linalg.norm(data.design.adjoint(data.response_sums / data.n)))
         grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
 
-    # initial step: inverse of a curvature estimate at the zero matrix
     design, law = data.design, data.response_law(loss)
-    curvature = np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
-    bound = float(np.max(curvature) * np.max(design.atom_norms.sq_frobenius[law.atoms]))
-    step = 1.0 / max(bound, 1e-12)
+    step = _initial_step(design, law, loss)
 
     step_cap = np.inf
     backtracks = restarts = 0

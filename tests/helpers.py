@@ -42,7 +42,7 @@ from lowrank_oracle import (
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.constraints import BOUNDARY_TOL
 from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
-from lowrank_oracle.solver import GRAD_TOL_FACTOR, STEP_GROWTH, STEP_SHRINK
+from lowrank_oracle.solver import GRAD_TOL_FACTOR, STEP_GROWTH, STEP_SHRINK, _initial_step
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
 
@@ -275,7 +275,9 @@ def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
 def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> SolveResult:
     """``solve``'s iteration on the public functions, each of which validates
     its matrices: a gradient and a risk at z, a checked prox per step tried,
-    and the objective's nuclear norm from a second decomposition of x+."""
+    and the objective's nuclear norm from a second decomposition of x+.  The
+    first step is ``solve``'s own, which a property test checks against the
+    dense Hessian."""
     m = data.design.dim
     epsilon = config.epsilon
 
@@ -284,10 +286,7 @@ def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> 
         data_scale = float(np.linalg.norm(data.design.adjoint(data.response_sums / data.n)))
         grad_tol = GRAD_TOL_FACTOR * (1.0 + data_scale)
 
-    law = data.response_law(loss)
-    curvature = np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
-    bound = float(np.max(curvature) * np.max(data.design.atom_norms.sq_frobenius[law.atoms]))
-    step = 1.0 / max(bound, 1e-12)
+    step = _initial_step(data.design, data.response_law(loss), loss)
 
     step_cap = np.inf
     backtracks = restarts = 0

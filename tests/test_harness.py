@@ -13,6 +13,7 @@ from lowrank_oracle import (
     ValidationError,
     best_rank_approximation,
     epsilon_sweep,
+    frobenius_norm,
     mix_seed,
     rank_sweep,
     read_trials_csv,
@@ -229,6 +230,42 @@ def test_rank_sweep_points_carry_their_config(monkeypatch):
     monkeypatch.setattr(harness, "summarize", recording)
     rank_sweep(dataclasses.replace(SMALL, trials=1), ranks=(1, 3), workers=1)
     assert [summary.truth_rank for summary in summaries] == [1, 3]
+
+
+def test_oracle_outside_the_constraint_set_is_refused():
+    # unit rank 8 has Frobenius norm sqrt(8) > rho = 2; the paper's bound
+    # is an infimum over oracles in the constraint set only
+    config, _, _ = parse_config(CONFIGS / "verify_labels.ini")
+    config = dataclasses.replace(config, m=40, n=10**12, truth_rank=8, truth_spectrum=())
+    with pytest.raises(ValidationError, match=r"frobenius-ball\(2\): its norm 2\.82843 exceeds rho = 2"):
+        resolve_plan(config)
+
+
+def test_oracle_on_the_boundary_is_accepted():
+    # unit rank 4 lies on the Frobenius sphere of radius 2 up to rounding
+    config = dataclasses.replace(
+        SMALL, m=8, truth_rank=4, constraint_kind="frobenius-ball", constraint_rho=2.0
+    )
+    assert frobenius_norm(resolve_plan(config).oracle) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_rank_sweep_crossing_the_constraint_boundary_is_refused(monkeypatch):
+    # at unit spectrum the truths of rank 1, 4 and 5 have Frobenius norms 1, 2
+    # and sqrt(5): rank 5 is refused before any trial runs
+    monkeypatch.setattr(harness, "run_trials", lambda *args, **kwargs: pytest.fail("trials ran"))
+    config = dataclasses.replace(
+        SMALL, m=6, trials=1, constraint_kind="frobenius-ball", constraint_rho=2.0
+    )
+    with pytest.raises(ValidationError, match=r"frobenius-ball\(2\): its norm 2\.23607"):
+        rank_sweep(config, ranks=(1, 4, 5), workers=1)
+
+
+def test_sharpness_oracle_outside_the_constraint_set_is_refused():
+    # SMALL's operator-norm ball has rho = 2
+    config = dataclasses.replace(SMALL, trials=1)
+    outside = np.diag([2.5, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match=r"operator-ball\(2\): its norm 2\.5 exceeds"):
+        sharpness_experiment(config, [("outside", outside)], workers=1)
 
 
 def test_csv_round_trips_nonfinite_values(tmp_path, small_run):

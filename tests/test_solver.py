@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lowrank_oracle import (
     Dataset,
+    ExperimentConfig,
     FrobeniusBall,
     GaussianNoise,
     NumericalError,
@@ -21,6 +22,7 @@ from lowrank_oracle import (
     exponential_loss,
     frobenius_norm,
     gradient,
+    mix_seed,
     nuclear_norm,
     objective,
     operator_norm,
@@ -33,6 +35,7 @@ from lowrank_oracle import (
 from lowrank_oracle import ClassificationLink
 from lowrank_oracle import matrices as matrices_module
 from lowrank_oracle import solver as solver_module
+from lowrank_oracle.harness import resolve_problem
 from lowrank_oracle.matrices import inner, symmetrize
 
 from helpers import (
@@ -309,7 +312,7 @@ def test_solve_matches_reference_loop(instance):
     "make_data, constraint, loss",
     [(lambda: sampled_instance(seed=48)[2], Unconstrained(), squared_loss()),
      (lambda: sampled_instance(seed=49)[2], OperatorNormBall(1.0), squared_loss()),
-     (lambda: sampled_instance(seed=10)[2], FrobeniusBall(1.5), squared_loss()),
+     (lambda: sampled_instance(seed=40)[2], FrobeniusBall(1.5), squared_loss()),
      (lambda: sampled_instance(seed=11)[2], FrobeniusBall(1.5), log_cosh_loss()),
      (labels_data, OperatorNormBall(2.0), exponential_loss())],
     ids=["squared", "operator-ball", "frobenius-ball", "log-cosh", "labels"],
@@ -323,6 +326,65 @@ def test_solve_counts_match_reference_loop(make_data, constraint, loss):
         expected.iterations, expected.backtracks, expected.restarts
     )
     assert result.restarts > 0 and result.backtracks > 0
+
+
+@st.composite
+def curvature_instance(draw):
+    """A sample on the basis design at m or on its atoms mixed by a random
+    matrix (orthogonal or not), with the response law of squared-loss or
+    log-cosh regression or of exponential-loss labels."""
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = orthonormal_basis_design(m)
+    k = design.num_atoms
+    mixing = draw(st.sampled_from([None, "orthogonal", "gaussian"]))
+    if mixing is not None:
+        mix = rng.standard_normal((k, k))
+        if mixing == "orthogonal":
+            mix, _ = np.linalg.qr(mix)
+        design = custom_design(np.tensordot(mix, design.atoms, axes=1), rng.dirichlet(np.ones(k)))
+    idx = rng.choice(k, size=draw(st.integers(1, 120)), p=design.probs)
+    loss_name = draw(st.sampled_from(["squared", "exponential", "log-cosh"]))
+    if loss_name == "exponential":
+        y = rng.choice([-1.0, 1.0], size=idx.size)
+    else:
+        y = 2.0 * rng.standard_normal(idx.size)
+    loss = {"squared": squared_loss, "exponential": exponential_loss, "log-cosh": log_cosh_loss}[loss_name]()
+    return Dataset(design=design, atom_indices=idx, y=y, seed=None), loss, mixing
+
+
+@settings(max_examples=60, deadline=None)
+@given(curvature_instance())
+def test_initial_step_is_the_inverse_curvature_at_zero(instance):
+    # 1/step is the top eigenvalue of the dense Hessian of the risk at zero,
+    # sum_r w_r d2(y_r; 0) vec(X_k_r) vec(X_k_r)^T, on the orthonormal basis
+    # design; on mixed atoms each atom's own curvature a_k ||X_k||_F^2 only
+    # bounds that eigenvalue from below
+    data, loss, mixing = instance
+    law = data.response_law(loss)
+    vecs = data.design.atoms[law.atoms].reshape(law.atoms.size, -1)
+    curvature = law.w * np.asarray(loss.d2(law.y, np.zeros(law.y.shape)), dtype=float)
+    top = float(np.linalg.eigvalsh((vecs.T * curvature) @ vecs)[-1])
+    inverse_step = 1.0 / solver_module._initial_step(data.design, law, loss)
+    if mixing is None:
+        assert abs(inverse_step - top) <= 1e-12 * top
+    else:
+        assert inverse_step <= top * (1.0 + 1e-12)
+
+
+def test_completion_trial_starts_at_the_curvature():
+    # one trial at the settings of the completion-m40-r2 benchmark workload:
+    # from a first step of about 1/270 instead of 1/2 it takes 12 iterations,
+    # not the 40 it took to grow the step
+    config = ExperimentConfig(
+        m=40, n=32_000, trials=1, truth_spectrum=(1.0, 1.0), constraint_rho=2.0,
+        epsilon_rule="absolute", epsilon_value=0.001,
+    )
+    design, truth, loss, constraint, solver_config, _ = resolve_problem(config)
+    data = sample_dataset(design, truth, config.n, mix_seed(config.seed, 0))
+    result = solve(data, loss, solver_config, constraint)
+    assert result.converged
+    assert result.iterations <= 20
 
 
 _BAD_MATRICES = {
@@ -354,21 +416,21 @@ def test_public_solver_entries_reject_bad_matrices(call, bad):
 
 
 @pytest.mark.parametrize(
-    "seed, constraint",
-    [(48, Unconstrained()), (49, Unconstrained()), (10, FrobeniusBall(1.5))],
+    "seed, epsilon, constraint",
+    [(48, 0.01, Unconstrained()), (199, 0.1, Unconstrained()), (40, 0.01, FrobeniusBall(1.5))],
     ids=["restart", "step-growth-after-restart", "frob-ball-accepts-step-from-x"],
 )
-def test_restarted_solve_converges_monotone_and_certified(seed, constraint):
-    # seed 49 runs out of iterations if the step does not re-grow after a
-    # restart; seed 10 does if a step from x itself can be rejected
+def test_restarted_solve_converges_monotone_and_certified(seed, epsilon, constraint):
+    # seed 199 runs out of iterations if the step does not re-grow after a
+    # restart; seed 40 does if a step from x itself can be rejected
     _, _, data = sampled_instance(seed=seed)
-    result = solve(data, squared_loss(), SolverConfig(epsilon=0.01), constraint)
+    result = solve(data, squared_loss(), SolverConfig(epsilon=epsilon), constraint)
     trace = result.objective_trace
     assert len(trace) == result.iterations + 1
     assert np.any(np.diff(trace) == 0.0)  # a restart repeats the objective
     assert result.converged
     assert np.all(np.diff(trace) <= 1e-12 * (1 + np.abs(trace[:-1])))
-    assert certify(result, data, squared_loss(), 0.01, constraint, tol=1e-5)
+    assert certify(result, data, squared_loss(), epsilon, constraint, tol=1e-5)
 
 
 def test_solution_beats_probe_points():
