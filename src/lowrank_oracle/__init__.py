@@ -40,7 +40,6 @@ from .harness import (
     DEFAULT_SEED,
     ExperimentConfig,
     RankSweepResult,
-    SharpnessResult,
     SummaryReport,
     TrialRecord,
     epsilon_sweep,
@@ -49,7 +48,6 @@ from .harness import (
     read_trials_csv,
     resolve_plan,
     run_oracle_trials,
-    sharpness_experiment,
     validate_summary,
     write_outputs,
 )

@@ -59,7 +59,7 @@ class ConstantsConfig:
     d_thresh: float = 4.0
 
     def __post_init__(self):
-        if self.b_const <= 0 or self.c_const <= 0 or self.d_thresh <= 0:
+        if not (self.b_const > 0 and self.c_const > 0 and self.d_thresh > 0):  # nan fails too
             raise ValidationError("bound constants must be positive")
 
 

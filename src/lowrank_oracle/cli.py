@@ -272,12 +272,8 @@ def _cmd_delta(config, data_paths, certify_tol, args, progress) -> int:
     bernstein = matrix_bernstein_bound(sigma, uniform, design.dim, config.n)
     write_json(
         Path(args.out) / "delta.json",
-        {
-            "delta": stats.delta,
-            "xi_norm_mean": stats.xi_norm_mean,
-            "stderr": stats.stderr,
-            "reps": stats.reps,
-            "n": stats.n,
+        dataclasses.asdict(stats)
+        | {
             "sigma_x": sigma,
             "u_x": uniform,
             "bernstein_bound": bernstein,

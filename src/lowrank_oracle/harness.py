@@ -7,6 +7,11 @@ run independently with per-trial seeds derived from the master seed by a
 are a trials CSV with a stable column order, a summary JSON, and two-column
 plot-data series; every file is written atomically, and JSON is strict, with
 null for undefined statistics.
+
+The summary also bounds the same trials again at each member of the truth's
+oracle family: S* and its spectral truncations, whose terms the plan
+resolves once.  The bound's approximation error enters with constant one,
+so a truncation's large excess risk must not push any trial over its bound.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .designs import (
 )
 from .errors import ValidationError
 from .losses import LossModel, get_loss, loss_constants, q_value
-from .matrices import load_matrix, nuclear_norm_and_rank, symmetrize
+from .matrices import best_rank_approximation, load_matrix, nuclear_norm_and_rank, symmetrize
 from .solver import SolverConfig, solve
 
 DEFAULT_SEED = 1729  # fixed default so runs without --seed are reproducible
@@ -114,6 +119,11 @@ class ExperimentConfig:
     design_probs: tuple[float, ...] = ()
 
     def __post_init__(self):
+        for f in fields(self):  # nan passes every range check below, inf most of them
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValidationError(f"{f.name} = {value!r} must be finite")
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
         if self.m < 1 or self.n < 1:
@@ -224,6 +234,7 @@ class SummaryReport:
     c_const: float
     d_thresh: float
     seed: int
+    oracles: list  # one row per member of the plan's oracle family
 
 
 SUMMARY_SCHEMA: dict[str, type] = get_type_hints(SummaryReport)
@@ -275,6 +286,7 @@ class ResolvedPlan:
     oracle_excess: float
     oracle_rank: int
     oracle_nuclear: float
+    oracles: tuple  # (label, oracle fields) of each member of the oracle family
 
     @property
     def n(self) -> int:
@@ -433,8 +445,13 @@ def _truth_fields(
     seed: int,
 ) -> dict:
     """The plan fields that depend on the truth: the truth itself, q_bound,
-    beta, the per-atom Bayes risks and the oracle terms.  Everything else in
-    a plan is fixed by the design, the loss and the config alone."""
+    beta, the per-atom Bayes risks, the oracle and its terms, and the oracle
+    family.  Everything else in a plan is fixed by the design, the loss and
+    the config alone.
+
+    The family is S* itself, labelled ``truth``, and its spectral truncations
+    ``rank-r`` for r below its rank.  Truncation never increases a spectral
+    ball's norm, so every member lies in the constraint set when S* does."""
     if design.is_orthonormal_basis:
         beta, beta_kind = compatibility_basis(design), "exact"
     else:
@@ -447,14 +464,21 @@ def _truth_fields(
         )
         beta_kind = "sampled-lower-bound"
     bayes = bayes_risk_per_atom(design, truth, loss)
+
+    def member(oracle):
+        return dict(oracle=oracle, **_oracle_terms(oracle, design, truth, loss, bayes, constraint))
+
+    family = [("truth", member(truth.s_star))]
+    for rank in range(family[0][1]["oracle_rank"]):
+        family.append((f"rank-{rank}", member(best_rank_approximation(truth.s_star, rank))))
     return dict(
         truth=truth,
         q_bound=q_value(loss, response_domain(truth, design)),
         beta=beta,
         beta_kind=beta_kind,
         bayes=bayes,
-        oracle=truth.s_star,
-        **_oracle_terms(truth.s_star, design, truth, loss, bayes, constraint),
+        **family[0][1],
+        oracles=tuple(family),
     )
 
 
@@ -688,34 +712,64 @@ def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
         m=plan.design.dim,
         loss=plan.config.loss_name,
         constraint=str(plan.constraint),
+        oracles=_oracle_rows(plan, records),
     )
     return SummaryReport(
         **computed, **plan.lookup(name for name in SUMMARY_SCHEMA if name not in computed)
     )
 
 
+# the summary fields of every sweep and oracle row
+_ROW_FIELDS = ("trials", "converged", "mean_error", "violation_frequency", "calibrated_c")
+
+
+def _point_row(point: ResolvedPlan, records: list[TrialRecord], **key) -> dict:
+    """One row of a sweep or of the oracle family: the point's key, its
+    epsilon and the ``_ROW_FIELDS`` of the summary of its trials.  The point
+    is summarized without its oracle family, so a row computes no rows."""
+    summary = summarize(records, replace(point, oracles=()))
+    return {**key, "epsilon": point.epsilon} | {name: getattr(summary, name) for name in _ROW_FIELDS}
+
+
+def _oracle_rows(plan: ResolvedPlan, records: list[TrialRecord]) -> list[dict]:
+    """One row per member of the plan's oracle family, with the trials
+    bounded again at that oracle: its label, excess risk and rank, the
+    bound's min and residual terms there, and the largest and mean lhs - rhs
+    over converged trials."""
+    rows = []
+    for label, oracle in plan.oracles:
+        point = replace(plan, **oracle)
+        bounded = [replace(r, **_bound_report(point, r.lhs)) for r in records]
+        gaps = np.array([r.lhs - r.rhs for r in bounded if r.converged])
+        rows.append(
+            _point_row(
+                point,
+                bounded,
+                label=label,
+                oracle_excess=point.oracle_excess,
+                oracle_rank=point.oracle_rank,
+                # neither term depends on the estimate, so every trial has the same
+                min_term=bounded[0].min_term,
+                residual_term=bounded[0].residual_term,
+                max_gap=float(np.max(gaps)) if gaps.size else float("nan"),
+                mean_gap=float(np.mean(gaps)) if gaps.size else float("nan"),
+            )
+        )
+    return rows
+
+
 def run_oracle_trials(
     config: ExperimentConfig, workers: int | None = None, progress=None
 ) -> tuple[list[TrialRecord], SummaryReport]:
     """Solve ``config.trials`` independent datasets and evaluate the bound
-    with the ground truth as oracle."""
+    with the ground truth as oracle, then again at each member of its
+    oracle family."""
     plan = resolve_plan(config)
     records = run_trials(plan, workers=workers, progress=progress)
     return records, summarize(records, plan)
 
 
 # -- sweeps ----------------------------------------------------------------------
-
-# the summary fields of every sweep and sharpness row
-_ROW_FIELDS = ("trials", "converged", "mean_error", "violation_frequency", "calibrated_c")
-
-
-def _point_row(point: ResolvedPlan, records: list[TrialRecord], **key) -> dict:
-    """One row of a sweep or sharpness run: the point's key, its epsilon and
-    the ``_ROW_FIELDS`` of the summary of its trials."""
-    summary = summarize(records, point)
-    return {**key, "epsilon": point.epsilon} | {name: getattr(summary, name) for name in _ROW_FIELDS}
-
 
 @dataclass(frozen=True)
 class RankSweepResult:
@@ -801,57 +855,6 @@ def epsilon_sweep(
         records = run_trials(point, workers=workers, progress=progress)
         rows.append(_point_row(point, records, multiple=multiple))
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class SharpnessResult:
-    rows: tuple[dict, ...]
-    headline_gap: float  # max over oracles and trials of lhs - rhs
-    records: list
-
-
-def sharpness_experiment(
-    config: ExperimentConfig,
-    oracle_set: list[tuple[str, np.ndarray]],
-    workers: int | None = None,
-    progress=None,
-) -> SharpnessResult:
-    """Evaluate the bound against a caller-supplied family of oracles.
-
-    Trials are solved once; each oracle (possibly misspecified, with large
-    excess risk) is a point of the plan, and the trials are bounded again at
-    it.  Entries of ``oracle_set`` are (label, matrix) pairs.
-    """
-    plan = resolve_plan(config)
-    points = []  # every oracle is checked against the constraint before any trial runs
-    for label, oracle in oracle_set:
-        terms = _oracle_terms(
-            oracle, plan.design, plan.truth, plan.loss, plan.bayes, plan.constraint
-        )
-        points.append((label, replace(plan, oracle=oracle, **terms)))
-    records = run_trials(plan, workers=workers, progress=progress)
-    rows = []
-    headline = -math.inf
-    for label, point in points:
-        bounded = [replace(r, **_bound_report(point, r.lhs)) for r in records]
-        gaps = np.array([r.lhs - r.rhs for r in bounded if r.converged])
-        rows.append(
-            _point_row(
-                point,
-                bounded,
-                label=label,
-                oracle_excess=point.oracle_excess,
-                oracle_rank=point.oracle_rank,
-                # neither term depends on the estimate, so every trial has the same
-                min_term=bounded[0].min_term,
-                residual_term=bounded[0].residual_term,
-                max_gap=float(np.max(gaps)) if gaps.size else float("nan"),
-                mean_gap=float(np.mean(gaps)) if gaps.size else float("nan"),
-            )
-        )
-        if gaps.size:
-            headline = max(headline, rows[-1]["max_gap"])
-    return SharpnessResult(rows=tuple(rows), headline_gap=headline, records=records)
 
 
 # -- persistence -------------------------------------------------------------------

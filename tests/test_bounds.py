@@ -129,6 +129,14 @@ def test_epsilon_threshold_values():
     assert epsilon_threshold(constants, 4.0, 2.0, 100) == pytest.approx(2 * one)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("name", ["b_const", "c_const", "d_thresh"])
+def test_bound_constants_must_be_positive(name, value):
+    # nan <= 0 is false, so a nan constant used to pass
+    with pytest.raises(ValidationError, match="must be positive"):
+        ConstantsConfig(**{name: value})
+
+
 def test_compatibility_basis_closed_form():
     for m in (2, 3, 4):
         design = orthonormal_basis_design(m)

@@ -266,6 +266,32 @@ def test_verify_deterministic_across_worker_counts(config_file, tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_summary_with_oracle_rows_deterministic_across_worker_counts(tmp_path):
+    config = tmp_path / "threshold.ini"
+    config.write_text(SMALL_CONFIG.replace("epsilon = absolute:0.05", "epsilon = threshold:1.0"))
+    outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+    for workers, out in zip((1, 2), outs):
+        assert main(["verify", "--config", str(config), "--out", str(out), "--workers", str(workers)]) == 0
+    summary = json.loads((outs[0] / "summary.json").read_text())
+    assert summary["epsilon_rule"] == "threshold"
+    assert [row["label"] for row in summary["oracles"]] == ["truth", "rank-0", "rank-1"]
+    assert (outs[0] / "summary.json").read_bytes() == (outs[1] / "summary.json").read_bytes()
+
+
+def test_shipped_sharpness_config_bounds_every_truncation(tmp_path):
+    # the full-rank truth's truncations carry large approximation errors;
+    # with that error at constant one, no trial exceeds its bound at any of them
+    out = tmp_path / "sharpness"
+    config = Path(__file__).resolve().parent.parent / "configs" / "verify_sharpness.ini"
+    argv = ["verify", "--config", str(config), "--out", str(out), "--workers", "1"]
+    assert main(argv) == 0
+    rows = json.loads((out / "summary.json").read_text())["oracles"]
+    assert [row["label"] for row in rows] == ["truth"] + [f"rank-{r}" for r in range(8)]
+    assert all(row["converged"] == 100 for row in rows)
+    assert all(row["max_gap"] < 0 for row in rows)
+    assert min(row["oracle_excess"] for row in rows[1:]) > 1e-3
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verbose_prints_one_json_line_per_trial(config_file, tmp_path, capsys, workers):
     quiet, verbose = tmp_path / "quiet", tmp_path / "verbose"

@@ -4,6 +4,7 @@ import math
 import pickle
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from lowrank_oracle import (
     ExperimentConfig,
     ValidationError,
-    best_rank_approximation,
     epsilon_sweep,
     frobenius_norm,
     mix_seed,
@@ -19,7 +19,6 @@ from lowrank_oracle import (
     read_trials_csv,
     resolve_plan,
     run_oracle_trials,
-    sharpness_experiment,
     validate_summary,
     write_outputs,
 )
@@ -260,14 +259,6 @@ def test_rank_sweep_crossing_the_constraint_boundary_is_refused(monkeypatch):
         rank_sweep(config, ranks=(1, 4, 5), workers=1)
 
 
-def test_sharpness_oracle_outside_the_constraint_set_is_refused():
-    # SMALL's operator-norm ball has rho = 2
-    config = dataclasses.replace(SMALL, trials=1)
-    outside = np.diag([2.5, 0.0, 0.0, 0.0])
-    with pytest.raises(ValidationError, match=r"operator-ball\(2\): its norm 2\.5 exceeds"):
-        sharpness_experiment(config, [("outside", outside)], workers=1)
-
-
 def test_csv_round_trips_nonfinite_values(tmp_path, small_run):
     _, summary = small_run
     record = TrialRecord(
@@ -357,41 +348,70 @@ def test_epsilon_sweep_rows():
     assert rows[1]["epsilon"] == pytest.approx(2 * rows[0]["epsilon"], rel=1e-12)
 
 
-def test_sharpness_experiment_rows():
-    config = dataclasses.replace(SMALL, trials=4)
-    plan = resolve_plan(config)
-    truncated = best_rank_approximation(plan.truth.s_star, 1)
-    result = sharpness_experiment(
-        config,
-        [("truth", plan.truth.s_star), ("rank-1", truncated)],
-        workers=1,
-    )
-    by_label = {row["label"]: row for row in result.rows}
-    assert by_label["truth"]["oracle_excess"] == pytest.approx(0.0, abs=1e-10)
-    assert by_label["rank-1"]["oracle_excess"] > 0
-    # misspecified oracle has a larger excess but the bound still holds
-    assert by_label["rank-1"]["max_gap"] <= 0
-    assert result.headline_gap == max(row["max_gap"] for row in result.rows)
-    # the truth row's terms are the plan's own, so its gaps and statistics
-    # are the trials' own
-    assert by_label["truth"]["max_gap"] == max(r.lhs - r.rhs for r in result.records if r.converged)
-    summary = run_oracle_trials(config, workers=1)[1]
-    assert by_label["truth"]["violation_frequency"] == summary.violation_frequency
-    assert by_label["truth"]["mean_error"] == summary.mean_error
+def test_oracle_rows_of_the_spectral_truncations():
+    # squared loss on the uniform basis design: the excess risk of S is
+    # ||S - S*||_F^2 / K, and the rank-r truncation of S* drops its
+    # eigenvalues past the r of largest magnitude
+    spectrum = (1.0, -0.6, 0.3)
+    config = dataclasses.replace(SMALL, trials=3, truth_rank=3, truth_spectrum=spectrum)
+    records, summary = run_oracle_trials(config, workers=1)
+    k = config.m * (config.m + 1) // 2
+    rows = {row["label"]: row for row in summary.oracles}
+    assert list(rows) == ["truth", "rank-0", "rank-1", "rank-2"]
+    keys = {"label", "epsilon", "oracle_excess", "oracle_rank", "min_term", "residual_term",
+            "max_gap", "mean_gap", "trials", "converged", "mean_error",
+            "violation_frequency", "calibrated_c"}
+    for rank in range(3):
+        row = rows[f"rank-{rank}"]
+        assert set(row) == keys
+        assert row["oracle_rank"] == rank
+        expected = sum(value**2 for value in spectrum[rank:]) / k
+        assert row["oracle_excess"] == pytest.approx(expected, rel=1e-9)
+        # the approximation error enters with constant one
+        assert row["max_gap"] < 0
+    assert rows["truth"]["oracle_rank"] == 3
 
 
-def test_sharpness_with_previous_estimate_as_oracle():
-    config = dataclasses.replace(SMALL, trials=3)
-    records, _ = run_oracle_trials(config, workers=1)
-    plan = resolve_plan(config)
-    # re-solve trial 0 to recover its estimate as a diagnostic oracle
-    from lowrank_oracle import SolverConfig, sample_dataset, solve
+def test_truth_row_is_the_summary_itself(small_run):
+    records, summary = small_run
+    truth = summary.oracles[0]
+    assert truth["label"] == "truth"
+    for name in ("violation_frequency", "calibrated_c", "mean_error", "epsilon"):
+        assert truth[name] == getattr(summary, name)
+    assert truth["max_gap"] == max(r.lhs - r.rhs for r in records if r.converged)
+    assert truth["min_term"] == records[0].min_term
 
-    data = sample_dataset(plan.design, plan.truth, plan.n, records[0].seed)
-    estimate = solve(data, plan.loss, SolverConfig(epsilon=plan.epsilon), plan.constraint).s_hat
-    result = sharpness_experiment(config, [("estimate", estimate)], workers=1)
-    assert result.rows[0]["label"] == "estimate"
-    assert np.isfinite(result.rows[0]["mean_gap"])
+
+def test_sweep_points_bound_each_trial_once(monkeypatch):
+    # the oracle family's rows belong to a verify summary; a sweep row that
+    # computed them would bound its trials again at every member
+    calls = []
+    bound = harness._bound_report
+    monkeypatch.setattr(harness, "_bound_report", lambda plan, lhs: calls.append(lhs) or bound(plan, lhs))
+    config = dataclasses.replace(SMALL, trials=2, truth_rank=3, truth_spectrum=())
+    rank_sweep(config, ranks=(1, 3), workers=1)
+    assert len(calls) == 2 * 2
+    calls.clear()
+    epsilon_sweep(config, multiples=(0.5, 1.0, 2.0), workers=1)
+    assert len(calls) == 2 * 3
+
+
+_FLOAT_FIELDS = [
+    name for name, hint in get_type_hints(ExperimentConfig).items() if "float" in str(hint)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_config_refuses_non_finite_values(name, value):
+    # every range check is false for nan: b_const = nan used to run, with
+    # rhs = nan and no violation, and epsilon_value = inf to fail in the solver
+    if name == "truth_spectrum":
+        value = (1.0, value)  # SMALL's truth has rank 2
+    elif isinstance(getattr(SMALL, name), tuple):
+        value = (value,)
+    with pytest.raises(ValidationError, match=f"^{name} = .* must be finite$"):
+        dataclasses.replace(SMALL, **{name: value})
 
 
 def test_nonconverged_trials_counted_separately():
