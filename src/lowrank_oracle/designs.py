@@ -14,12 +14,15 @@ two positions and two weights per atom; custom designs store dense atoms.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+# numpy loads these submodules on first use: load them here, not inside a run
+import numpy.polynomial.legendre
+import numpy.random
 
 from .errors import NumericalError, ValidationError
 from .losses import FiniteSet, Interval, LossModel, ResponseDomain
@@ -104,7 +107,7 @@ class BasisDesign(DesignDistribution):
         if not (
             all(a.shape == (k,) for a in (ia, ib, wa, wb))
             and np.all((rows >= 0) & (rows <= cols) & (ib == cols * dim + rows))
-            and np.unique(ia).size == k
+            and np.all(np.bincount(ia, minlength=dim * dim) <= 1)
             and np.all(np.where(ia == ib, wb == 0, wa == wb))
             and np.all(np.abs(wa * wa + wb * wb - 1.0) <= ORTHONORMAL_TOL)
         ):
@@ -217,21 +220,31 @@ class GaussianNoise:
         nodes, weights = _legendre_nodes(quadrature_nodes)
         xi = self.cutoff * nodes
         density = np.exp(-0.5 * (xi / self.sigma) ** 2) / (self.sigma * np.sqrt(2.0 * np.pi))
-        mass = 1.0 - 2.0 * ndtr(-self.truncation)
+        mass = 1.0 - math.erfc(self.truncation / math.sqrt(2.0))
         return s[:, None] + xi, self.cutoff * weights * density / mass
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sigma == 0:
             return np.zeros(size)
-        # inverse-CDF sampling keeps the draw count independent of rejections;
-        # in place, each value is sigma * ndtri(tail + u * (1 - 2 tail)) exactly
-        tail = ndtr(-self.truncation)
-        u = rng.random(size)
-        u *= 1.0 - 2.0 * tail
-        u += tail
-        ndtri(u, out=u)
-        u *= self.sigma
-        return u
+        # exact rejection on numpy's ziggurat normals: values beyond the
+        # truncation are dropped, the kept ones closed up in order and the
+        # chunk topped up from the same stream.  The result is the stream
+        # with its out-of-range values skipped, whatever the chunk size; the
+        # range test makes boolean temporaries only
+        x = rng.standard_normal(size)
+        kept = 0  # x[:kept] is accepted
+        while True:
+            rest = x[kept:]
+            out = rest > self.truncation
+            out |= rest < -self.truncation
+            if not out.any():
+                break
+            inside = rest[~out]
+            rest[: inside.size] = inside
+            kept += inside.size
+            rng.standard_normal(out=x[kept:])
+        x *= self.sigma
+        return x
 
     def counted_draw(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray):
         """Per atom, the sum of the noise of its block of samples about its
@@ -418,8 +431,10 @@ class CountedDataset(Dataset):
     (one multinomial draw), then the noise model's ``counted_draw``.  Memory
     is O(k + chunk), and for labels time is O(k).  ``atom_indices`` and ``y``
     are built on first use: the noise model's ``responses`` draws them again
-    from the generator state before the response draws.  Only a
-    non-quadratic loss on continuous responses reads them."""
+    from the generator state before the response draws.  The rejection
+    sampler keeps the normal stream minus its out-of-range values, so one
+    draw of all n gives exactly the noise that was summed chunk by chunk.
+    Only a non-quadratic loss on continuous responses reads them."""
 
     def __init__(self, design: DesignDistribution, truth: TruthModel, n: int, seed: int):
         rng = np.random.default_rng(seed)

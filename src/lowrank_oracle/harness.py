@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+import numpy.ma  # np.quantile loads it on first use: load it here, not inside a run
 
 from .bounds import (
     BoundReport,

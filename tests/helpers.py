@@ -30,7 +30,6 @@ from lowrank_oracle import (
     OperatorNormBall,
     SolveResult,
     Unconstrained,
-    composite_prox,
     empirical_risk,
     gradient,
     nuclear_norm,
@@ -42,7 +41,7 @@ from lowrank_oracle import (
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.constraints import BOUNDARY_TOL
 from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
-from lowrank_oracle.solver import GRAD_TOL_FACTOR, STEP_GROWTH, STEP_SHRINK, _initial_step
+from lowrank_oracle.solver import GRAD_TOL_FACTOR, STEP_GROWTH, STEP_SHRINK, _initial_step, _prox
 
 GRID_STAGES = (1e-2, 1e-4, 1e-6)
 
@@ -274,10 +273,11 @@ def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
 
 def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> SolveResult:
     """``solve``'s iteration on the public functions, each of which validates
-    its matrices: a gradient and a risk at z, a checked prox per step tried,
-    and the objective's nuclear norm from a second decomposition of x+.  The
-    first step is ``solve``'s own, which a property test checks against the
-    dense Hessian."""
+    its matrices: a gradient and a risk at z and a checked prox per step
+    tried.  The objective's nuclear norm is the sum of the prox's absolute
+    eigenvalues, as in ``solve``; a second decomposition of x+ must agree with
+    it to 1e-12 relative.  The first step is ``solve``'s own, which a property
+    test checks against the dense Hessian."""
     m = data.design.dim
     epsilon = config.epsilon
 
@@ -294,12 +294,14 @@ def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> 
     def prox_step(point, g, f_point, step):
         nonlocal step_cap, backtracks
         while True:
-            candidate = composite_prox(point - step * g, step * epsilon, constraint)
+            # composite_prox, with the sum of its eigenvalues' magnitudes
+            candidate, nuclear = _prox(validate_symmetric(point - step * g), step * epsilon, constraint)
+            assert abs(nuclear_norm(candidate) - nuclear) <= 1e-12 * nuclear
             diff = candidate - point
             f_cand = empirical_risk(candidate, data, loss)
             quad = f_point + inner(g, diff) + float(np.sum(diff * diff)) / (2.0 * step)
             if f_cand <= quad:
-                return candidate, f_cand, step
+                return candidate, f_cand + epsilon * nuclear, step
             if f_cand - quad > 1e-13 * max(1.0, abs(f_point)):
                 step_cap = min(step_cap, step)
             step *= STEP_SHRINK
@@ -317,8 +319,7 @@ def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> 
     for iterations in range(1, config.max_iters + 1):
         g_z = gradient(z, data, loss)
         f_z = empirical_risk(z, data, loss)
-        x_new, f_new, step = prox_step(z, g_z, f_z, step)
-        obj_new = f_new + epsilon * nuclear_norm(x_new)
+        x_new, obj_new, step = prox_step(z, g_z, f_z, step)
         if not np.isfinite(obj_new):
             raise NumericalError("objective became non-finite")
         if obj_new > obj_x and z is not x:

@@ -1,5 +1,8 @@
 import configparser
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -591,6 +594,37 @@ def test_shipped_example_config_runs(tmp_path):
     code = main(["verify", "--config", "configs/verify_example.ini", "--out", str(out), "--workers", "2"])
     assert code == 0
     assert (out / "summary.json").is_file()
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # importing scipy or any of its submodules raises ImportError
+import lowrank_oracle.cli
+loaded = set(sys.modules)
+code = lowrank_oracle.cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - loaded)))
+sys.exit(code)
+"""
+
+
+def test_verify_runs_without_scipy_and_imports_nothing_in_the_run(tmp_path):
+    # a threshold-epsilon regression run (Bayes risk, delta, sampling, the
+    # solve, the summary quantiles) needs no scipy, and every module it uses
+    # is loaded with the CLI: an import inside the run would be timed with it
+    config = tmp_path / "config.ini"
+    config.write_text(SMALL_CONFIG.replace("absolute:0.05", "threshold:1.0").replace("n = 100", "n = 200000"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, "verify", "--config", str(config),
+         "--out", str(tmp_path / "out"), "--workers", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    summary = strict_json(tmp_path / "out" / "summary.json")
+    assert summary["epsilon_rule"] == "threshold" and summary["converged"] == 4
+    assert summary["zero_estimate_fraction"] < 1.0  # the solves leave zero
 
 
 def test_shipped_m200_config_runs_at_reduced_size(tmp_path):

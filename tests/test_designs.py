@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtr, ndtri
 
 from lowrank_oracle import (
     ClassificationLink,
@@ -234,8 +233,7 @@ def test_sample_dataset_matches_dense_stack_formula(noise):
         pos = rng.binomial(counts, noise.link(np.einsum("kij,ij->k", design.atoms, truth.s_star)))
         y = np.concatenate([np.repeat([1.0, -1.0], [p, c - p]) for p, c in zip(pos, counts)])
     else:
-        tail = ndtr(-noise.truncation)
-        y = s + noise.sigma * ndtri(tail + rng.random(n) * (1.0 - 2.0 * tail))
+        y = s + noise.sigma * _truncated_normals(rng, n, noise.truncation)
     assert np.array_equal(data.atom_indices, idx)
     assert np.array_equal(data.y, y)
 
@@ -291,6 +289,16 @@ def test_sample_dataset_builds_no_covariate_stack():
     assert peak < 16 * 2**20
 
 
+def _truncated_normals(rng, n, truncation):
+    """The first n standard normals of the generator's stream that lie
+    within +-truncation: the stream with its out-of-range values skipped."""
+    kept = np.zeros(0)
+    while kept.size < n:
+        x = rng.standard_normal(n)
+        kept = np.concatenate([kept, x[np.abs(x) <= truncation]])
+    return kept[:n]
+
+
 def _per_sample_draws(design, truth, n, seed):
     """The sample as n-long arrays, drawn by the same generator calls in
     plain numpy: the atom counts, then one binomial per atom or all n noise
@@ -305,8 +313,7 @@ def _per_sample_draws(design, truth, n, seed):
     elif truth.noise.sigma == 0:
         y = s[idx]
     else:
-        tail = ndtr(-truth.noise.truncation)
-        y = s[idx] + truth.noise.sigma * ndtri(tail + rng.random(n) * (1.0 - 2.0 * tail))
+        y = s[idx] + truth.noise.sigma * _truncated_normals(rng, n, truth.noise.truncation)
     return counts, idx, y
 
 
@@ -374,6 +381,26 @@ def test_counted_sample_matches_per_sample_reference(instance):
     rows = data.response_law(log_cosh_loss())  # labels: counted rows, else per sample
     want = reference.response_law(log_cosh_loss())
     assert all(np.array_equal(getattr(rows, f), getattr(want, f)) for f in ("atoms", "y", "w"))
+
+
+def test_forced_rejection_keeps_the_stream_and_the_law():
+    # truncated at 0.5 sigma, three draws in five are rejected: the noise
+    # stays in range and follows the truncated normal law, and the samples
+    # and the counted sums do not depend on the chunk the draws come in
+    noise = GaussianNoise(sigma=0.3)
+    design = orthonormal_basis_design(3)
+    truth = TruthModel(s_star=random_low_rank(np.random.default_rng(3), 3, 2), noise=noise)
+    n = 3_000
+    with mock.patch.object(GaussianNoise, "truncation", 0.5):
+        x = noise._sample(np.random.default_rng(4), 20_000)
+        assert np.all(np.abs(x) <= 0.5 * noise.sigma)
+        assert stats.kstest(x / noise.sigma, stats.truncnorm(-0.5, 0.5).cdf).pvalue > 1e-3
+        counts, idx, y = _per_sample_draws(design, truth, n, seed=9)
+        for chunk in (1, 7, designs._NOISE_CHUNK):
+            with mock.patch.object(designs, "_NOISE_CHUNK", chunk):
+                data = sample_dataset(design, truth, n, seed=9)
+            assert np.array_equal(data.counts, counts) and np.array_equal(data.y, y)
+            _assert_laws_match(data, Dataset(design, idx, y, seed=9))
 
 
 @pytest.mark.parametrize("noise", [GaussianNoise(sigma=0.2), ClassificationLink()])

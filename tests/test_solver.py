@@ -295,9 +295,9 @@ def solve_instance(draw):
 @settings(max_examples=60, deadline=None)
 @given(solve_instance())
 def test_solve_matches_reference_loop(instance):
-    # the kernels' loop against the loop on validated public functions; the
-    # objective's nuclear norm differs by rounding, which may flip a near-tie
-    # restart, so the estimates agree to the stopping tolerance, not bits
+    # the kernels' loop against the loop on validated public functions; both
+    # take the objective's nuclear norm from the prox's eigenvalues, and the
+    # estimates must agree to the stopping tolerance
     data, loss, config, constraint = instance
     result = solve(data, loss, config, constraint)
     expected = solve_reference(data, loss, config, constraint)
