@@ -8,12 +8,13 @@ Frobenius norm of a supported part to the design L2 norm, the adjusted
 confidence level, and the assembled per-trial bound report.
 
 The Monte Carlo and enumeration estimators of that expectation run in row
-blocks of about ``_BLOCK_BYTES``, so their memory does not grow with the
-number of repetitions or sign patterns.  The unconditional Monte Carlo
-draws each block's multinomial atom counts and then each atom's sum of
-signs: from the bits of one random 64-bit word when the atom's count is at
-most 64, from a binomial otherwise.  Its result therefore depends on the
-block size once the repetitions span more than one block.
+blocks of about the working-set block, ``designs.BLOCK_BYTES`` = 256 kB,
+so their memory does not grow with the number of repetitions or sign
+patterns.  The unconditional Monte Carlo draws each block's multinomial
+atom counts and then each atom's sum of signs: from the bits of one random
+64-bit word when the atom's count is at most 64, from a binomial
+otherwise.  Its result therefore depends on the block size once the
+repetitions span more than one block: at 1000 repetitions, from m = 6 on.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DesignDistribution, functional_l2_norm
+from .designs import DesignDistribution, block_rows, functional_l2_norm
 from .errors import ValidationError
 from .matrices import nuclear_norm, operator_norm, sign_and_support, symmetrize
 
 ENUMERATION_LIMIT = 20
-_BLOCK_BYTES = 2 * 2**20  # widest array per row block of a Rademacher estimator
 _LOW_BITS = np.array([(1 << c) - 1 for c in range(65)], dtype=np.uint64)  # masks of c low bits
 
 
@@ -80,12 +80,6 @@ def _stats_from_norms(norms: np.ndarray, n: int) -> RademacherStats:
     )
 
 
-def _block_rows(width: int) -> int:
-    """Rows per block so that a (rows, width) float array takes about
-    ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (8 * width))
-
-
 def _signed_counts(
     rng: np.random.Generator, n: int, probs: np.ndarray, size: int
 ) -> np.ndarray:
@@ -122,17 +116,18 @@ def estimate_rademacher_norm(
     each atom is a centered binomial, so draws reduce to per-atom signed
     counts (``_signed_counts``) rather than materializing n covariates per
     rep.  Counts, signs, adjoint and norms run in row blocks of about
-    ``_BLOCK_BYTES`` of adjoint output, each drawing its multinomials and
+    ``BLOCK_BYTES`` of adjoint output, each drawing its multinomials and
     then its signs.  So Delta depends on the block size whenever the
     repetitions span more than one block.  At 1000 repetitions and m = 200,
-    n = 10^6 the multinomials take 2.8 s, the signs 0.6 s and ``eigvalsh``
-    2.4 s on one core of a 2-vCPU host.
+    n = 10^6 (one repetition per block) the multinomials take 3.0 s, the
+    signs 0.8 s, the adjoint 0.5 s and ``eigvalsh`` 2.8 s on one core of a
+    2-vCPU host.
     """
     if n < 1 or reps < 1:
         raise ValidationError("n and reps must be at least 1")
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
-    block = _block_rows(design.dim * design.dim)
+    block = block_rows(design.dim * design.dim)
     for lo in range(0, reps, block):
         hi = min(lo + block, reps)
         # one expression, so no block's signs are held while the next is drawn
@@ -146,7 +141,7 @@ def estimate_rademacher_norm_fixed(
     xs: np.ndarray, reps: int, seed: int
 ) -> RademacherStats:
     """Monte Carlo over signs only, conditional on a fixed covariate sample,
-    in row blocks of about ``_BLOCK_BYTES`` of signs or sums."""
+    in row blocks of about ``BLOCK_BYTES`` of signs or sums."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
         raise ValidationError("xs must be an (n, m, m) stack")
@@ -155,7 +150,7 @@ def estimate_rademacher_norm_fixed(
     n = xs.shape[0]
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
-    block = _block_rows(max(n, xs.shape[1] ** 2))
+    block = block_rows(max(n, xs.shape[1] ** 2))
     for start in range(0, reps, block):
         rows = min(block, reps - start)
         signs = rng.integers(0, 2, size=(rows, n)) * 2.0 - 1.0
@@ -165,7 +160,7 @@ def estimate_rademacher_norm_fixed(
 
 def enumerate_rademacher_norm_fixed(xs: np.ndarray) -> float:
     """Exact conditional expectation by enumerating all 2^n sign patterns,
-    in row blocks of about ``_BLOCK_BYTES`` of signs or sums."""
+    in row blocks of about ``BLOCK_BYTES`` of signs or sums."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
         raise ValidationError("xs must be an (n, m, m) stack")
@@ -174,7 +169,7 @@ def enumerate_rademacher_norm_fixed(xs: np.ndarray) -> float:
         raise ValidationError(f"enumeration limited to n <= {ENUMERATION_LIMIT}")
     total = 0.0
     patterns = 1 << n
-    block = _block_rows(max(n, xs.shape[1] ** 2))
+    block = block_rows(max(n, xs.shape[1] ** 2))
     for start in range(0, patterns, block):
         codes = np.arange(start, min(start + block, patterns), dtype=np.int64)
         signs = (((codes[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)

@@ -13,6 +13,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import locale  # argparse's gettext imports it in main: load it here, not inside a run
 import math
 import sys
 from pathlib import Path

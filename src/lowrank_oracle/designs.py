@@ -33,7 +33,14 @@ ORTHONORMAL_TOL = 1e-9
 QUADRATURE_NODES = 64
 BAYES_XTOL = 1e-12     # relative step size at which the Newton iteration stops
 BAYES_MAX_ITERS = 100  # enough for bisection alone to reach BAYES_XTOL
-_NOISE_CHUNK = 1 << 15  # noise draws folded at a time: 256 kB
+BLOCK_BYTES = 1 << 18  # the working-set block that sizes every blocked loop's arrays: 256 kB
+_NOISE_CHUNK = BLOCK_BYTES // 8  # noise draws folded at a time: one block
+
+
+def block_rows(width: int) -> int:
+    """Rows per block so that a (rows, width) float array takes about
+    ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // (8 * width))
 
 
 class AtomNorms(NamedTuple):  # each of shape (k,)
@@ -506,11 +513,32 @@ def load_dataset(path, design: DesignDistribution) -> Dataset:
 
 # -- population and excess risk -------------------------------------------------
 
-def _conditional_mean(fn: Callable, law: tuple, u: np.ndarray) -> np.ndarray:
+def _conditional_mean(
+    fn: Callable,
+    noise: GaussianNoise | ClassificationLink,
+    s: np.ndarray,
+    u: np.ndarray,
+    quadrature_nodes: int = QUADRATURE_NODES,
+) -> np.ndarray:
     """Per atom, E[fn(Y; u_k) | X = atom k] = sum_q w fn(ys; u_k) under the
-    response law ``law`` = (ys, w), arrays that broadcast to (k, q)."""
-    ys, w = law
-    return np.sum(w * np.asarray(fn(ys, u[:, None]), dtype=float), axis=-1)
+    noise model's response law (ys, w) about the truth's predictions ``s``.
+    The law is built and summed one row block of atoms at a time, so memory
+    is about two ``BLOCK_BYTES`` whatever k; each atom's sum is the same
+    arithmetic as over the whole (k, q) law."""
+    out = np.empty(s.shape)
+    # the law's width q, from one atom's law: the nodes, 1 for a noiseless
+    # truth, 2 for labels.  A block holds about four (rows, q) arrays at once,
+    # so each takes half a block.  glibc maps afresh, and page-faults in,
+    # every allocation as large as the largest mapping it has freed;
+    # full-block arrays were that size here, at about 200 page faults a call
+    # at m = 40
+    width = np.broadcast(*noise.conditional_law(s[:1], quadrature_nodes)).shape[-1]
+    step = block_rows(2 * width)
+    for lo in range(0, s.shape[0], step):
+        rows = slice(lo, lo + step)
+        ys, w = noise.conditional_law(s[rows], quadrature_nodes)
+        out[rows] = np.sum(w * np.asarray(fn(ys, u[rows, None]), dtype=float), axis=-1)
+    return out
 
 
 def population_risk(
@@ -521,11 +549,12 @@ def population_risk(
     quadrature_nodes: int = QUADRATURE_NODES,
 ) -> float:
     """Exact risk of the linear rule x -> <S, x> under the truth model: the
-    design probabilities times each atom's conditional expected loss, one
-    (k, q) array evaluation over the response law."""
+    design probabilities times each atom's conditional expected loss over
+    the response law, in row blocks."""
     s = validate_symmetric(s)
-    law = truth.noise.conditional_law(design.forward(truth.s_star), quadrature_nodes)
-    per_atom = _conditional_mean(loss.value, law, design.forward(s))
+    per_atom = _conditional_mean(
+        loss.value, truth.noise, design.forward(truth.s_star), design.forward(s), quadrature_nodes
+    )
     if not np.all(np.isfinite(per_atom)):
         raise NumericalError("population risk overflowed; predictions too large for the loss")
     return float(np.dot(design.probs, per_atom))
@@ -544,21 +573,20 @@ def bayes_risk_per_atom(
     registered losses under the finite truth models.  Independent of the
     candidate matrix, so compute it once per truth.
     """
-    s = design.forward(truth.s_star)
-    law = truth.noise.conditional_law(s, QUADRATURE_NODES)
-    half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + truth.noise.cutoff))
+    s, noise = design.forward(truth.s_star), truth.noise
+    half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + noise.cutoff))
     lo, hi = np.full_like(s, -half), np.full_like(s, half)
     u = s.copy()
     for _ in range(BAYES_MAX_ITERS):
-        d1 = _conditional_mean(loss.d1, law, u)
+        d1 = _conditional_mean(loss.d1, noise, s, u)
         lo, hi = np.where(d1 < 0, u, lo), np.where(d1 > 0, u, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_next = u - d1 / _conditional_mean(loss.d2, law, u)
+            u_next = u - d1 / _conditional_mean(loss.d2, noise, s, u)
         u_next = np.where((u_next >= lo) & (u_next <= hi), u_next, 0.5 * (lo + hi))
         done = np.all(np.abs(u_next - u) <= BAYES_XTOL * (1.0 + np.abs(u)))
         u = u_next
         if done:
-            return _conditional_mean(loss.value, law, u)
+            return _conditional_mean(loss.value, noise, s, u)
     raise NumericalError(
         f"conditional risk minimization did not converge in {BAYES_MAX_ITERS} "
         "Newton-bisection steps"

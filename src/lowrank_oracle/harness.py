@@ -22,14 +22,12 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
-import numpy.ma  # np.quantile loads it on first use: load it here, not inside a run
 
 from .bounds import (
     BoundReport,
@@ -650,6 +648,8 @@ def run_trials(plan: ResolvedPlan, workers: int | None = None, progress=None) ->
                 if progress:
                     progress(records[-1])
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a pool run alone loads it
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(plan,)
         ) as pool:
@@ -678,6 +678,26 @@ def _errors(converged: list[TrialRecord]) -> np.ndarray:
     return np.array([r.lhs - r.oracle_excess for r in converged])
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, by numpy's default linear
+    rule, without the numpy.ma import that np.quantile makes on first use:
+    position (n - 1) q in the sorted values, a + (b - a) g below g = 1/2 and
+    b - (b - a)(1 - g) from it, the last value from position n - 1 on, and
+    nan when any value is."""
+    x = np.sort(values)
+    if math.isnan(x[-1]):
+        return math.nan
+    pos = (x.size - 1) * q
+    if pos >= x.size - 1:
+        i, j, g = -1, -1, pos + 1  # numpy's gamma against its index -1
+    else:
+        i = math.floor(pos)
+        j, g = i + 1, pos - i
+    a, b = float(x[i]), float(x[j])
+    diff = b - a
+    return b - diff * (1 - g) if g >= 0.5 else a + diff * g
+
+
 def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
     """The trials' statistics and the fields that need describing; every
     other field is read by name from the plan or its config."""
@@ -688,9 +708,9 @@ def summarize(records: list[TrialRecord], plan: ResolvedPlan) -> SummaryReport:
     errors = _errors(converged)
     if errors.size:
         quantiles = {
-            "q50": float(np.quantile(errors, 0.5)),
-            "q90": float(np.quantile(errors, 0.9)),
-            "q99": float(np.quantile(errors, 0.99)),
+            "q50": _quantile(errors, 0.5),
+            "q90": _quantile(errors, 0.9),
+            "q99": _quantile(errors, 0.99),
             "min": float(np.min(errors)),
             "max": float(np.max(errors)),
         }

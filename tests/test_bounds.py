@@ -29,7 +29,7 @@ from lowrank_oracle import (
     sign_and_support,
 )
 
-from lowrank_oracle import bounds
+from lowrank_oracle import bounds, designs
 
 from helpers import rademacher_norm_reference, random_low_rank, random_symmetric
 
@@ -358,7 +358,7 @@ def test_rademacher_monte_carlo_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * reps + 3 * bounds._BLOCK_BYTES
+    assert peak < 8 * reps + 3 * designs.BLOCK_BYTES
 
 
 def test_rademacher_monte_carlo_peak_memory_with_mixed_counts():
@@ -372,19 +372,19 @@ def test_rademacher_monte_carlo_peak_memory_with_mixed_counts():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * reps + 3 * bounds._BLOCK_BYTES
+    assert peak < 8 * reps + 3 * designs.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("rows", [None, 7, 100])
 def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, rows):
-    # at m = 60 a block is 72 rows of 28.8 kB: four uneven blocks, 36 blocks
+    # at m = 60 a block is 9 rows of 28.8 kB: 28 uneven blocks, 36 blocks
     # of at most 7 rows or three uneven blocks of at most 100; delta and
     # stderr must not move by a bit
     design = orthonormal_basis_design(60)
     reps = 250
     if rows is not None:
-        monkeypatch.setattr(bounds, "_BLOCK_BYTES", rows * 8 * design.dim**2)
-    block = bounds._BLOCK_BYTES // (8 * design.dim**2)
+        monkeypatch.setattr(designs, "BLOCK_BYTES", rows * 8 * design.dim**2)
+    block = designs.BLOCK_BYTES // (8 * design.dim**2)
     assert reps > 2 * block
     got = estimate_rademacher_norm(design, n=5000, reps=reps, seed=21)
     assert got == rademacher_norm_reference(design, 5000, reps, 21, block)

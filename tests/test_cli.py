@@ -627,6 +627,20 @@ def test_verify_runs_without_scipy_and_imports_nothing_in_the_run(tmp_path):
     assert summary["zero_estimate_fraction"] < 1.0  # the solves leave zero
 
 
+def test_cli_import_loads_no_pool_or_masked_arrays():
+    # a --workers 1 run needs neither the process pool nor numpy.ma, so the
+    # CLI does not load them; only a pool run imports concurrent.futures
+    code = (
+        "import sys, lowrank_oracle.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'numpy.ma'} & set(sys.modules)))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_shipped_m200_config_runs_at_reduced_size(tmp_path):
     # configs/verify_m200.ini with n = 2e5 and 50 Rademacher repetitions:
     # one trial on the K = 20 100 atom basis design, whose dense atoms

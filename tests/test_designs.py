@@ -728,6 +728,57 @@ def test_bayes_cache_matches_direct_computation():
     assert cached == pytest.approx(direct, rel=1e-12)
 
 
+def _full_law_mean(fn, noise, s, u):
+    # the whole (k, q) response law in one evaluation
+    ys, w = noise.conditional_law(s, designs.QUADRATURE_NODES)
+    return np.sum(w * np.asarray(fn(ys, u[:, None]), dtype=float), axis=-1)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["one-row", "uneven", "default"])
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 1500),
+    case=st.sampled_from(["gaussian", "noiseless", "labels"]),
+    part=st.sampled_from(["value", "d1", "d2"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_conditional_mean_matches_full_law(rows, k, case, part, seed):
+    # each atom's row sum is the same arithmetic in a block as in the whole
+    # law, so the blocked mean matches it bit for bit at any block size: one
+    # row, 7 rows (uneven against k) and the default, where each (rows, q)
+    # array takes half a block: 256 rows of 64 nodes
+    noise, loss, width = {
+        "gaussian": (GaussianNoise(sigma=0.3), squared_loss(), designs.QUADRATURE_NODES),
+        "noiseless": (GaussianNoise(sigma=0.0), squared_loss(), 1),
+        "labels": (ClassificationLink(), exponential_loss(), 2),  # w is (k, 2)
+    }[case]
+    fn = getattr(loss, part)
+    rng = np.random.default_rng(seed)
+    s, u = rng.uniform(-3.0, 3.0, size=k), rng.uniform(-3.0, 3.0, size=k)
+    block = designs.BLOCK_BYTES if rows is None else rows * 2 * 8 * width
+    with mock.patch.object(designs, "BLOCK_BYTES", block):
+        got = designs._conditional_mean(fn, noise, s, u)
+    assert got.tobytes() == _full_law_mean(fn, noise, s, u).tobytes()
+
+
+def test_bayes_and_excess_risk_peak_memory():
+    # at m = 100 (k = 5 050) the whole (k, 64) quadrature law and its
+    # temporaries would take about 8 MB; in row blocks the Newton loop and
+    # the population risk hold a few blocks plus their k-long arrays
+    design = orthonormal_basis_design(100)
+    rng = np.random.default_rng(64)
+    truth = TruthModel(s_star=random_low_rank(rng, 100, 2), noise=GaussianNoise(sigma=0.3))
+    s = random_low_rank(rng, 100, 1)
+    loss = squared_loss()
+    tracemalloc.start()
+    try:
+        excess_risk(s, design, truth, loss, bayes=bayes_risk_per_atom(design, truth, loss))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * designs.BLOCK_BYTES + 16 * 8 * design.num_atoms
+
+
 def test_population_curvature_inequality_squared():
     # the directional-derivative lower bound at the population level, with the
     # conditional derivative expectation taken in closed form

@@ -8,6 +8,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowrank_oracle import (
     ExperimentConfig,
@@ -30,6 +32,7 @@ from lowrank_oracle.harness import (
     TrialRecord,
     _openblas_paths,
     _openblas_thread_controls,
+    _quantile,
     calibrate_constant,
     make_truth_matrix,
 )
@@ -184,6 +187,18 @@ def test_read_trials_csv_rejects_non_numeric_cell(tmp_path, small_run):
         path.write_text("\n".join(lines[:2] + [",".join(row)] + lines[3:]) + "\n")
         with pytest.raises(ValidationError, match="trials.csv: malformed row"):
             read_trials_csv(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False), min_size=1, max_size=300
+    ),
+    q=st.sampled_from([0.5, 0.9, 0.99]),
+)
+def test_quantile_matches_numpy_bit_for_bit(values, q):
+    errors = np.array(values)
+    assert np.float64(_quantile(errors, q)).tobytes() == np.quantile(errors, q).tobytes()
 
 
 def test_summary_counts_zero_estimates_and_active_branch(tmp_path, small_run):
