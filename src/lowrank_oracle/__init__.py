@@ -3,7 +3,6 @@ plus an empirical verification harness for sharp low-rank oracle bounds."""
 
 from .bounds import (
     BoundReport,
-    ConstantsConfig,
     RademacherStats,
     adjusted_confidence,
     compatibility_basis,

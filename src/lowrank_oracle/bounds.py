@@ -45,24 +45,6 @@ class RademacherStats:
     stderr: float
 
 
-@dataclass(frozen=True)
-class ConstantsConfig:
-    """The three tunable numerical constants of the bound.
-
-    The guarantee only asserts such constants exist; the defaults are
-    reporting conventions, and the harness calibrates the leading constant
-    empirically.
-    """
-
-    b_const: float = 2.0
-    c_const: float = 1.0
-    d_thresh: float = 4.0
-
-    def __post_init__(self):
-        if not (self.b_const > 0 and self.c_const > 0 and self.d_thresh > 0):  # nan fails too
-            raise ValidationError("bound constants must be positive")
-
-
 def _batch_opnorms(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
@@ -205,15 +187,16 @@ def matrix_bernstein_bound(sigma: float, uniform: float, m: int, n: int) -> floa
     return 4.0 * max(sigma * math.sqrt(log_term), uniform * log_term / math.sqrt(n))
 
 
-def epsilon_threshold(
-    constants: ConstantsConfig, smoothness: float, delta: float, n: int
-) -> float:
-    """Smallest admissible regularization: D * L(a) * Delta / sqrt(n)."""
+def epsilon_threshold(d_thresh: float, smoothness: float, delta: float, n: int) -> float:
+    """Smallest admissible regularization: D * L(a) * Delta / sqrt(n), with
+    D = ``d_thresh``."""
+    if not d_thresh > 0:  # nan fails too
+        raise ValidationError(f"d_thresh = {d_thresh!r} must be positive")
     if smoothness <= 0 or n < 1:
         raise ValidationError("smoothness must be positive and n >= 1")
     if delta < 0:
         raise ValidationError("delta must be nonnegative")
-    return constants.d_thresh * smoothness * delta / math.sqrt(n)
+    return d_thresh * smoothness * delta / math.sqrt(n)
 
 
 # -- cone compatibility ---------------------------------------------------------
@@ -335,7 +318,8 @@ def oracle_bound_report(
     oracle_nuclear: float,
     epsilon: float,
     t: float,
-    constants: ConstantsConfig,
+    b_const: float,
+    c_const: float,
     a: float,
     n: int,
     beta: float,
@@ -347,19 +331,23 @@ def oracle_bound_report(
 
     The oracle enters only through its excess risk, rank and nuclear norm;
     beta, L(a) = ``smoothness``, tau(a) = ``curvature`` and Q = ``q_bound``
-    are the plan's.
+    are the plan's, and ``b_const`` and ``c_const`` the bound's constants B
+    and C.
     """
+    for name, value in (("b_const", b_const), ("c_const", c_const)):
+        if not value > 0:  # nan fails too
+            raise ValidationError(f"{name} = {value!r} must be positive")
     if epsilon < 0:
         raise ValidationError("epsilon must be nonnegative")
     rank_term = (3.0 / curvature) * beta**2 * oracle_rank * epsilon**2
     nuclear_term = 2.0 * epsilon * oracle_nuclear
     min_term = min(rank_term, nuclear_term)
     confidence = adjusted_confidence(
-        t, oracle_nuclear, n, epsilon, q_bound, a, smoothness, constants.b_const
+        t, oracle_nuclear, n, epsilon, q_bound, a, smoothness, b_const
     )
     # deviation term: C * max(L(a)^2 / tau(a), L(a) * a) * t_adj / n
     base_residual = max(smoothness**2 / curvature, smoothness * a) * confidence / n
-    residual_term = constants.c_const * base_residual
+    residual_term = c_const * base_residual
     rhs = oracle_excess + min_term + residual_term
     slack = estimate_excess - oracle_excess - min_term
     if base_residual > 0:

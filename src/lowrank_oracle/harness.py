@@ -31,7 +31,6 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
-    ConstantsConfig,
     RademacherStats,
     compatibility_basis,
     compatibility_lower_bound,
@@ -66,6 +65,7 @@ from .solver import SolverConfig, solve
 DEFAULT_SEED = 1729  # fixed default so runs without --seed are reproducible
 
 _MASK64 = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 _TRUTH_TAG = (1 << 48) + 1
 _DELTA_TAG = (1 << 48) + 2
 _BETA_TAG = (1 << 48) + 3
@@ -88,7 +88,8 @@ def mix_seed(master: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description; everything else derives from it."""
+    """Declarative experiment description; everything else derives from it.
+    Every setting is checked here, so a bad one is refused before any work."""
 
     m: int = 10
     n: int = 600
@@ -127,6 +128,8 @@ class ExperimentConfig:
             raise ValidationError("trials must be at least 1")
         if self.m < 1 or self.n < 1:
             raise ValidationError("m and n must be at least 1")
+        if self.n > _INT64_MAX:  # numpy draws the sample counts as int64
+            raise ValidationError(f"config [experiment] n = {self.n} exceeds 2^63 - 1 = {_INT64_MAX}")
         if not 0 <= self.truth_rank <= self.m:
             raise ValidationError("truth rank must lie in [0, m]")
         if self.truth_spectrum and len(self.truth_spectrum) != self.truth_rank:
@@ -148,10 +151,15 @@ class ExperimentConfig:
             )
         if self.epsilon_rule not in ("threshold", "absolute"):
             raise ValidationError(f"unknown epsilon rule {self.epsilon_rule!r}")
-        if self.epsilon_value < 0:
-            raise ValidationError("epsilon value must be nonnegative")
+        # the solver settings, with the epsilon value standing in for epsilon
+        SolverConfig(epsilon=self.epsilon_value, max_iters=self.max_iters, grad_tol=self.grad_tol)
+        if min(self.eps_multiples, default=0.0) < 0:
+            raise ValidationError(f"eps_multiples = {self.eps_multiples!r} must be nonnegative")
         if self.t < 0:
             raise ValidationError("t must be nonnegative")
+        for key, value in (("b", self.b_const), ("c", self.c_const), ("d", self.d_thresh)):
+            if not value > 0:
+                raise ValidationError(f"config [bound] {key} = {value!r} must be positive")
         if self.delta_reps < 1:
             raise ValidationError("delta_reps must be at least 1")
         if self.design_type not in ("completion-basis", "custom"):
@@ -279,7 +287,6 @@ class ResolvedPlan:
     beta_kind: str
     delta: float
     delta_stderr: float
-    constants: ConstantsConfig
     bayes: np.ndarray
     oracle: np.ndarray
     oracle_excess: float
@@ -364,23 +371,19 @@ def _threshold_terms(
     constraint: ConstraintSet,
 ) -> dict:
     """The plan fields of the regularization threshold: a, the loss
-    constants at a, the bound constants, Delta and the threshold itself."""
+    constants at a, Delta and the threshold itself."""
     a = config.prediction_bound_override
     if a is None:
         a = constraint.prediction_bound(design.atom_norms)
     consts = loss_constants(loss, a)
-    constants = ConstantsConfig(
-        b_const=config.b_const, c_const=config.c_const, d_thresh=config.d_thresh
-    )
     stats = rademacher_statistics(config, design)
     return dict(
         a=a,
         smoothness=consts.smoothness,
         curvature=consts.curvature,
-        constants=constants,
         delta=stats.delta,
         delta_stderr=stats.stderr,
-        epsilon_threshold=epsilon_threshold(constants, consts.smoothness, stats.delta, config.n),
+        epsilon_threshold=epsilon_threshold(config.d_thresh, consts.smoothness, stats.delta, config.n),
     )
 
 
@@ -503,8 +506,8 @@ _BOUND_COLUMNS = tuple(
 def _bound_report(plan: ResolvedPlan, lhs: float) -> dict:
     """The trial-record fields of the oracle inequality at an estimate of
     excess risk ``lhs``, with the plan's oracle and terms."""
-    terms = ("oracle_excess", "oracle_rank", "oracle_nuclear", "epsilon", "t", "constants",
-             "a", "n", "beta", "smoothness", "curvature", "q_bound")
+    terms = ("oracle_excess", "oracle_rank", "oracle_nuclear", "epsilon", "t", "b_const",
+             "c_const", "a", "n", "beta", "smoothness", "curvature", "q_bound")
     report = oracle_bound_report(lhs, **plan.lookup(terms))
     return {name: getattr(report, name) for name in _BOUND_COLUMNS}
 
@@ -866,7 +869,9 @@ def epsilon_sweep(
     """Repeat the oracle experiment at multiples of the resolved
     regularization level; one plan is resolved and only its epsilon changes
     from point to point."""
-    multiples = tuple(multiples if multiples is not None else config.eps_multiples)
+    if multiples is not None:  # checked as the config's own multiples are
+        config = replace(config, eps_multiples=tuple(multiples))
+    multiples = config.eps_multiples
     if not multiples:
         raise ValidationError("epsilon sweep needs at least one multiple")
     plan = resolve_plan(config)

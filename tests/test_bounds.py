@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chisquare
 
 from lowrank_oracle import (
-    ConstantsConfig,
+    ExperimentConfig,
     ValidationError,
     adjusted_confidence,
     compatibility_basis,
@@ -122,19 +122,26 @@ def test_matrix_bernstein_dominates_monte_carlo():
 
 
 def test_epsilon_threshold_values():
-    constants = ConstantsConfig(d_thresh=8.0)
-    assert epsilon_threshold(constants, 4.0, 2.0, 100) == pytest.approx(6.4)
-    assert epsilon_threshold(constants, 4.0, 0.0, 100) == 0.0
-    one = epsilon_threshold(constants, 4.0, 1.0, 100)
-    assert epsilon_threshold(constants, 4.0, 2.0, 100) == pytest.approx(2 * one)
+    assert epsilon_threshold(8.0, 4.0, 2.0, 100) == pytest.approx(6.4)
+    assert epsilon_threshold(8.0, 4.0, 0.0, 100) == 0.0
+    one = epsilon_threshold(8.0, 4.0, 1.0, 100)
+    assert epsilon_threshold(8.0, 4.0, 2.0, 100) == pytest.approx(2 * one)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("name", ["b_const", "c_const", "d_thresh"])
 def test_bound_constants_must_be_positive(name, value):
-    # nan <= 0 is false, so a nan constant used to pass
-    with pytest.raises(ValidationError, match="must be positive"):
-        ConstantsConfig(**{name: value})
+    # nan <= 0 is false, so a nan constant used to pass; a config refuses it
+    # as non-finite before its range checks
+    message = "must be finite" if math.isnan(value) else "must be positive"
+    with pytest.raises(ValidationError, match=message):
+        ExperimentConfig(**{name: value})
+    # a direct caller is refused too, nan included
+    with pytest.raises(ValidationError, match=f"^{name} = .* must be positive$"):
+        if name == "d_thresh":
+            epsilon_threshold(value, 4.0, 2.0, 100)
+        else:
+            oracle_bound_report(0.0, **_ORACLE, **(_PLAN | {name: value}))
 
 
 def test_compatibility_basis_closed_form():
@@ -226,21 +233,21 @@ def test_adjusted_confidence_values():
 # under the squared loss at a = 2: beta = sqrt(K), L(a) = 4a and tau(a) = 2
 _ORACLE = dict(oracle_excess=0.02, oracle_rank=2, oracle_nuclear=2.0)
 _PLAN = dict(
-    epsilon=0.1, t=3.0, constants=ConstantsConfig(), a=2.0, n=200,
+    epsilon=0.1, t=3.0, b_const=2.0, c_const=1.0, a=2.0, n=200,
     beta=math.sqrt(10.0), smoothness=8.0, curvature=2.0, q_bound=2.6,
 )
 
 
 def test_residual_scale_values():
     # the deviation term is C * max(L(a)^2 / tau(a), L(a) * a) * t_adj / n
-    def residual_scale(constants, smoothness, curvature, a):
-        terms = _PLAN | dict(constants=constants, smoothness=smoothness, curvature=curvature, a=a)
+    def residual_scale(c_const, smoothness, curvature, a):
+        terms = _PLAN | dict(c_const=c_const, smoothness=smoothness, curvature=curvature, a=a)
         report = oracle_bound_report(0.0, **_ORACLE, **terms)
         return report.residual_term * 200 / report.confidence_term
 
-    assert residual_scale(ConstantsConfig(c_const=1.0), 4.0, 2.0, 1.0) == pytest.approx(8.0)
-    assert residual_scale(ConstantsConfig(c_const=1.0), 16.0, 2.0, 4.0) == pytest.approx(128.0)
-    assert residual_scale(ConstantsConfig(c_const=1.0), 1.0, 1.0, 1.0) == pytest.approx(1.0)
+    assert residual_scale(1.0, 4.0, 2.0, 1.0) == pytest.approx(8.0)
+    assert residual_scale(1.0, 16.0, 2.0, 4.0) == pytest.approx(128.0)
+    assert residual_scale(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_bound_report_consistency():
@@ -264,10 +271,10 @@ def test_bound_report_rank_zero_oracle():
 
 
 def test_bound_report_critical_c_inverts_rhs():
-    plan = _PLAN | dict(epsilon=0.05, constants=ConstantsConfig(c_const=1.0))
+    plan = _PLAN | dict(epsilon=0.05, c_const=1.0)
     report = oracle_bound_report(0.9, **_ORACLE, **plan)
     # setting c_const to the critical value makes the bound exactly tight
-    plan["constants"] = ConstantsConfig(c_const=max(report.critical_c, 1e-12))
+    plan["c_const"] = max(report.critical_c, 1e-12)
     tight = oracle_bound_report(0.9, **_ORACLE, **plan)
     assert tight.rhs == pytest.approx(0.9, rel=1e-9)
 

@@ -245,6 +245,84 @@ def test_unconstrained_without_prediction_bound_names_the_key(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COMMANDS = ("solve", "certify", "delta", "bound", "verify", "sweep")
+
+
+def _refuse_work(monkeypatch):
+    # a setting refused with the config must fail before Delta or any trial
+    def work(*args, **kwargs):
+        raise AssertionError("a refused setting ran Delta or a trial")
+
+    monkeypatch.setattr(harness, "estimate_rademacher_norm", work)
+    monkeypatch.setattr(harness, "_run_trial", work)
+
+
+def _write_config(path, base, section, key, raw):
+    parser = configparser.ConfigParser()
+    parser.read_string(base)
+    parser[section][key] = raw
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize(
+    "section, key, raw, message",
+    [
+        ("bound", "b", "-1", "config [bound] b = -1.0 must be positive"),
+        ("bound", "c", "0", "config [bound] c = 0.0 must be positive"),
+        ("bound", "d", "0", "config [bound] d = 0.0 must be positive"),
+        ("solver", "max_iters", "0", "max_iters must be at least 1"),
+        ("solver", "grad_tol", "0", "grad_tol must be positive"),
+        ("experiment", "eps_multiples", "0.5 -1.0", "eps_multiples = (0.5, -1.0) must be nonnegative"),
+        ("experiment", "n", "10000000000000000000", "n = 10000000000000000000 exceeds 2^63 - 1"),
+    ],
+    ids=["b", "c", "d", "max_iters", "grad_tol", "eps_multiples", "n"],
+)
+def test_bad_setting_is_refused_by_every_subcommand_before_any_work(
+    tmp_path, capsys, monkeypatch, section, key, raw, message
+):
+    # solve, certify and delta used to accept b = -1, and delta d = 0; a
+    # negative multiple failed only after the rank sweep and its first point
+    _refuse_work(monkeypatch)
+    config = _write_config(tmp_path / "bad.ini", SMALL_CONFIG, section, key, raw)
+    errors = set()
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+        errors.add(err)
+    assert len(errors) == 1
+    assert message in errors.pop()
+
+
+def test_n_beyond_int64_is_refused(tmp_path, capsys):
+    # numpy draws the counts as int64: n = 10^19 used to die in
+    # Generator.multinomial with an OverflowError traceback
+    base = (CONFIGS / "verify_labels.ini").read_text()
+    config = _write_config(tmp_path / "huge.ini", base, "experiment", "n", "10000000000000000000")
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config [experiment] n = 10000000000000000000")
+    assert "9223372036854775807" in err
+
+
+def test_negative_eps_multiple_runs_no_trial(tmp_path, capsys, monkeypatch):
+    # the sweep used to run its rank points and the 0.5 point, then fail
+    _refuse_work(monkeypatch)
+    base = (CONFIGS / "sweep_example.ini").read_text()
+    config = _write_config(tmp_path / "neg.ini", base, "experiment", "eps_multiples", "0.5 -1.0")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "eps_multiples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    config = parse_config(CONFIGS / "sweep_example.ini")[0]
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        harness.epsilon_sweep(config, multiples=(0.5, -1.0), workers=1)
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 
