@@ -13,8 +13,11 @@ so their memory does not grow with the number of repetitions or sign
 patterns.  The unconditional Monte Carlo draws each block's multinomial
 atom counts and then each atom's sum of signs: from the bits of one random
 64-bit word when the atom's count is at most 64, from a binomial
-otherwise.  Its result therefore depends on the block size once the
-repetitions span more than one block: at 1000 repetitions, from m = 6 on.
+otherwise.  Block b draws from its own generator, seeded from (seed, b),
+and a block's first r rows do not depend on its length.  So each
+repetition's norm depends on the seed, its index and the block size (which
+m fixes), but not on how many repetitions are drawn: a run that stops
+early, at a cap or at the precision stop, draws a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import ValidationError
 from .matrices import nuclear_norm, operator_norm, sign_and_support, symmetrize
 
 ENUMERATION_LIMIT = 20
+DELTA_RTOL = 2e-3  # plan resolution's Delta stops at this relative standard error
+DELTA_MIN_REPS = 64  # repetitions drawn before that stop is tested, so the stderr is steady
 _LOW_BITS = np.array([(1 << c) - 1 for c in range(65)], dtype=np.uint64)  # masks of c low bits
 
 
@@ -70,27 +75,30 @@ def _signed_counts(
 
     A cell with c <= 64 sums the signs given by the low c bits of one uniform
     64-bit word, 2 * popcount - c; a larger cell draws Binomial(c, 1/2) for
-    its plus signs.  Both are exactly 2 * Binomial(c, 1/2) - c.  The generator
-    gives the counts, then the words of the small cells, then the binomials of
-    the large ones, each in row-major order.
+    its plus signs.  Both are exactly 2 * Binomial(c, 1/2) - c.  The counts
+    come from ``rng``, the words of the small cells from its first spawned
+    child and the binomials of the large ones from its second, each row by
+    row.  So the first r rows of a draw of ``size`` rows are the draw of r
+    rows from the same generator state.
     """
     counts = rng.multinomial(n, probs, size=size)
+    words_rng, binomial_rng = rng.spawn(2)
     small = counts <= 64
-    words = rng.integers(
+    words = words_rng.integers(
         0, 2**64 - 1, size=np.count_nonzero(small), dtype=np.uint64, endpoint=True
     )
     words &= _LOW_BITS[counts[small]]
     signed = np.empty(counts.shape)
     signed[small] = np.bitwise_count(words)
     large = ~small
-    signed[large] = rng.binomial(counts[large], 0.5)
+    signed[large] = binomial_rng.binomial(counts[large], 0.5)
     signed *= 2.0
     signed -= counts
     return signed
 
 
 def estimate_rademacher_norm(
-    design: DesignDistribution, n: int, reps: int, seed: int
+    design: DesignDistribution, n: int, reps: int, seed: int, rtol: float | None = None
 ) -> RademacherStats:
     """Unconditional Monte Carlo over both the sample and the signs.
 
@@ -98,24 +106,32 @@ def estimate_rademacher_norm(
     each atom is a centered binomial, so draws reduce to per-atom signed
     counts (``_signed_counts``) rather than materializing n covariates per
     rep.  Counts, signs, adjoint and norms run in row blocks of about
-    ``BLOCK_BYTES`` of adjoint output, each drawing its multinomials and
-    then its signs.  So Delta depends on the block size whenever the
-    repetitions span more than one block.  At 1000 repetitions and m = 200,
-    n = 10^6 (one repetition per block) the multinomials take 3.0 s, the
-    signs 0.8 s, the adjoint 0.5 s and ``eigvalsh`` 2.8 s on one core of a
-    2-vCPU host.
+    ``BLOCK_BYTES`` of adjoint output; block b draws from a generator
+    seeded from (seed, b).  At 1000 repetitions and m = 200, n = 10^6 (one
+    repetition per block) the multinomials take 3.0 s, the signs 0.8 s, the
+    adjoint 0.5 s and ``eigvalsh`` 2.8 s on one core of a 2-vCPU host.
+
+    Without ``rtol`` exactly ``reps`` repetitions are drawn.  With it,
+    ``reps`` is a cap: the loop stops after the first block at which at
+    least ``DELTA_MIN_REPS`` repetitions are drawn and the standard error is
+    at most ``rtol`` times the mean (a fixed-width sequential stop, after
+    Chow and Robbins), and ``reps`` of the result is the count drawn.
     """
     if n < 1 or reps < 1:
         raise ValidationError("n and reps must be at least 1")
-    rng = np.random.default_rng(seed)
     norms = np.empty(reps)
     block = block_rows(design.dim * design.dim)
-    for lo in range(0, reps, block):
+    for b, lo in enumerate(range(0, reps, block)):
         hi = min(lo + block, reps)
+        rng = np.random.default_rng([seed, b])
         # one expression, so no block's signs are held while the next is drawn
         norms[lo:hi] = _batch_opnorms(
             design.adjoint(_signed_counts(rng, n, design.probs, hi - lo) / np.sqrt(n))
         )
+        if rtol is not None and hi >= DELTA_MIN_REPS:
+            stats = _stats_from_norms(norms[:hi], n)
+            if stats.stderr <= rtol * stats.delta:
+                return stats
     return _stats_from_norms(norms, n)
 
 

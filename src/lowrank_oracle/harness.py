@@ -30,6 +30,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .bounds import (
+    DELTA_RTOL,
     BoundReport,
     RademacherStats,
     compatibility_basis,
@@ -130,8 +131,9 @@ class ExperimentConfig:
             raise ValidationError("m and n must be at least 1")
         if self.n > _INT64_MAX:  # numpy draws the sample counts as int64
             raise ValidationError(f"config [experiment] n = {self.n} exceeds 2^63 - 1 = {_INT64_MAX}")
-        if not 0 <= self.truth_rank <= self.m:
-            raise ValidationError("truth rank must lie in [0, m]")
+        # the ranks' upper bound is the design's dimension: build_design checks it
+        if min((self.truth_rank, *self.ranks)) < 0:
+            raise ValidationError("truth ranks must be nonnegative")
         if self.truth_spectrum and len(self.truth_spectrum) != self.truth_rank:
             raise ValidationError("truth spectrum length must equal the truth rank")
         if self.noise_kind not in ("regression", "classification"):
@@ -233,6 +235,7 @@ class SummaryReport:
     beta_kind: str
     delta: float
     delta_stderr: float
+    delta_reps: int  # the repetitions Delta drew; the config's delta_reps is their cap
     epsilon: float
     epsilon_threshold: float
     epsilon_rule: str
@@ -287,6 +290,7 @@ class ResolvedPlan:
     beta_kind: str
     delta: float
     delta_stderr: float
+    delta_reps: int  # the repetitions Delta drew; the config's delta_reps is their cap
     bayes: np.ndarray
     oracle: np.ndarray
     oracle_excess: float
@@ -307,15 +311,28 @@ class ResolvedPlan:
         }
 
 
+def check_ranks(ranks, dim: int) -> None:
+    """Refuse a truth rank above the design's dimension ``dim``."""
+    for rank in ranks:
+        if rank > dim:
+            raise ValidationError(f"truth rank {rank} exceeds the design dimension {dim}")
+
+
 def build_design(config: ExperimentConfig) -> DesignDistribution:
+    """The config's design, once the truth rank is checked against its
+    dimension: a custom design's comes from its files, not from ``m``.
+    Every command builds it before Delta or any trial."""
     if config.design_type == "completion-basis":
-        return orthonormal_basis_design(config.m)
-    atoms = np.stack([load_matrix(path) for path in config.design_files])
-    if config.design_probs:
-        probs = np.asarray(config.design_probs, dtype=float)
+        design = orthonormal_basis_design(config.m)
     else:
-        probs = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-    return custom_design(atoms, probs)
+        atoms = np.stack([load_matrix(path) for path in config.design_files])
+        if config.design_probs:
+            probs = np.asarray(config.design_probs, dtype=float)
+        else:
+            probs = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
+        design = custom_design(atoms, probs)
+    check_ranks((config.truth_rank,), design.dim)
+    return design
 
 
 def make_truth_matrix(
@@ -335,9 +352,8 @@ def make_truth_matrix(
 
 
 def build_truth(config: ExperimentConfig, dim: int) -> TruthModel:
-    """Truth model at the design's dimension (``config.m`` for basis designs)."""
-    if config.truth_rank > dim:
-        raise ValidationError("truth rank exceeds the design dimension")
+    """Truth model at the design's dimension (``config.m`` for basis designs),
+    whose ``build_design`` has checked the truth rank against it."""
     s_star = make_truth_matrix(
         dim, config.truth_rank, config.truth_spectrum, mix_seed(config.seed, _TRUTH_TAG)
     )
@@ -358,9 +374,10 @@ def rademacher_statistics(
     config: ExperimentConfig, design: DesignDistribution
 ) -> RademacherStats:
     """Monte Carlo estimate of Delta at the config's n, with its own seed
-    stream derived from the master seed."""
+    stream derived from the master seed: at most ``delta_reps``
+    repetitions, stopped once its relative standard error is ``DELTA_RTOL``."""
     return estimate_rademacher_norm(
-        design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG)
+        design, config.n, config.delta_reps, mix_seed(config.seed, _DELTA_TAG), rtol=DELTA_RTOL
     )
 
 
@@ -383,6 +400,7 @@ def _threshold_terms(
         curvature=consts.curvature,
         delta=stats.delta,
         delta_stderr=stats.stderr,
+        delta_reps=stats.reps,
         epsilon_threshold=epsilon_threshold(config.d_thresh, consts.smoothness, stats.delta, config.n),
     )
 
@@ -824,9 +842,12 @@ def rank_sweep(
     the fields that depend on it, and the truths share one eigenframe, so
     they nest.
     """
-    ranks = tuple(ranks if ranks is not None else config.ranks)
+    if ranks is not None:  # checked as the config's own ranks are
+        config = replace(config, ranks=tuple(ranks))
+    ranks = config.ranks
     if not ranks:
         raise ValidationError("rank sweep needs at least one rank")
+    check_ranks(ranks, build_design(config).dim)  # before Delta: a design is cheap to build
     plan = resolve_plan(config)
     points = {}  # every truth is checked against the constraint before any trial runs
     for rank in ranks:

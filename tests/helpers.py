@@ -17,6 +17,7 @@ the validated public functions, where ``solve`` runs it on unchecked kernels.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
@@ -38,6 +39,7 @@ from lowrank_oracle import (
     orthonormal_basis_design,
     sign_and_support,
 )
+from lowrank_oracle import bounds
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.constraints import BOUNDARY_TOL
 from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
@@ -258,17 +260,39 @@ def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
 
 
 def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
-    """Monte Carlo Delta with the signed counts of each ``block`` repetitions
-    drawn in turn through ``_signed_counts``, and one adjoint and one batched
-    eigenvalue call over all repetitions: the unblocked linear algebra that
-    the row-blocked ``estimate_rademacher_norm`` must reproduce bit for bit."""
-    rng = np.random.default_rng(seed)
+    """Monte Carlo Delta with the signed counts of the b-th ``block``
+    repetitions drawn through ``_signed_counts`` from a generator seeded
+    from (seed, b), and one adjoint and one batched eigenvalue call over all
+    repetitions: the unblocked linear algebra that the row-blocked
+    ``estimate_rademacher_norm`` must reproduce bit for bit."""
     coeffs = [
-        _signed_counts(rng, n, design.probs, min(block, reps - start)) / np.sqrt(n)
-        for start in range(0, reps, block)
+        _signed_counts(np.random.default_rng([seed, b]), n, design.probs, min(block, reps - start))
+        / np.sqrt(n)
+        for b, start in enumerate(range(0, reps, block))
     ]
     mats = design.adjoint(np.concatenate(coeffs))
     return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n)
+
+
+def rademacher_draws(design, n: int, reps: int, seed: int, **kwargs):
+    """(stats, norms, rows): ``estimate_rademacher_norm``'s result, the
+    norms it averaged and the number of rows each of its blocks drew."""
+    norms, rows = [], []
+    stats_from_norms, signed_counts = bounds._stats_from_norms, bounds._signed_counts
+
+    def record_norms(values, n):
+        norms.append(values.copy())
+        return stats_from_norms(values, n)
+
+    def record_rows(rng, n, probs, size):
+        rows.append(size)
+        return signed_counts(rng, n, probs, size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_stats_from_norms", record_norms)
+        patch.setattr(bounds, "_signed_counts", record_rows)
+        stats = bounds.estimate_rademacher_norm(design, n, reps, seed, **kwargs)
+    return stats, norms[-1], rows
 
 
 def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> SolveResult:

@@ -31,7 +31,7 @@ from lowrank_oracle import (
 
 from lowrank_oracle import bounds, designs
 
-from helpers import rademacher_norm_reference, random_low_rank, random_symmetric
+from helpers import rademacher_draws, rademacher_norm_reference, random_low_rank, random_symmetric
 
 
 def random_design(rng, m: int, k: int):
@@ -395,3 +395,54 @@ def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, rows
     assert reps > 2 * block
     got = estimate_rademacher_norm(design, n=5000, reps=reps, seed=21)
     assert got == rademacher_norm_reference(design, 5000, reps, 21, block)
+
+
+@pytest.mark.parametrize("n", [20, 64 * 36, 10**6])
+def test_rademacher_norms_under_a_smaller_cap_are_a_prefix(n):
+    # at m = 8 a block is 512 repetitions.  At n = 20 every count is at most
+    # 64, at 10^6 every count is above, and at 64 K about half are, so each
+    # block draws both words and binomials.  Caps inside the first block, at
+    # its end and inside the second draw the first norms of a longer run
+    design = orthonormal_basis_design(8)
+    _, longest, _ = rademacher_draws(design, n, 1100, seed=5)
+    for cap in (1, 100, 512, 700):
+        stats, norms, _ = rademacher_draws(design, n, cap, seed=5)
+        assert np.array_equal(norms, longest[:cap]), cap
+        assert stats == bounds._stats_from_norms(longest[:cap], n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    st.integers(0, 600),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_signed_counts_of_fewer_rows_are_a_prefix(weights, n, rows, more, seed):
+    probs = np.array(weights) / sum(weights)
+    probs[-1] = 1.0 - float(np.sum(probs[:-1]))
+    short = bounds._signed_counts(np.random.default_rng(seed), n, probs, rows)
+    long = bounds._signed_counts(np.random.default_rng(seed), n, probs, rows + more)
+    assert np.array_equal(short, long[:rows])
+
+
+def test_fixed_count_monte_carlo_draws_exactly_reps():
+    # m = 40, n = 32 000, 20 repetitions a block: without a tolerance every
+    # repetition asked for is drawn, although the estimate would meet
+    # DELTA_RTOL after about 600
+    design = orthonormal_basis_design(40)
+    for reps in (1, 19, 20, 21, 1000):
+        stats, norms, rows = rademacher_draws(design, 32_000, reps, seed=9)
+        assert stats.reps == norms.size == sum(rows) == reps
+    stopped, norms, rows = rademacher_draws(design, 32_000, 1000, seed=9, rtol=bounds.DELTA_RTOL)
+    assert stopped.reps == norms.size == sum(rows) < 1000
+
+
+def test_precision_stop_waits_for_the_minimum_repetitions(monkeypatch):
+    # one repetition a block and a tolerance that any two repetitions meet:
+    # the stop still waits until DELTA_MIN_REPS are drawn
+    design = orthonormal_basis_design(8)
+    monkeypatch.setattr(designs, "BLOCK_BYTES", 8 * design.dim**2)
+    stats = estimate_rademacher_norm(design, 1000, reps=1000, seed=4, rtol=1.0)
+    assert stats.reps == bounds.DELTA_MIN_REPS

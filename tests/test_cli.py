@@ -323,6 +323,82 @@ def test_negative_eps_multiple_runs_no_trial(tmp_path, capsys, monkeypatch):
         harness.epsilon_sweep(config, multiples=(0.5, -1.0), workers=1)
 
 
+def test_rank_above_the_design_is_refused_before_delta(tmp_path, capsys, monkeypatch):
+    # sweep on the m = 200 config with ranks 1 and 201 used to fail only
+    # after Delta, 6.5 s in: the ranks are checked once the design is built
+    _refuse_work(monkeypatch)
+    base = (CONFIGS / "verify_m200.ini").read_text()
+    config = _write_config(tmp_path / "ranks.ini", base, "experiment", "ranks", "1 201")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: truth rank 201 exceeds the design dimension 200")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_custom_design_rank_is_checked_against_its_atoms(tmp_path, capsys, monkeypatch):
+    # three 12 x 12 atoms with m unset (10): rank 11 used to be refused
+    # against m.  It is checked against the atoms' dimension, so rank 11
+    # solves and rank 13 is refused by every subcommand before any work
+    rng = np.random.default_rng(12)
+    files = []
+    for i in range(3):
+        raw = rng.standard_normal((12, 12))
+        files.append(str(tmp_path / f"atom{i}.mtx"))
+        save_matrix(files[-1], (raw + raw.T) / 2)
+    base = f"""
+[design]
+type = custom
+files = {" ".join(files)}
+
+[truth]
+rank = 11
+sigma = 0.05
+
+[solver]
+epsilon = absolute:0.05
+
+[experiment]
+n = 60
+trials = 1
+seed = 3
+"""
+    config = tmp_path / "rank11.ini"
+    config.write_text(base)
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "solved")]) == 0
+    assert json.loads((tmp_path / "solved" / "solve.json").read_text())["converged"]
+    _refuse_work(monkeypatch)
+    config = _write_config(tmp_path / "rank13.ini", base, "truth", "rank", "13")
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: truth rank 13 exceeds the design dimension 12"), command
+        assert not out.exists()
+
+
+def test_delta_and_verify_report_the_same_stopped_delta(tmp_path):
+    # m = 40, n = 32 000: Delta stops before its cap of 1000 repetitions,
+    # and the delta command and plan resolution share that stop
+    parser = configparser.ConfigParser()
+    parser.read_string(SMALL_CONFIG)
+    parser["design"]["m"] = "40"
+    parser["experiment"]["n"] = "32000"
+    parser["experiment"]["trials"] = "1"
+    parser["bound"]["delta_reps"] = "1000"
+    config = tmp_path / "m40.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    for command in ("delta", "verify"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    delta = json.loads((tmp_path / "delta" / "delta.json").read_text())
+    summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+    assert 0 < summary["delta_reps"] == delta["reps"] < 1000
+    assert summary["delta"] == delta["delta"]
+    assert summary["delta_stderr"] == delta["stderr"] <= 2e-3 * delta["delta"]
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 

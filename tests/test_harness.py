@@ -24,7 +24,8 @@ from lowrank_oracle import (
     validate_summary,
     write_outputs,
 )
-from lowrank_oracle import harness
+from lowrank_oracle import designs, harness
+from lowrank_oracle.bounds import DELTA_MIN_REPS, DELTA_RTOL, _stats_from_norms
 from lowrank_oracle.cli import parse_config
 from lowrank_oracle.harness import (
     SUMMARY_SCHEMA,
@@ -33,9 +34,12 @@ from lowrank_oracle.harness import (
     _openblas_paths,
     _openblas_thread_controls,
     _quantile,
+    build_design,
     calibrate_constant,
     make_truth_matrix,
 )
+
+from helpers import rademacher_draws
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -494,8 +498,15 @@ def test_unconstrained_with_explicit_prediction_bound():
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(trials=0)
-    with pytest.raises(ValidationError):
-        ExperimentConfig(truth_rank=9, m=4)
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        ExperimentConfig(truth_rank=-1)
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        ExperimentConfig(ranks=(1, -2))
+    # a rank above the dimension is refused once the design gives it
+    with pytest.raises(ValidationError, match="truth rank 9 exceeds the design dimension 4"):
+        build_design(ExperimentConfig(truth_rank=9, m=4))
+    with pytest.raises(ValidationError, match="truth rank 5 exceeds the design dimension 4"):
+        harness.rank_sweep(ExperimentConfig(m=4), ranks=(1, 5))
     with pytest.raises(ValidationError):
         ExperimentConfig(noise_kind="poisson")
     with pytest.raises(ValidationError):
@@ -524,6 +535,31 @@ def test_serial_trials_run_one_blas_thread(monkeypatch):
     assert harness.run_trials(plan, workers=1) == [0, 1]
     assert len(seen) == 2 and all(count == 1 for counts in seen for count in counts), seen
     assert _openblas_threads() == before
+
+
+def test_rademacher_statistics_stop_at_the_stated_precision():
+    # m = 40, n = 32 000 (completion-m40-r2's setting): 20 repetitions a
+    # block, and the stop comes after about 600 of the cap of 1000.  It is
+    # the first block boundary, from DELTA_MIN_REPS on, where the prefix's
+    # stderr is within DELTA_RTOL of its mean
+    config = ExperimentConfig(m=40, n=32_000, delta_reps=1000)
+    design = build_design(config)
+    stats = harness.rademacher_statistics(config, design)
+    assert stats.reps < config.delta_reps
+    assert stats.stderr <= DELTA_RTOL * stats.delta
+    seed = mix_seed(config.seed, harness._DELTA_TAG)
+    full = rademacher_draws(design, config.n, config.delta_reps, seed)[1]
+    block = designs.block_rows(design.dim**2)
+    for hi in range(block, stats.reps + 1, block):
+        prefix = _stats_from_norms(full[:hi], config.n)
+        meets = hi >= DELTA_MIN_REPS and prefix.stderr <= DELTA_RTOL * prefix.delta
+        assert meets == (hi == stats.reps), hi
+    assert stats == _stats_from_norms(full[: stats.reps], config.n)
+    # m = 8, n = 10^6 needs about 5 000 repetitions: the cap binds
+    config = ExperimentConfig(m=8, n=10**6, delta_reps=1000)
+    stats = harness.rademacher_statistics(config, build_design(config))
+    assert stats.reps == config.delta_reps
+    assert stats.stderr > DELTA_RTOL * stats.delta
 
 
 def test_resolved_basis_plan_is_small_and_builds_no_dense_atoms():
