@@ -10,14 +10,19 @@ confidence level, and the assembled per-trial bound report.
 The Monte Carlo and enumeration estimators of that expectation run in row
 blocks of about the working-set block, ``designs.BLOCK_BYTES`` = 256 kB,
 so their memory does not grow with the number of repetitions or sign
-patterns.  The unconditional Monte Carlo draws each block's multinomial
-atom counts and then each atom's sum of signs: from the bits of one random
-64-bit word when the atom's count is at most 64, from a binomial
-otherwise.  Block b draws from its own generator, seeded from (seed, b),
-and a block's first r rows do not depend on its length.  So each
-repetition's norm depends on the seed, its index and the block size (which
-m fixes), but not on how many repetitions are drawn: a run that stops
-early, at a cap or at the precision stop, draws a prefix of a longer one.
+patterns.  The unconditional Monte Carlo groups its repetitions into
+clusters of k = ``SHARED_COUNTS`` or, if that is less, half a block (so
+k = 1 from m = 91 on).  The k repetitions of a cluster share one
+multinomial draw of the atom counts, and each draws its own sum of signs
+per atom: from the bits of one random 64-bit word when the atom's count
+is at most 64, from a binomial otherwise.  Each repetition is thus an exact draw of Delta's law;
+only repetitions of one cluster are dependent, so the mean and its
+standard error are taken over cluster means.  A block is a whole number of
+clusters, and block b draws from its own generator, seeded from (seed, b);
+a block's first r rows do not depend on its length.  So each repetition's
+norm depends on the seed, its index and the block size (which m fixes),
+but not on how many repetitions are drawn: a run that stops early, at a
+cap or at the precision stop, draws a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from .matrices import nuclear_norm, operator_norm, sign_and_support, symmetrize
 
 ENUMERATION_LIMIT = 20
 DELTA_RTOL = 2e-3  # plan resolution's Delta stops at this relative standard error
-DELTA_MIN_REPS = 64  # repetitions drawn before that stop is tested, so the stderr is steady
+DELTA_MIN_REPS = 64  # clusters drawn before that stop is tested, so the stderr is steady
+SHARED_COUNTS = 8  # Delta's repetitions per draw of atom counts, where a block holds two such clusters
 _LOW_BITS = np.array([(1 << c) - 1 for c in range(65)], dtype=np.uint64)  # masks of c low bits
 
 
@@ -54,10 +60,16 @@ def _batch_opnorms(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
-def _stats_from_norms(norms: np.ndarray, n: int) -> RademacherStats:
+def _stats_from_norms(norms: np.ndarray, n: int, share: int = 1) -> RademacherStats:
+    """Mean and standard error over the means of clusters of ``share``
+    consecutive norms, the independent units; the last cluster may be
+    shorter.  ``reps`` counts the norms."""
     reps = norms.shape[0]
-    delta = float(np.mean(norms))
-    stderr = float(np.std(norms, ddof=1) / np.sqrt(reps)) if reps > 1 else float("inf")
+    starts = np.arange(0, reps, share)
+    means = np.add.reduceat(norms, starts) / np.diff(starts, append=reps)
+    delta = float(np.mean(means))
+    clusters = means.shape[0]
+    stderr = float(np.std(means, ddof=1) / np.sqrt(clusters)) if clusters > 1 else float("inf")
     return RademacherStats(
         delta=delta,
         xi_norm_mean=delta / np.sqrt(n),
@@ -68,10 +80,11 @@ def _stats_from_norms(norms: np.ndarray, n: int) -> RademacherStats:
 
 
 def _signed_counts(
-    rng: np.random.Generator, n: int, probs: np.ndarray, size: int
+    rng: np.random.Generator, n: int, probs: np.ndarray, size: int, share: int = 1
 ) -> np.ndarray:
-    """Multinomial atom counts of ``size`` samples of n draws, then each
-    cell's sum of its count c of Rademacher signs, as a (size, K) float array.
+    """Multinomial atom counts of n draws, one row for each cluster of
+    ``share`` consecutive rows of ``size``, then each cell's sum of its
+    count c of Rademacher signs, as a (size, K) float array.
 
     A cell with c <= 64 sums the signs given by the low c bits of one uniform
     64-bit word, 2 * popcount - c; a larger cell draws Binomial(c, 1/2) for
@@ -81,7 +94,9 @@ def _signed_counts(
     row.  So the first r rows of a draw of ``size`` rows are the draw of r
     rows from the same generator state.
     """
-    counts = rng.multinomial(n, probs, size=size)
+    counts = rng.multinomial(n, probs, size=-(-size // share))
+    if share > 1:
+        counts = np.repeat(counts, share, axis=0)[:size]
     words_rng, binomial_rng = rng.spawn(2)
     small = counts <= 64
     words = words_rng.integers(
@@ -106,33 +121,41 @@ def estimate_rademacher_norm(
     each atom is a centered binomial, so draws reduce to per-atom signed
     counts (``_signed_counts``) rather than materializing n covariates per
     rep.  Counts, signs, adjoint and norms run in row blocks of about
-    ``BLOCK_BYTES`` of adjoint output; block b draws from a generator
-    seeded from (seed, b).  At 1000 repetitions and m = 200, n = 10^6 (one
-    repetition per block) the multinomials take 3.0 s, the signs 0.8 s, the
-    adjoint 0.5 s and ``eigvalsh`` 2.8 s on one core of a 2-vCPU host.
+    ``BLOCK_BYTES`` of adjoint output, trimmed to whole clusters of k =
+    min(``SHARED_COUNTS``, rows // 2) repetitions that share their counts;
+    block b draws from a generator seeded from (seed, b).  On one core of
+    a 2-vCPU host, a 16-row block of two clusters at m = 40, n = 32 000
+    takes about 1.7 ms: the two count rows 0.2 ms, the signs 0.15 ms, the
+    adjoint 0.08 ms and ``eigvalsh`` 1.3 ms.  With a count row per
+    repetition, 20 rows took 3.9 ms, 2.1 ms of it in the multinomial.  At
+    m = 200, n = 10^6 (one repetition a block, so k = 1) a repetition takes
+    about 5 ms, half of it in the multinomial.
 
     Without ``rtol`` exactly ``reps`` repetitions are drawn.  With it,
     ``reps`` is a cap: the loop stops after the first block at which at
-    least ``DELTA_MIN_REPS`` repetitions are drawn and the standard error is
-    at most ``rtol`` times the mean (a fixed-width sequential stop, after
-    Chow and Robbins), and ``reps`` of the result is the count drawn.
+    least ``DELTA_MIN_REPS`` clusters are drawn and the standard error of
+    the cluster means is at most ``rtol`` times their mean (a fixed-width
+    sequential stop, after Chow and Robbins), and ``reps`` of the result is
+    the count of repetitions drawn.
     """
     if n < 1 or reps < 1:
         raise ValidationError("n and reps must be at least 1")
     norms = np.empty(reps)
     block = block_rows(design.dim * design.dim)
+    share = max(1, min(SHARED_COUNTS, block // 2))
+    block -= block % share
     for b, lo in enumerate(range(0, reps, block)):
         hi = min(lo + block, reps)
         rng = np.random.default_rng([seed, b])
         # one expression, so no block's signs are held while the next is drawn
         norms[lo:hi] = _batch_opnorms(
-            design.adjoint(_signed_counts(rng, n, design.probs, hi - lo) / np.sqrt(n))
+            design.adjoint(_signed_counts(rng, n, design.probs, hi - lo, share) / np.sqrt(n))
         )
-        if rtol is not None and hi >= DELTA_MIN_REPS:
-            stats = _stats_from_norms(norms[:hi], n)
+        if rtol is not None and hi >= DELTA_MIN_REPS * share:
+            stats = _stats_from_norms(norms[:hi], n, share)
             if stats.stderr <= rtol * stats.delta:
                 return stats
-    return _stats_from_norms(norms, n)
+    return _stats_from_norms(norms, n, share)
 
 
 def estimate_rademacher_norm_fixed(

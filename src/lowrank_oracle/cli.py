@@ -313,7 +313,7 @@ def _cmd_sweep(config, data_paths, certify_tol, args, progress) -> int:
     result = rank_sweep(config, workers=args.workers, progress=progress)
     eps_rows = ()
     if config.eps_multiples:
-        eps_rows = epsilon_sweep(config, workers=args.workers, progress=progress)
+        eps_rows = epsilon_sweep(config, workers=args.workers, progress=progress, plan=result.plan)
     out = Path(args.out)
     write_json(
         out / "sweep.json",

@@ -819,6 +819,7 @@ class RankSweepResult:
     exponent: float       # log-log least-squares slope of mean error vs rank
     linear_slope: float   # plain least-squares slope of mean error vs rank
     records: dict
+    plan: ResolvedPlan    # resolved once; each rank's point swaps in its own truth
 
 
 def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -878,6 +879,7 @@ def rank_sweep(
         exponent=_loglog_slope(xs[finite], ys[finite]),
         linear_slope=linear,
         records=records_by_rank,
+        plan=plan,
     )
 
 
@@ -886,16 +888,22 @@ def epsilon_sweep(
     multiples: tuple[float, ...] | None = None,
     workers: int | None = None,
     progress=None,
+    plan: ResolvedPlan | None = None,
 ) -> tuple[dict, ...]:
     """Repeat the oracle experiment at multiples of the resolved
     regularization level; one plan is resolved and only its epsilon changes
-    from point to point."""
+    from point to point.  A ``plan`` already resolved from ``config``, up to
+    its ranks and multiples (a rank sweep's), is used in place of a new one,
+    so Delta and the per-atom Bayes risks are not computed again."""
     if multiples is not None:  # checked as the config's own multiples are
         config = replace(config, eps_multiples=tuple(multiples))
     multiples = config.eps_multiples
     if not multiples:
         raise ValidationError("epsilon sweep needs at least one multiple")
-    plan = resolve_plan(config)
+    if plan is None:
+        plan = resolve_plan(config)
+    elif replace(plan.config, ranks=config.ranks, eps_multiples=multiples) != config:
+        raise ValidationError("the plan was resolved from another config")
     rows = []
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)

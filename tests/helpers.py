@@ -39,7 +39,7 @@ from lowrank_oracle import (
     orthonormal_basis_design,
     sign_and_support,
 )
-from lowrank_oracle import bounds
+from lowrank_oracle import bounds, designs
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.constraints import BOUNDARY_TOL
 from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
@@ -259,19 +259,33 @@ def bayes_risk_oracle(design, truth, loss) -> np.ndarray:
     return np.array(out)
 
 
-def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int):
+def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int, share: int):
     """Monte Carlo Delta with the signed counts of the b-th ``block``
-    repetitions drawn through ``_signed_counts`` from a generator seeded
-    from (seed, b), and one adjoint and one batched eigenvalue call over all
-    repetitions: the unblocked linear algebra that the row-blocked
+    repetitions (a multiple of ``share``) drawn through ``_signed_counts``,
+    with one count draw per ``share`` rows, from a generator seeded from
+    (seed, b); one adjoint and one batched eigenvalue call over all
+    repetitions; and the statistics over clusters of ``share`` norms: the
+    unblocked linear algebra that the row-blocked
     ``estimate_rademacher_norm`` must reproduce bit for bit."""
+    assert block % share == 0
     coeffs = [
-        _signed_counts(np.random.default_rng([seed, b]), n, design.probs, min(block, reps - start))
+        _signed_counts(
+            np.random.default_rng([seed, b]), n, design.probs, min(block, reps - start), share
+        )
         / np.sqrt(n)
         for b, start in enumerate(range(0, reps, block))
     ]
     mats = design.adjoint(np.concatenate(coeffs))
-    return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n)
+    return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n, share)
+
+
+def shared_count_blocks(dim: int) -> tuple[int, int]:
+    """(block, share): the rows of each of Delta's blocks at dimension
+    ``dim``, cut down to whole clusters, and the rows per cluster, which
+    share one draw of atom counts: at most SHARED_COUNTS and half a block."""
+    block = designs.block_rows(dim * dim)
+    share = max(1, min(bounds.SHARED_COUNTS, block // 2))
+    return block - block % share, share
 
 
 def rademacher_draws(design, n: int, reps: int, seed: int, **kwargs):
@@ -280,13 +294,13 @@ def rademacher_draws(design, n: int, reps: int, seed: int, **kwargs):
     norms, rows = [], []
     stats_from_norms, signed_counts = bounds._stats_from_norms, bounds._signed_counts
 
-    def record_norms(values, n):
+    def record_norms(values, n, share=1):
         norms.append(values.copy())
-        return stats_from_norms(values, n)
+        return stats_from_norms(values, n, share)
 
-    def record_rows(rng, n, probs, size):
+    def record_rows(rng, n, probs, size, share=1):
         rows.append(size)
-        return signed_counts(rng, n, probs, size)
+        return signed_counts(rng, n, probs, size, share)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds, "_stats_from_norms", record_norms)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -31,7 +32,13 @@ from lowrank_oracle import (
 
 from lowrank_oracle import bounds, designs
 
-from helpers import rademacher_draws, rademacher_norm_reference, random_low_rank, random_symmetric
+from helpers import (
+    rademacher_draws,
+    rademacher_norm_reference,
+    random_low_rank,
+    random_symmetric,
+    shared_count_blocks,
+)
 
 
 def random_design(rng, m: int, k: int):
@@ -302,6 +309,60 @@ def test_shortcut_sampler_matches_definitional_sampler():
         assert abs(stats.delta - naive_mean) <= 4 * joint, n
 
 
+def _unconditional_delta_by_enumeration(design, n: int) -> float:
+    """Exact Delta at small n: the sign enumeration of each vector of atom
+    counts, weighted by its multinomial probability."""
+    exact = 0.0
+    for counts in itertools.product(range(n + 1), repeat=design.num_atoms):
+        if sum(counts) != n:
+            continue
+        pmf = math.factorial(n) * math.prod(
+            p**c / math.factorial(c) for p, c in zip(design.probs, counts)
+        )
+        xs = np.repeat(design.atoms, counts, axis=0)
+        exact += pmf * enumerate_rademacher_norm_fixed(xs)
+    return exact
+
+
+def test_shared_count_monte_carlo_matches_unshared_estimator(monkeypatch):
+    # repetitions in clusters of SHARED_COUNTS that share their atom counts
+    # against the same estimator with one count draw per repetition, on
+    # independent seeds: criterion 5's random designs at n in [3, 40), where
+    # the counts move the norm and a cluster's norms correlate, and m = 40 at
+    # n = 32 000 (16-row blocks in clusters of 8)
+    rng = np.random.default_rng(77)
+    cases = []
+    for _ in range(20):
+        m = int(rng.integers(2, 5))
+        cases.append((random_design(rng, m, int(rng.integers(2, 6))), int(rng.integers(3, 40)), 800))
+    cases.append((orthonormal_basis_design(40), 32_000, 1000))
+    for i, (design, n, reps) in enumerate(cases):
+        assert shared_count_blocks(design.dim)[1] == bounds.SHARED_COUNTS
+        shared = estimate_rademacher_norm(design, n, reps=reps, seed=100 + i)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "SHARED_COUNTS", 1)
+            unshared = estimate_rademacher_norm(design, n, reps=reps, seed=200 + i)
+        joint = math.hypot(shared.stderr, unshared.stderr)
+        assert abs(shared.delta - unshared.delta) <= 4 * joint, (i, n)
+
+
+def test_shared_count_stderr_is_calibrated_against_the_exact_value():
+    # three atoms of very different sizes at n = 4: the counts drive the
+    # norm, so the norms of a cluster correlate and a per-repetition stderr
+    # would be about half the true one.  Over 200 seeds the z-scores of the
+    # estimate against the enumerated value must have unit spread
+    rng = np.random.default_rng(78)
+    atoms = np.stack([scale * random_symmetric(rng, 3) for scale in (0.3, 1.0, 3.0)])
+    design = custom_design(atoms, np.array([0.5, 0.3, 0.2]))
+    exact = _unconditional_delta_by_enumeration(design, 4)
+    z = []
+    for seed in range(200):
+        stats = estimate_rademacher_norm(design, 4, reps=400, seed=seed)
+        z.append((stats.delta - exact) / stats.stderr)
+    assert 0.8 <= float(np.std(z)) <= 1.25
+    assert abs(float(np.mean(z))) <= 4 / math.sqrt(len(z))
+
+
 @pytest.mark.parametrize("c", [0, 1, 2, 63, 64, 65, 200, 5000])
 def test_signed_counts_follow_the_binomial_law(c):
     # one atom of probability 1 gets all c draws; its plus count
@@ -340,6 +401,27 @@ def test_signed_counts_parity_and_range(weights, n, size, seed):
     probs[-1] = 1.0 - float(np.sum(probs[:-1]))
     signed = bounds._signed_counts(np.random.default_rng(seed), n, probs, size)
     counts = np.random.default_rng(seed).multinomial(n, probs, size=size)
+    assert signed.shape == counts.shape
+    assert np.all(np.abs(signed) <= counts)
+    assert np.all((signed - counts) % 2 == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    st.integers(0, 600),
+    st.integers(1, 20),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_shared_signed_counts_parity_and_range(weights, n, size, share, seed):
+    # each cluster of share rows, the last one maybe cut, sums its own signs
+    # over one count row: the generator's first draws, one row per cluster
+    probs = np.array(weights) / sum(weights)
+    probs[-1] = 1.0 - float(np.sum(probs[:-1]))
+    signed = bounds._signed_counts(np.random.default_rng(seed), n, probs, size, share)
+    counts = np.random.default_rng(seed).multinomial(n, probs, size=-(-size // share))
+    counts = counts[np.arange(size) // share]
     assert signed.shape == counts.shape
     assert np.all(np.abs(signed) <= counts)
     assert np.all((signed - counts) % 2 == 0)
@@ -384,31 +466,37 @@ def test_rademacher_monte_carlo_peak_memory_with_mixed_counts():
 
 @pytest.mark.parametrize("rows", [None, 7, 100])
 def test_blocked_rademacher_monte_carlo_matches_unblocked_loop(monkeypatch, rows):
-    # at m = 60 a block is 9 rows of 28.8 kB: 28 uneven blocks, 36 blocks
-    # of at most 7 rows or three uneven blocks of at most 100; delta and
-    # stderr must not move by a bit
+    # at m = 60 a block is 9 rows of 28.8 kB, cut to 8 rows of clusters of
+    # 4 that share their counts: 32 uneven blocks; 7 rows give 42 blocks of
+    # at most 6 rows in clusters of 3, and 100 rows three uneven blocks of
+    # at most 96 in clusters of 8.  250 repetitions end inside a cluster
+    # every time; delta and stderr must not move by a bit
     design = orthonormal_basis_design(60)
     reps = 250
     if rows is not None:
         monkeypatch.setattr(designs, "BLOCK_BYTES", rows * 8 * design.dim**2)
-    block = designs.BLOCK_BYTES // (8 * design.dim**2)
-    assert reps > 2 * block
+    block, share = shared_count_blocks(design.dim)
+    assert (block, share) == {None: (8, 4), 7: (6, 3), 100: (96, 8)}[rows]
+    assert reps > 2 * block and reps % share
     got = estimate_rademacher_norm(design, n=5000, reps=reps, seed=21)
-    assert got == rademacher_norm_reference(design, 5000, reps, 21, block)
+    assert got == rademacher_norm_reference(design, 5000, reps, 21, block, share)
 
 
 @pytest.mark.parametrize("n", [20, 64 * 36, 10**6])
 def test_rademacher_norms_under_a_smaller_cap_are_a_prefix(n):
-    # at m = 8 a block is 512 repetitions.  At n = 20 every count is at most
-    # 64, at 10^6 every count is above, and at 64 K about half are, so each
-    # block draws both words and binomials.  Caps inside the first block, at
-    # its end and inside the second draw the first norms of a longer run
+    # at m = 8 a block is 512 repetitions in 64 clusters of 8.  At n = 20
+    # every count is at most 64, at 10^6 every count is above, and at 64 K
+    # about half are, so each block draws both words and binomials.  Caps
+    # inside the first cluster, inside a later one (100), at the first
+    # block's end and inside the second block draw the first norms of a
+    # longer run, and the statistics count a cut cluster as one
     design = orthonormal_basis_design(8)
+    assert shared_count_blocks(design.dim) == (512, 8)
     _, longest, _ = rademacher_draws(design, n, 1100, seed=5)
     for cap in (1, 100, 512, 700):
         stats, norms, _ = rademacher_draws(design, n, cap, seed=5)
         assert np.array_equal(norms, longest[:cap]), cap
-        assert stats == bounds._stats_from_norms(longest[:cap], n)
+        assert stats == bounds._stats_from_norms(longest[:cap], n, 8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -417,32 +505,39 @@ def test_rademacher_norms_under_a_smaller_cap_are_a_prefix(n):
     st.integers(0, 600),
     st.integers(1, 8),
     st.integers(1, 8),
+    st.integers(1, 8),
     st.integers(0, 2**32 - 1),
 )
-def test_signed_counts_of_fewer_rows_are_a_prefix(weights, n, rows, more, seed):
+def test_signed_counts_of_fewer_rows_are_a_prefix(weights, n, rows, more, share, seed):
     probs = np.array(weights) / sum(weights)
     probs[-1] = 1.0 - float(np.sum(probs[:-1]))
-    short = bounds._signed_counts(np.random.default_rng(seed), n, probs, rows)
-    long = bounds._signed_counts(np.random.default_rng(seed), n, probs, rows + more)
+    short = bounds._signed_counts(np.random.default_rng(seed), n, probs, rows, share)
+    long = bounds._signed_counts(np.random.default_rng(seed), n, probs, rows + more, share)
     assert np.array_equal(short, long[:rows])
 
 
 def test_fixed_count_monte_carlo_draws_exactly_reps():
-    # m = 40, n = 32 000, 20 repetitions a block: without a tolerance every
-    # repetition asked for is drawn, although the estimate would meet
-    # DELTA_RTOL after about 600
+    # m = 40, n = 32 000, 16 repetitions a block in clusters of 8: without a
+    # tolerance every repetition asked for is drawn, although the estimate
+    # would meet DELTA_RTOL after about 550
     design = orthonormal_basis_design(40)
-    for reps in (1, 19, 20, 21, 1000):
+    assert shared_count_blocks(design.dim) == (16, 8)
+    for reps in (1, 15, 16, 17, 19, 20, 21, 1000):
         stats, norms, rows = rademacher_draws(design, 32_000, reps, seed=9)
         assert stats.reps == norms.size == sum(rows) == reps
+        assert stats == bounds._stats_from_norms(norms, 32_000, 8)
     stopped, norms, rows = rademacher_draws(design, 32_000, 1000, seed=9, rtol=bounds.DELTA_RTOL)
     assert stopped.reps == norms.size == sum(rows) < 1000
 
 
 def test_precision_stop_waits_for_the_minimum_repetitions(monkeypatch):
     # one repetition a block and a tolerance that any two repetitions meet:
-    # the stop still waits until DELTA_MIN_REPS are drawn
+    # the stop still waits until DELTA_MIN_REPS are drawn.  With 16-row
+    # blocks of two clusters it waits for DELTA_MIN_REPS clusters
     design = orthonormal_basis_design(8)
     monkeypatch.setattr(designs, "BLOCK_BYTES", 8 * design.dim**2)
     stats = estimate_rademacher_norm(design, 1000, reps=1000, seed=4, rtol=1.0)
     assert stats.reps == bounds.DELTA_MIN_REPS
+    monkeypatch.setattr(designs, "BLOCK_BYTES", 16 * 8 * design.dim**2)
+    stats = estimate_rademacher_norm(design, 1000, reps=1000, seed=4, rtol=1.0)
+    assert stats.reps == 8 * bounds.DELTA_MIN_REPS

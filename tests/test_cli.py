@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import json
 import os
 import subprocess
@@ -626,6 +627,29 @@ def test_sweep_subcommand(config_file, tmp_path):
     assert len(rank_lines) == 2
     eps_lines = (out / "error_vs_eps.dat").read_text().splitlines()
     assert len(eps_lines) == 2
+
+
+def test_sweep_resolves_one_plan_and_one_delta(config_file, tmp_path, monkeypatch):
+    # the rank and epsilon sweeps each resolved a plan, so Delta ran twice;
+    # the epsilon sweep now takes the rank sweep's plan and writes the rows
+    # it wrote from its own
+    config = parse_config(config_file)[0]
+    separate = harness.epsilon_sweep(config, workers=1)
+    calls = []
+    for name in ("resolve_plan", "estimate_rademacher_norm"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    out = tmp_path / "sweep-out"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out), "--workers", "1"]) == 0
+    assert sorted(calls) == ["estimate_rademacher_norm", "resolve_plan"]
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["eps_rows"] == json.loads(json.dumps(harness._null_nonfinite(list(separate))))
+    # a plan of another problem is refused, not swept
+    other = harness.resolve_plan(dataclasses.replace(config, seed=config.seed + 1))
+    with pytest.raises(ValidationError, match="another config"):
+        harness.epsilon_sweep(config, workers=1, plan=other)
 
 
 def test_sweep_with_one_trial_writes_strict_json(tmp_path):

@@ -24,7 +24,7 @@ from lowrank_oracle import (
     validate_summary,
     write_outputs,
 )
-from lowrank_oracle import designs, harness
+from lowrank_oracle import harness
 from lowrank_oracle.bounds import DELTA_MIN_REPS, DELTA_RTOL, _stats_from_norms
 from lowrank_oracle.cli import parse_config
 from lowrank_oracle.harness import (
@@ -39,7 +39,7 @@ from lowrank_oracle.harness import (
     make_truth_matrix,
 )
 
-from helpers import rademacher_draws
+from helpers import rademacher_draws, shared_count_blocks
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -538,10 +538,11 @@ def test_serial_trials_run_one_blas_thread(monkeypatch):
 
 
 def test_rademacher_statistics_stop_at_the_stated_precision():
-    # m = 40, n = 32 000 (completion-m40-r2's setting): 20 repetitions a
-    # block, and the stop comes after about 600 of the cap of 1000.  It is
-    # the first block boundary, from DELTA_MIN_REPS on, where the prefix's
-    # stderr is within DELTA_RTOL of its mean
+    # m = 40, n = 32 000 (completion-m40-r2's setting): 16 repetitions a
+    # block in clusters of 8 that share their counts, and the stop comes
+    # well before the cap of 1000.  It is the first block boundary, from
+    # DELTA_MIN_REPS clusters on, where the stderr of the prefix's cluster
+    # means is within DELTA_RTOL of their mean
     config = ExperimentConfig(m=40, n=32_000, delta_reps=1000)
     design = build_design(config)
     stats = harness.rademacher_statistics(config, design)
@@ -549,12 +550,14 @@ def test_rademacher_statistics_stop_at_the_stated_precision():
     assert stats.stderr <= DELTA_RTOL * stats.delta
     seed = mix_seed(config.seed, harness._DELTA_TAG)
     full = rademacher_draws(design, config.n, config.delta_reps, seed)[1]
-    block = designs.block_rows(design.dim**2)
+    block, share = shared_count_blocks(design.dim)
+    assert (block, share) == (16, 8)
+    assert stats.reps >= DELTA_MIN_REPS * share
     for hi in range(block, stats.reps + 1, block):
-        prefix = _stats_from_norms(full[:hi], config.n)
-        meets = hi >= DELTA_MIN_REPS and prefix.stderr <= DELTA_RTOL * prefix.delta
+        prefix = _stats_from_norms(full[:hi], config.n, share)
+        meets = hi // share >= DELTA_MIN_REPS and prefix.stderr <= DELTA_RTOL * prefix.delta
         assert meets == (hi == stats.reps), hi
-    assert stats == _stats_from_norms(full[: stats.reps], config.n)
+    assert stats == _stats_from_norms(full[: stats.reps], config.n, share)
     # m = 8, n = 10^6 needs about 5 000 repetitions: the cap binds
     config = ExperimentConfig(m=8, n=10**6, delta_reps=1000)
     stats = harness.rademacher_statistics(config, build_design(config))
