@@ -17,6 +17,7 @@ import locale  # argparse's gettext imports it in main: load it here, not inside
 import math
 import sys
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .bounds import design_moment_bounds, matrix_bernstein_bound
 from .designs import load_dataset, sample_dataset
@@ -43,38 +44,23 @@ from .matrices import load_matrix, nuclear_norm_and_rank, save_matrix
 from .solver import certify, objective, solve
 
 
-@dataclasses.dataclass(frozen=True)
-class DataPaths:
-    dataset: str | None = None
-    estimate: str | None = None
-
-
-def _number(kind):
-    def parse(section: str, key: str, raw: str):
-        try:
-            value = kind(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):  # nan and inf would pass every range check
-            raise ValidationError(
-                f"config [{section}] {key} = {raw!r} is not a valid finite {kind.__name__}"
-            )
-        return value
-
-    return parse
-
-
-def _numbers(kind):
-    parse = _number(kind)
-    return lambda section, key, raw: tuple(parse(section, key, part) for part in raw.split())
-
-
-def _text(section: str, key: str, raw: str) -> str:
-    return raw
-
-
-def _words(section: str, key: str, raw: str) -> tuple[str, ...]:
-    return tuple(raw.split())
+def _parse(hint, section: str, key: str, raw: str):
+    """``raw`` as a setting of type ``hint``: int, float, str, X | None (the
+    key, when given, holds an X) or tuple[X, ...] (whitespace-separated)."""
+    kind = (get_args(hint) or (hint,))[0]
+    if get_origin(hint) is tuple:
+        return tuple(_parse(kind, section, key, part) for part in raw.split())
+    if kind is str:
+        return raw
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = math.nan
+    if isinstance(value, float) and not math.isfinite(value):  # nan and inf pass every range check
+        raise ValidationError(
+            f"config [{section}] {key} = {raw!r} is not a valid finite {kind.__name__}"
+        )
+    return value
 
 
 def _epsilon(section: str, key: str, raw: str) -> tuple[str, float]:
@@ -84,50 +70,25 @@ def _epsilon(section: str, key: str, raw: str) -> tuple[str, float]:
             f"config [solver] epsilon must look like 'threshold:1.0' or "
             f"'absolute:0.05', got {raw!r}"
         )
-    return rule, _number(float)(section, key, amount)
+    return rule, _parse(float, section, key, amount)
 
 
-# (section, key) -> (destination, parser).  Destinations are ExperimentConfig
-# fields, except the DataPaths fields and certify_tol; a tuple destination
-# takes the parsed tuple element-wise.
+# (section, key) -> the ExperimentConfig fields it sets, from their metadata;
+# [solver] epsilon alone sets two, its rule and its value
+_FIELDS = dataclasses.fields(ExperimentConfig)
 _CONFIG_KEYS = {
-    ("design", "type"): ("design_type", _text),
-    ("design", "m"): ("m", _number(int)),
-    ("design", "files"): ("design_files", _words),
-    ("design", "probs"): ("design_probs", _numbers(float)),
-    ("truth", "rank"): ("truth_rank", _number(int)),
-    ("truth", "spectrum"): ("truth_spectrum", _numbers(float)),
-    ("truth", "sigma"): ("noise_sigma", _number(float)),
-    ("truth", "kind"): ("noise_kind", _text),
-    ("loss", "name"): ("loss_name", _text),
-    ("constraint", "variant"): ("constraint_kind", _text),
-    ("constraint", "rho"): ("constraint_rho", _number(float)),
-    ("constraint", "a"): ("prediction_bound_override", _number(float)),
-    ("solver", "max_iters"): ("max_iters", _number(int)),
-    ("solver", "grad_tol"): ("grad_tol", _number(float)),
-    ("solver", "epsilon"): (("epsilon_rule", "epsilon_value"), _epsilon),
-    ("solver", "certify_tol"): ("certify_tol", _number(float)),
-    ("bound", "t"): ("t", _number(float)),
-    ("bound", "b"): ("b_const", _number(float)),
-    ("bound", "c"): ("c_const", _number(float)),
-    ("bound", "d"): ("d_thresh", _number(float)),
-    ("bound", "delta_reps"): ("delta_reps", _number(int)),
-    ("experiment", "n"): ("n", _number(int)),
-    ("experiment", "trials"): ("trials", _number(int)),
-    ("experiment", "seed"): ("seed", _number(int)),
-    ("experiment", "ranks"): ("ranks", _numbers(int)),
-    ("experiment", "eps_multiples"): ("eps_multiples", _numbers(float)),
-    ("data", "dataset"): ("dataset", _text),
-    ("data", "estimate"): ("estimate", _text),
+    f.metadata["ini"]: tuple(g.name for g in _FIELDS if g.metadata["ini"] == f.metadata["ini"])
+    for f in _FIELDS
 }
+_HINTS = get_type_hints(ExperimentConfig)
 
 _SECTION_KEYS = {
     section: {k for s, k in _CONFIG_KEYS if s == section} for section, _ in _CONFIG_KEYS
 }
 
 
-def parse_config(path) -> tuple[ExperimentConfig, DataPaths, float]:
-    """Read the INI experiment config; returns (config, data paths, certify tol)."""
+def parse_config(path) -> ExperimentConfig:
+    """Read the INI experiment config."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -139,6 +100,11 @@ def parse_config(path) -> tuple[ExperimentConfig, DataPaths, float]:
     except configparser.Error as exc:
         raise ValidationError(f"config file {path} failed to parse: {exc}") from None
 
+    if parser.defaults():  # configparser would copy them into every section
+        raise ValidationError(
+            f"config {path}: keys {sorted(parser.defaults())} in [DEFAULT]; "
+            "give each key in its own section"
+        )
     for section in parser.sections():
         if section not in _SECTION_KEYS:
             raise ValidationError(f"config {path}: unknown section [{section}]")
@@ -149,18 +115,22 @@ def parse_config(path) -> tuple[ExperimentConfig, DataPaths, float]:
             )
 
     values = {}
-    for (section, key), (dest, parse) in _CONFIG_KEYS.items():
+    for (section, key), names in _CONFIG_KEYS.items():
         if parser.has_option(section, key):
-            parsed = parse(section, key, parser.get(section, key).strip())
-            if isinstance(dest, tuple):
-                values.update(zip(dest, parsed))
+            raw = parser.get(section, key).strip()
+            if len(names) > 1:
+                values.update(zip(names, _epsilon(section, key, raw)))
             else:
-                values[dest] = parsed
-    data = DataPaths(dataset=values.pop("dataset", None), estimate=values.pop("estimate", None))
-    certify_tol = values.pop("certify_tol", 1e-5)
-    if certify_tol < 0:
-        raise ValidationError(f"config [solver] certify_tol = {certify_tol!r} must be nonnegative")
-    return ExperimentConfig(**values), data, certify_tol
+                values[names[0]] = _parse(_HINTS[names[0]], section, key, raw)
+    return ExperimentConfig(**values)
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an output path that cannot be made a directory, without making
+    it: the path, or its nearest existing ancestor, is not a directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ValidationError(f"--out {out}: {existing} is not a directory")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,12 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _problem(config: ExperimentConfig, data_paths: DataPaths):
+def _problem(config: ExperimentConfig):
     """(data, loss, constraint, solver config): the dataset file when given,
     else the sample of trial 0."""
     design, truth, loss, constraint, solver_config, _ = resolve_problem(config)
-    if data_paths.dataset is not None:
-        data = load_dataset(data_paths.dataset, design)
+    if config.dataset is not None:
+        data = load_dataset(config.dataset, design)
     else:
         data = sample_dataset(design, truth, config.n, mix_seed(config.seed, 0))
     return data, loss, constraint, solver_config
@@ -215,8 +185,8 @@ def _exit_code(args, ok: bool, warning: str | None = None) -> int:
 
 # one BLAS thread, as in verify's trials: no result depends on the thread count
 @_one_blas_thread()
-def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
-    data, loss, constraint, solver_config = _problem(config, data_paths)
+def _cmd_solve(config, args, progress) -> int:
+    data, loss, constraint, solver_config = _problem(config)
     result = solve(data, loss, solver_config, constraint)
     out = Path(args.out)
     with atomic_path(out / "estimate.mtx") as tmp:
@@ -241,23 +211,23 @@ def _cmd_solve(config, data_paths, certify_tol, args, progress) -> int:
 
 
 @_one_blas_thread()
-def _cmd_certify(config, data_paths, certify_tol, args, progress) -> int:
-    data, loss, constraint, solver_config = _problem(config, data_paths)
-    if data_paths.estimate is not None:
-        estimate = load_matrix(data_paths.estimate)
+def _cmd_certify(config, args, progress) -> int:
+    data, loss, constraint, solver_config = _problem(config)
+    if config.estimate is not None:
+        estimate = load_matrix(config.estimate)
         if len(estimate) != data.design.dim:
             raise ValidationError(
-                f"{data_paths.estimate}: m = {len(estimate)}, the design has m = {data.design.dim}"
+                f"{config.estimate}: m = {len(estimate)}, the design has m = {data.design.dim}"
             )
     else:
         estimate = solve(data, loss, solver_config, constraint).s_hat
     epsilon = solver_config.epsilon
-    cert = certify(estimate, data, loss, epsilon, constraint, tol=certify_tol)
+    cert = certify(estimate, data, loss, epsilon, constraint, tol=config.certify_tol)
     write_json(
         Path(args.out) / "certify.json",
         {
             **dataclasses.asdict(cert),
-            "tol": certify_tol,
+            "tol": config.certify_tol,
             "epsilon": epsilon,
             "objective": objective(estimate, data, loss, epsilon),
             "constraint": str(constraint),
@@ -266,7 +236,7 @@ def _cmd_certify(config, data_paths, certify_tol, args, progress) -> int:
     return _exit_code(args, bool(cert))
 
 
-def _cmd_delta(config, data_paths, certify_tol, args, progress) -> int:
+def _cmd_delta(config, args, progress) -> int:
     design = build_design(config)
     stats = rademacher_statistics(config, design)
     sigma, uniform = design_moment_bounds(design)
@@ -285,7 +255,7 @@ def _cmd_delta(config, data_paths, certify_tol, args, progress) -> int:
 
 
 @_one_blas_thread()
-def _cmd_bound(config, data_paths, certify_tol, args, progress) -> int:
+def _cmd_bound(config, args, progress) -> int:
     plan = resolve_plan(config)
     record = _run_trial(plan, 0)
     ingredients = (
@@ -297,7 +267,7 @@ def _cmd_bound(config, data_paths, certify_tol, args, progress) -> int:
     return _exit_code(args, record.converged, "solver did not converge within max_iters")
 
 
-def _cmd_verify(config, data_paths, certify_tol, args, progress) -> int:
+def _cmd_verify(config, args, progress) -> int:
     records, summary = run_oracle_trials(config, workers=args.workers, progress=progress)
     write_outputs(records, summary, args.out)
     print(
@@ -309,7 +279,7 @@ def _cmd_verify(config, data_paths, certify_tol, args, progress) -> int:
     return _exit_code(args, not summary.nonconverged)
 
 
-def _cmd_sweep(config, data_paths, certify_tol, args, progress) -> int:
+def _cmd_sweep(config, args, progress) -> int:
     result = rank_sweep(config, workers=args.workers, progress=progress)
     eps_rows = ()
     if config.eps_multiples:
@@ -352,12 +322,13 @@ _COMMANDS = {
 
 
 def dispatch(args) -> int:
-    config, data_paths, certify_tol = parse_config(args.config)
+    config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    _check_out(Path(args.out))
 
     progress = _print_progress if args.verbose else None
-    return _COMMANDS[args.subcommand](config, data_paths, certify_tol, args, progress)
+    return _COMMANDS[args.subcommand](config, args, progress)
 
 
 def main(argv=None) -> int:

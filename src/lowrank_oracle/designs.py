@@ -493,8 +493,11 @@ _CSV_ROW = np.dtype([("j", "U0"), ("atom_index", np.int64), ("y", float)])  # j 
 def load_dataset(path, design: DesignDistribution) -> Dataset:
     """Read a dataset CSV back against its generating design; every error
     names the file."""
-    with open(path, "rb") as fh:  # a BytesIO shares bytes; a StringIO copies text at 4 B a character
-        header, body = fh.readline(), fh.read()
+    try:
+        with open(path, "rb") as fh:  # a BytesIO shares bytes; a StringIO copies text at 4 B a character
+            header, body = fh.readline(), fh.read()
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror}") from None
     try:
         if header.rstrip(b"\r\n") != b"j,atom_index,y":
             raise ValidationError("expected header j,atom_index,y")

@@ -87,37 +87,49 @@ def mix_seed(master: int, index: int) -> int:
     return x
 
 
+def _ini(section: str, key: str, default):
+    """A setting read from ``[section] key`` of the INI config."""
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative experiment description; everything else derives from it.
-    Every setting is checked here, so a bad one is refused before any work."""
+    Every setting is checked here, so a bad one is refused before any work.
+    Each field's metadata names its INI key, from which the CLI derives its
+    key table and, from the field's type, the key's parser."""
 
-    m: int = 10
-    n: int = 600
-    trials: int = 200
-    truth_rank: int = 2
-    truth_spectrum: tuple[float, ...] = ()  # empty: unit spectrum
-    noise_sigma: float = 0.1
-    noise_kind: str = "regression"  # regression | classification
-    loss_name: str = "squared"
-    constraint_kind: str = "operator-ball"  # none | operator-ball | frobenius-ball
-    constraint_rho: float = 2.0
-    prediction_bound_override: float | None = None
-    epsilon_rule: str = "threshold"  # threshold (multiple of it) | absolute
-    epsilon_value: float = 1.0
-    t: float = 3.0
-    b_const: float = 2.0
-    c_const: float = 1.0
-    d_thresh: float = 4.0
-    delta_reps: int = 2000
-    max_iters: int = 50_000
-    grad_tol: float | None = None
-    seed: int = DEFAULT_SEED
-    ranks: tuple[int, ...] = (1, 2, 4)
-    eps_multiples: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    design_type: str = "completion-basis"  # completion-basis | custom
-    design_files: tuple[str, ...] = ()
-    design_probs: tuple[float, ...] = ()
+    m: int = _ini("design", "m", 10)
+    n: int = _ini("experiment", "n", 600)
+    trials: int = _ini("experiment", "trials", 200)
+    truth_rank: int = _ini("truth", "rank", 2)
+    truth_spectrum: tuple[float, ...] = _ini("truth", "spectrum", ())  # empty: unit spectrum
+    noise_sigma: float = _ini("truth", "sigma", 0.1)
+    noise_kind: str = _ini("truth", "kind", "regression")  # regression | classification
+    loss_name: str = _ini("loss", "name", "squared")
+    # none | operator-ball | frobenius-ball
+    constraint_kind: str = _ini("constraint", "variant", "operator-ball")
+    constraint_rho: float = _ini("constraint", "rho", 2.0)
+    prediction_bound_override: float | None = _ini("constraint", "a", None)
+    # threshold (multiple of it) | absolute; both in [solver] epsilon = rule:value
+    epsilon_rule: str = _ini("solver", "epsilon", "threshold")
+    epsilon_value: float = _ini("solver", "epsilon", 1.0)
+    t: float = _ini("bound", "t", 3.0)
+    b_const: float = _ini("bound", "b", 2.0)
+    c_const: float = _ini("bound", "c", 1.0)
+    d_thresh: float = _ini("bound", "d", 4.0)
+    delta_reps: int = _ini("bound", "delta_reps", 2000)
+    max_iters: int = _ini("solver", "max_iters", 50_000)
+    grad_tol: float | None = _ini("solver", "grad_tol", None)
+    certify_tol: float = _ini("solver", "certify_tol", 1e-5)
+    seed: int = _ini("experiment", "seed", DEFAULT_SEED)
+    ranks: tuple[int, ...] = _ini("experiment", "ranks", (1, 2, 4))
+    eps_multiples: tuple[float, ...] = _ini("experiment", "eps_multiples", (0.5, 1.0, 2.0, 4.0))
+    design_type: str = _ini("design", "type", "completion-basis")  # completion-basis | custom
+    design_files: tuple[str, ...] = _ini("design", "files", ())
+    design_probs: tuple[float, ...] = _ini("design", "probs", ())
+    dataset: str | None = _ini("data", "dataset", None)  # solve's and certify's data
+    estimate: str | None = _ini("data", "estimate", None)  # certify's estimate
 
     def __post_init__(self):
         for f in fields(self):  # nan passes every range check below, inf most of them
@@ -154,7 +166,9 @@ class ExperimentConfig:
         if self.epsilon_rule not in ("threshold", "absolute"):
             raise ValidationError(f"unknown epsilon rule {self.epsilon_rule!r}")
         # the solver settings, with the epsilon value standing in for epsilon
-        SolverConfig(epsilon=self.epsilon_value, max_iters=self.max_iters, grad_tol=self.grad_tol)
+        self.solver_config(self.epsilon_value)
+        if self.certify_tol < 0:
+            raise ValidationError(f"config [solver] certify_tol = {self.certify_tol!r} must be nonnegative")
         if min(self.eps_multiples, default=0.0) < 0:
             raise ValidationError(f"eps_multiples = {self.eps_multiples!r} must be nonnegative")
         if self.t < 0:
@@ -168,6 +182,10 @@ class ExperimentConfig:
             raise ValidationError(f"unknown design type {self.design_type!r}")
         if self.design_type == "custom" and not self.design_files:
             raise ValidationError("custom designs need at least one matrix file")
+
+    def solver_config(self, epsilon: float) -> SolverConfig:
+        """The solver settings at regularization ``epsilon``."""
+        return SolverConfig(epsilon=epsilon, max_iters=self.max_iters, grad_tol=self.grad_tol)
 
 
 @dataclass(frozen=True)
@@ -264,7 +282,7 @@ def validate_summary(summary: dict) -> None:
                 continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValidationError(f"summary[{key!r}] must be numeric, got {type(value).__name__}")
-        elif not isinstance(value, expected):
+        elif not isinstance(value, expected) or (isinstance(value, bool) and expected is int):
             raise ValidationError(f"summary[{key!r}] must be {expected}, got {type(value).__name__}")
 
 
@@ -423,10 +441,7 @@ def resolve_problem(config: ExperimentConfig) -> tuple:
     if config.epsilon_rule == "threshold":
         terms = _threshold_terms(config, design, loss, constraint)
         epsilon *= terms["epsilon_threshold"]
-    solver_config = SolverConfig(
-        epsilon=epsilon, max_iters=config.max_iters, grad_tol=config.grad_tol
-    )
-    return design, truth, loss, constraint, solver_config, terms
+    return design, truth, loss, constraint, config.solver_config(epsilon), terms
 
 
 def _oracle_terms(
@@ -534,10 +549,7 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
     start = time.perf_counter()
     seed = mix_seed(plan.config.seed, index)
     data = sample_dataset(plan.design, plan.truth, plan.n, seed)
-    solver_config = SolverConfig(
-        epsilon=plan.epsilon, max_iters=plan.config.max_iters, grad_tol=plan.config.grad_tol
-    )
-    result = solve(data, plan.loss, solver_config, plan.constraint)
+    result = solve(data, plan.loss, plan.config.solver_config(plan.epsilon), plan.constraint)
     lhs = excess_risk(result.s_hat, plan.design, plan.truth, plan.loss, bayes=plan.bayes)
     nuclear, rank = nuclear_norm_and_rank(result.s_hat)
     return TrialRecord(

@@ -227,7 +227,11 @@ def load_matrix(path) -> np.ndarray:
 
     Symmetry is validated on load; every error names the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="replace")  # bad bytes fail the parse
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror}") from None
+    with fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "m":
             raise ValidationError(f"{path}: expected header 'm <dim>'")

@@ -2,12 +2,15 @@ import configparser
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowrank_oracle import (
     GaussianNoise,
@@ -25,7 +28,12 @@ from lowrank_oracle import (
 from lowrank_oracle import cli, harness, solver
 from lowrank_oracle.cli import _SECTION_KEYS, main, parse_config
 from lowrank_oracle.errors import ValidationError
-from lowrank_oracle.harness import TRIAL_COLUMNS, _openblas_thread_controls, resolve_problem
+from lowrank_oracle.harness import (
+    TRIAL_COLUMNS,
+    ExperimentConfig,
+    _openblas_thread_controls,
+    resolve_problem,
+)
 
 SMALL_CONFIG = """
 [design]
@@ -69,14 +77,14 @@ def config_file(tmp_path):
 
 
 def test_parse_config_values(config_file):
-    config, data_paths, certify_tol = parse_config(config_file)
+    config = parse_config(config_file)
     assert config.m == 4
     assert config.trials == 4
     assert config.epsilon_rule == "absolute"
     assert config.epsilon_value == 0.05
     assert config.ranks == (1, 2)
-    assert data_paths.dataset is None
-    assert certify_tol == 1e-5
+    assert config.dataset is None
+    assert config.certify_tol == 1e-5
 
 
 def strict_json(path):
@@ -101,6 +109,144 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
     path.write_text("[solver]\nepsilon = soft:1\n")
     with pytest.raises(ValidationError):
         parse_config(path)
+
+
+# the INI keys, one (section, key) each; [solver] epsilon sets two fields
+INI_KEYS = {
+    ("design", "type"), ("design", "m"), ("design", "files"), ("design", "probs"),
+    ("truth", "rank"), ("truth", "spectrum"), ("truth", "sigma"), ("truth", "kind"),
+    ("loss", "name"),
+    ("constraint", "variant"), ("constraint", "rho"), ("constraint", "a"),
+    ("solver", "max_iters"), ("solver", "grad_tol"), ("solver", "epsilon"),
+    ("solver", "certify_tol"),
+    ("bound", "t"), ("bound", "b"), ("bound", "c"), ("bound", "d"), ("bound", "delta_reps"),
+    ("experiment", "n"), ("experiment", "trials"), ("experiment", "seed"),
+    ("experiment", "ranks"), ("experiment", "eps_multiples"),
+    ("data", "dataset"), ("data", "estimate"),
+}
+
+
+def test_every_setting_has_exactly_one_ini_key():
+    keys = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        section, key = f.metadata["ini"]
+        keys.setdefault((section, key), []).append(f.name)
+    assert set(keys) == INI_KEYS
+    shared = {key: names for key, names in keys.items() if len(names) > 1}
+    assert shared == {("solver", "epsilon"): ["epsilon_rule", "epsilon_value"]}
+    assert cli._CONFIG_KEYS == {key: tuple(names) for key, names in keys.items()}
+
+
+def config_ini(config: ExperimentConfig) -> str:
+    """``config`` written out as INI through its fields' metadata; a None
+    setting is left out, which reads back as its default None."""
+    sections = {}
+    for f in dataclasses.fields(config):
+        section, key = f.metadata["ini"]
+        value = getattr(config, f.name)
+        if value is None or f.name == "epsilon_rule":
+            continue
+        if f.name == "epsilon_value":
+            text = f"{config.epsilon_rule}:{value}"
+        elif isinstance(value, tuple):
+            text = " ".join(map(str, value))
+        else:
+            text = str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid ExperimentConfigs over every field type, None and empty tuples
+    included."""
+    nonnegative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    word = st.text("abcXYZ019._/-", min_size=1, max_size=8)
+    rank = draw(st.integers(0, 5))
+    design_type = draw(st.sampled_from(["completion-basis", "custom"]))
+    return ExperimentConfig(
+        m=draw(st.integers(1, 10**6)),
+        n=draw(st.integers(1, 2**63 - 1)),
+        trials=draw(st.integers(1, 10**4)),
+        truth_rank=rank,
+        truth_spectrum=draw(st.just(()) | st.tuples(*[finite] * rank)),
+        noise_sigma=draw(nonnegative),
+        noise_kind=draw(st.sampled_from(["regression", "classification"])),
+        loss_name=draw(st.sampled_from(["squared", "exponential"])),
+        constraint_kind=draw(st.sampled_from(["none", "operator-ball", "frobenius-ball"])),
+        constraint_rho=draw(nonnegative),
+        prediction_bound_override=draw(st.none() | positive),
+        epsilon_rule=draw(st.sampled_from(["threshold", "absolute"])),
+        epsilon_value=draw(nonnegative),
+        t=draw(nonnegative),
+        b_const=draw(positive),
+        c_const=draw(positive),
+        d_thresh=draw(positive),
+        delta_reps=draw(st.integers(1, 10**6)),
+        max_iters=draw(st.integers(1, 10**6)),
+        grad_tol=draw(st.none() | positive),
+        certify_tol=draw(nonnegative),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        ranks=tuple(draw(st.lists(st.integers(0, 50), max_size=4))),
+        eps_multiples=tuple(draw(st.lists(nonnegative, max_size=4))),
+        design_type=design_type,
+        design_files=tuple(draw(st.lists(word, min_size=design_type == "custom", max_size=3))),
+        design_probs=tuple(draw(st.lists(finite, max_size=3))),
+        dataset=draw(st.none() | word),
+        estimate=draw(st.none() | word),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiment_configs())
+@example(ExperimentConfig())
+@example(ExperimentConfig(
+    truth_rank=0, ranks=(), eps_multiples=(), design_type="custom", design_files=("a.mtx",),
+    grad_tol=1e-9, prediction_bound_override=0.5, dataset="d.csv", estimate="e.mtx",
+))
+def test_config_round_trips_through_its_ini_keys(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("ini") / "config.ini"
+    path.write_text(config_ini(config))
+    parsed = parse_config(path)
+    assert parsed == config
+    assert repr(parsed) == repr(config)  # and of the same types: 1.0 == 1
+
+
+def test_readme_config_format_names_exactly_the_config_keys():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if not line.startswith("    "):
+            continue
+        line = line.strip()
+        if line.startswith("["):
+            section, _, line = line[1:].partition("]")
+        line = re.sub(r"\([^)]*\)", "", line)  # a parenthetical remark names no key
+        keys = {part.partition("=")[0].strip() for part in line.split(",")} - {""}
+        documented.setdefault(section, set()).update(keys)
+    assert documented == cli._SECTION_KEYS
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("[DEFAULT]\ntrials = 0\n", "trials"), ("[DEFAULT]\nm = 4\n\n[experiment]\nn = 100\n", "m")],
+    ids=["only-default", "default-next-to-a-section"],
+)
+def test_default_section_is_refused(tmp_path, capsys, text, key):
+    # configparser copies [DEFAULT] into every section: trials = 0 alone used
+    # to parse to the default 200, and m = 4 to be refused as a key of
+    # [experiment]
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=rf"keys \['{key}'\] in \[DEFAULT\]"):
+        parse_config(path)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and "[DEFAULT]" in err and f"'{key}'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
@@ -311,6 +457,16 @@ def test_n_beyond_int64_is_refused(tmp_path, capsys):
     assert "9223372036854775807" in err
 
 
+def test_int_beyond_float_range_is_refused(tmp_path, capsys):
+    # the parser's finiteness check used to convert n = 10^400 to float and
+    # end in an OverflowError traceback
+    config = _write_config(tmp_path / "huge.ini", SMALL_CONFIG, "experiment", "n", "1" + "0" * 400)
+    assert main(["delta", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config [experiment] n = 1000")
+    assert "Traceback" not in err
+
+
 def test_negative_eps_multiple_runs_no_trial(tmp_path, capsys, monkeypatch):
     # the sweep used to run its rank points and the 0.5 point, then fail
     _refuse_work(monkeypatch)
@@ -319,7 +475,7 @@ def test_negative_eps_multiple_runs_no_trial(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert "eps_multiples" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    config = parse_config(CONFIGS / "sweep_example.ini")[0]
+    config = parse_config(CONFIGS / "sweep_example.ini")
     with pytest.raises(ValidationError, match="must be nonnegative"):
         harness.epsilon_sweep(config, multiples=(0.5, -1.0), workers=1)
 
@@ -336,6 +492,48 @@ def test_rank_above_the_design_is_refused_before_delta(tmp_path, capsys, monkeyp
     assert err.startswith("error: truth rank 201 exceeds the design dimension 200")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["missing", "binary"])
+@pytest.mark.parametrize("command, key", [("delta", "files"), ("solve", "dataset"), ("certify", "estimate")])
+def test_missing_or_undecodable_input_file_exits_one(tmp_path, capsys, command, key, binary):
+    # open's FileNotFoundError, and a matrix file's UnicodeDecodeError, used
+    # to end the run in a traceback
+    missing = tmp_path / "missing1.mtx"
+    if binary:
+        missing.write_bytes(b"\xff\xfe\x00 not text")
+    config = tmp_path / "missing.ini"
+    if key == "files":
+        custom = f"type = custom\nfiles = {missing}"
+        config.write_text(SMALL_CONFIG.replace("type = completion-basis\nm = 4", custom))
+    else:
+        config.write_text(SMALL_CONFIG + f"\n[data]\n{key} = {missing}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: " + ("expected header" if binary else "No such file"))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["solve", "certify", "delta", "bound", "verify", "sweep"])
+def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, below):
+    # verify --out <file>/x used to run every trial and then fail in mkdir,
+    # and delta --out <file> after Delta.  Under the threshold rule every
+    # subcommand runs Delta first
+    _refuse_work(monkeypatch)
+    config = tmp_path / "threshold.ini"
+    config.write_text(SMALL_CONFIG.replace("absolute:0.05", "threshold:1.0"))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "x" if below else taken
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: {taken} is not a directory")
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["taken", "threshold.ini"]
 
 
 def test_custom_design_rank_is_checked_against_its_atoms(tmp_path, capsys, monkeypatch):
@@ -527,12 +725,12 @@ def test_certify_json_matches_solver_certificate(config_file, tmp_path):
     assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
     payload = json.loads((out / "certify.json").read_text())
 
-    parsed, _, certify_tol = parse_config(config)
+    parsed = parse_config(config)
     design, truth, loss, constraint, solver_config, _ = resolve_problem(parsed)
     data = sample_dataset(design, truth, parsed.n, mix_seed(parsed.seed, 0))
     cert = certify(
         load_matrix(out_solve / "estimate.mtx"), data, loss, solver_config.epsilon,
-        constraint, tol=certify_tol,
+        constraint, tol=parsed.certify_tol,
     )
     assert payload["kkt_low"] == cert.kkt_low
     assert payload["kkt_excess"] == cert.kkt_excess
@@ -633,7 +831,7 @@ def test_sweep_resolves_one_plan_and_one_delta(config_file, tmp_path, monkeypatc
     # the rank and epsilon sweeps each resolved a plan, so Delta ran twice;
     # the epsilon sweep now takes the rank sweep's plan and writes the rows
     # it wrote from its own
-    config = parse_config(config_file)[0]
+    config = parse_config(config_file)
     separate = harness.epsilon_sweep(config, workers=1)
     calls = []
     for name in ("resolve_plan", "estimate_rademacher_norm"):

@@ -131,6 +131,15 @@ def test_summary_schema_and_validation(small_run):
         validate_summary(extra)
 
 
+def test_summary_validation_refuses_a_bool_in_an_int_field(small_run):
+    # bool is an int subclass, so trials = True used to pass while the float
+    # fields already refused bools
+    payload = dataclasses.asdict(small_run[1])
+    for key in ("trials", "delta_reps"):
+        with pytest.raises(ValidationError, match=rf"summary\['{key}'\] must be <class 'int'>, got bool"):
+            validate_summary(payload | {key: True})
+
+
 def test_calibrate_constant_order_statistics():
     # target 0.25 over four trials allows exactly one violation
     assert calibrate_constant([1.0, 2.0, 3.0, 4.0], 0.25) == 3.0
@@ -211,7 +220,7 @@ def test_summary_counts_zero_estimates_and_active_branch(tmp_path, small_run):
     assert summary.zero_estimate_fraction == 0.0
     assert summary.rank_term_active == sum(r.min_term == r.rank_term for r in records)
 
-    config, _, _ = parse_config(CONFIGS / "verify_example.ini")
+    config = parse_config(CONFIGS / "verify_example.ini")
     records, vacuous = run_oracle_trials(config, workers=1)
     assert all(r.estimate_rank == 0 for r in records)
     assert vacuous.zero_estimate_fraction == 1.0
@@ -253,7 +262,7 @@ def test_rank_sweep_points_carry_their_config(monkeypatch):
 def test_oracle_outside_the_constraint_set_is_refused():
     # unit rank 8 has Frobenius norm sqrt(8) > rho = 2; the paper's bound
     # is an infimum over oracles in the constraint set only
-    config, _, _ = parse_config(CONFIGS / "verify_labels.ini")
+    config = parse_config(CONFIGS / "verify_labels.ini")
     config = dataclasses.replace(config, m=40, n=10**12, truth_rank=8, truth_spectrum=())
     with pytest.raises(ValidationError, match=r"frobenius-ball\(2\): its norm 2\.82843 exceeds rho = 2"):
         resolve_plan(config)
