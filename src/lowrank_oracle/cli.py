@@ -29,6 +29,7 @@ from .harness import (
     _run_trial,
     atomic_path,
     build_design,
+    check_workers,
     epsilon_sweep,
     mix_seed,
     rademacher_statistics,
@@ -143,24 +144,16 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lowrank-oracle",
-        description="Nuclear-norm penalized estimation and oracle-bound verification.",
+        description=_DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("solve", "solve one penalized problem and write the estimate"),
-        ("certify", "check first-order optimality of an estimate"),
-        ("delta", "Monte-Carlo Rademacher norm and its Bernstein bound"),
-        ("bound", "one end-to-end trial with a full bound report"),
-        ("verify", "Monte-Carlo verification of the oracle bound"),
-        ("sweep", "rank and regularization sweeps"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="experiment config (INI)")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size")
-        p.add_argument("--strict", action="store_true", help="non-convergence is an error")
-        p.add_argument("--verbose", action="store_true", help="a JSON line per trial on stderr")
+    parser.add_argument("subcommand", choices=_COMMANDS, help="what to run (see above)")
+    parser.add_argument("--config", required=True, help="experiment config (INI)")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    parser.add_argument("--workers", type=int, default=1, help="trial pool size (1: serial)")
+    parser.add_argument("--strict", action="store_true", help="non-convergence is an error")
+    parser.add_argument("--verbose", action="store_true", help="a JSON line per trial on stderr")
     return parser
 
 
@@ -183,9 +176,8 @@ def _exit_code(args, ok: bool, warning: str | None = None) -> int:
     return 2 if args.strict and not ok else 0
 
 
-# one BLAS thread, as in verify's trials: no result depends on the thread count
-@_one_blas_thread()
 def _cmd_solve(config, args, progress) -> int:
+    """solve one penalized problem and write the estimate"""
     data, loss, constraint, solver_config = _problem(config)
     result = solve(data, loss, solver_config, constraint)
     out = Path(args.out)
@@ -210,8 +202,8 @@ def _cmd_solve(config, args, progress) -> int:
     return _exit_code(args, result.converged, "solver did not converge within max_iters")
 
 
-@_one_blas_thread()
 def _cmd_certify(config, args, progress) -> int:
+    """check first-order optimality of an estimate"""
     data, loss, constraint, solver_config = _problem(config)
     if config.estimate is not None:
         estimate = load_matrix(config.estimate)
@@ -237,6 +229,7 @@ def _cmd_certify(config, args, progress) -> int:
 
 
 def _cmd_delta(config, args, progress) -> int:
+    """Monte-Carlo Rademacher norm and its Bernstein bound"""
     design = build_design(config)
     stats = rademacher_statistics(config, design)
     sigma, uniform = design_moment_bounds(design)
@@ -254,8 +247,8 @@ def _cmd_delta(config, args, progress) -> int:
     return 0
 
 
-@_one_blas_thread()
 def _cmd_bound(config, args, progress) -> int:
+    """one end-to-end trial with a full bound report"""
     plan = resolve_plan(config)
     record = _run_trial(plan, 0)
     ingredients = (
@@ -268,6 +261,7 @@ def _cmd_bound(config, args, progress) -> int:
 
 
 def _cmd_verify(config, args, progress) -> int:
+    """Monte-Carlo verification of the oracle bound"""
     records, summary = run_oracle_trials(config, workers=args.workers, progress=progress)
     write_outputs(records, summary, args.out)
     print(
@@ -280,6 +274,7 @@ def _cmd_verify(config, args, progress) -> int:
 
 
 def _cmd_sweep(config, args, progress) -> int:
+    """rank and regularization sweeps"""
     result = rank_sweep(config, workers=args.workers, progress=progress)
     eps_rows = ()
     if config.eps_multiples:
@@ -319,16 +314,26 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,
 }
+# read once at import, before a profiler may wrap a command
+_DESCRIPTION = "\n".join(
+    ["Nuclear-norm penalized estimation and oracle-bound verification.", "", "subcommands:"]
+    + [f"  {name:<8} {command.__doc__}" for name, command in _COMMANDS.items()]
+)
 
 
 def dispatch(args) -> int:
+    """Run one parsed command: every setting is checked before any work, and
+    the whole command, problem set-up and Delta included, runs its BLAS on
+    one thread, as pool workers do, so no result depends on the thread count."""
+    check_workers(args.workers)
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     _check_out(Path(args.out))
 
     progress = _print_progress if args.verbose else None
-    return _COMMANDS[args.subcommand](config, args, progress)
+    with _one_blas_thread():
+        return _COMMANDS[args.subcommand](config, args, progress)
 
 
 def main(argv=None) -> int:

@@ -569,23 +569,10 @@ def _run_trial(plan: ResolvedPlan, index: int) -> TrialRecord:
     )
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ValidationError("workers must be at least 1")
-        return workers
-    env = os.environ.get("LOWRANK_ORACLE_WORKERS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"LOWRANK_ORACLE_WORKERS must be an integer, got {env!r}"
-            ) from None
-        if value < 1:
-            raise ValidationError("LOWRANK_ORACLE_WORKERS must be at least 1")
-        return value
-    return os.cpu_count() or 1
+def check_workers(workers: int) -> None:
+    """Refuse a trial process pool size below 1."""
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
 
 
 _OPENBLAS_THREAD_SYMBOLS = (  # (setter, getter) of each OpenBLAS build
@@ -664,17 +651,18 @@ def _run_worker_trial(index: int) -> TrialRecord:
     return _run_trial(_worker_plan, index)
 
 
-def run_trials(plan: ResolvedPlan, workers: int | None = None, progress=None) -> list[TrialRecord]:
-    """Run the plan's ``config.trials`` independent trials; records come
-    back in trial order, so the result is identical at any worker count.
-    Each worker process receives the plan once, and every trial runs one
+def run_trials(plan: ResolvedPlan, workers: int = 1, progress=None) -> list[TrialRecord]:
+    """Run the plan's ``config.trials`` independent trials, serially or, with
+    ``workers`` above 1, in a process pool of that size; records come back
+    in trial order, so the result is identical at any worker count.  Each
+    worker process receives the plan once, and every trial runs one
     BLAS thread, so that no result depends on how the BLAS splits a product
     across threads.  ``progress``, if given, is called with each record in
     trial order."""
-    workers = resolve_workers(workers)
+    check_workers(workers)
     trials = plan.config.trials
     records: list[TrialRecord] = []
-    if workers <= 1 or trials <= 1:
+    if workers == 1 or trials <= 1:
         with _one_blas_thread():
             for i in range(trials):
                 records.append(_run_trial(plan, i))
@@ -813,7 +801,7 @@ def _oracle_rows(plan: ResolvedPlan, records: list[TrialRecord]) -> list[dict]:
 
 
 def run_oracle_trials(
-    config: ExperimentConfig, workers: int | None = None, progress=None
+    config: ExperimentConfig, workers: int = 1, progress=None
 ) -> tuple[list[TrialRecord], SummaryReport]:
     """Solve ``config.trials`` independent datasets and evaluate the bound
     with the ground truth as oracle, then again at each member of its
@@ -845,7 +833,7 @@ def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> float:
 def rank_sweep(
     config: ExperimentConfig,
     ranks: tuple[int, ...] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     progress=None,
 ) -> RankSweepResult:
     """Repeat the oracle experiment with unit-spectrum truths of varying
@@ -898,7 +886,7 @@ def rank_sweep(
 def epsilon_sweep(
     config: ExperimentConfig,
     multiples: tuple[float, ...] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     progress=None,
     plan: ResolvedPlan | None = None,
 ) -> tuple[dict, ...]:

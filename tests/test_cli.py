@@ -536,6 +536,21 @@ def test_unusable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, 
     assert sorted(path.name for path in tmp_path.iterdir()) == ["taken", "threshold.ini"]
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_workers_below_one_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, workers):
+    # verify --workers 0 used to run Delta first and fail only in run_trials;
+    # the other subcommands, which run no pool, accepted it
+    _refuse_work(monkeypatch)
+    config = tmp_path / "threshold.ini"
+    config.write_text(SMALL_CONFIG.replace("absolute:0.05", "threshold:1.0"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_custom_design_rank_is_checked_against_its_atoms(tmp_path, capsys, monkeypatch):
     # three 12 x 12 atoms with m unset (10): rank 11 used to be refused
     # against m.  It is checked against the atoms' dimension, so rank 11
@@ -602,6 +617,12 @@ def test_usage_error_exits_one(capsys):
     assert main(["explode"]) == 1
 
 
+def test_help_lists_every_subcommand():
+    text = cli.build_parser().format_help()
+    for name, command in cli._COMMANDS.items():
+        assert f"  {name:<8} {command.__doc__}\n" in text
+
+
 def test_verify_writes_outputs(config_file, tmp_path, capsys):
     out = tmp_path / "verify-out"
     code = main(["verify", "--config", str(config_file), "--out", str(out)])
@@ -620,6 +641,25 @@ def test_verify_deterministic_across_worker_counts(config_file, tmp_path):
     assert main(["verify", "--config", str(config_file), "--out", str(out2), "--workers", "2"]) == 0
     assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_no_process_pool_without_workers(config_file, tmp_path, monkeypatch, command):
+    # serial is the default; --workers 2 runs the pool and writes the same bytes
+    import concurrent.futures
+
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert main([command, "--config", str(config_file), "--out", str(pooled), "--workers", "2"]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main([command, "--config", str(config_file), "--out", str(serial)]) == 0
+    names = sorted(path.name for path in pooled.iterdir())
+    assert names == sorted(path.name for path in serial.iterdir()) and names
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_summary_with_oracle_rows_deterministic_across_worker_counts(tmp_path):
@@ -787,32 +827,45 @@ def test_bound_subcommand(config_file, tmp_path):
     )
 
 
-@pytest.mark.parametrize("command", ["solve", "certify", "bound"])
-def test_solving_subcommands_run_one_blas_thread(config_file, tmp_path, monkeypatch, command):
-    # as verify's trials do, so that no result depends on the BLAS thread
-    # count; the process runs two threads before and after
+@pytest.mark.parametrize("command", COMMANDS)
+def test_solving_subcommands_run_one_blas_thread(tmp_path, monkeypatch, command):
+    # the whole command runs as verify's trials do, problem set-up and Delta
+    # included, so that no result depends on the BLAS thread count; the
+    # process runs two threads before and after.  Under the threshold rule
+    # every subcommand computes Delta; delta used to run it at the process
+    # default, and so did verify and sweep while resolving their plan
     controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS loaded")
-    seen = []
+    seen = {"delta": [], "solve": []}
 
-    def spy(*args, **kwargs):
-        seen.append([getter() for _, getter in controls])
-        return solver.solve(*args, **kwargs)
+    def spy(name, real):
+        def spied(*args, **kwargs):
+            seen[name].append([getter() for _, getter in controls])
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve", spy)
-    monkeypatch.setattr(harness, "solve", spy)  # bound solves in harness._run_trial
+        return spied
+
+    solve_spy = spy("solve", solver.solve)
+    monkeypatch.setattr(cli, "solve", solve_spy)
+    monkeypatch.setattr(harness, "solve", solve_spy)  # bound solves in harness._run_trial
+    monkeypatch.setattr(
+        harness, "estimate_rademacher_norm", spy("delta", harness.estimate_rademacher_norm)
+    )
+    config = tmp_path / "threshold.ini"
+    config.write_text(SMALL_CONFIG.replace("absolute:0.05", "threshold:1.0"))
     saved = [getter() for _, getter in controls]
     for setter, _ in controls:
         setter(2)
     try:
         assert [getter() for _, getter in controls] == [2] * len(controls)
-        assert main([command, "--config", str(config_file), "--out", str(tmp_path / "out")]) == 0
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert [getter() for _, getter in controls] == [2] * len(controls)
     finally:
         for (setter, _), count in zip(controls, saved):
             setter(count)
-    assert len(seen) == 1 and all(count == 1 for count in seen[0]), seen
+    assert len(seen["delta"]) == 1 and bool(seen["solve"]) == (command != "delta"), seen
+    assert all(count == 1 for counts in (*seen["delta"], *seen["solve"]) for count in counts), seen
 
 
 def test_sweep_subcommand(config_file, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -475,17 +476,27 @@ def test_pool_workers_run_one_blas_thread():
     assert all(count == 1 for count in counts), counts
 
 
-def test_worker_env_fallback(monkeypatch):
-    from lowrank_oracle.harness import resolve_workers
+def test_workers_default_to_one_and_refuse_below_one(monkeypatch):
+    # the worker count comes from the caller alone: serial unless asked,
+    # and no count below one, with no process pool started either way
+    import concurrent.futures
 
-    monkeypatch.setenv("LOWRANK_ORACLE_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
-    monkeypatch.setenv("LOWRANK_ORACLE_WORKERS", "zero")
-    with pytest.raises(ValidationError):
-        resolve_workers(None)
-    monkeypatch.delenv("LOWRANK_ORACLE_WORKERS")
-    assert resolve_workers(None) >= 1
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for run in (harness.run_trials, run_oracle_trials, rank_sweep, epsilon_sweep):
+        assert inspect.signature(run).parameters["workers"].default == 1, run.__name__
+    monkeypatch.setattr(harness, "_run_trial", lambda plan, i: i)
+    plan = SimpleNamespace(config=SimpleNamespace(trials=3))
+    assert harness.run_trials(plan) == [0, 1, 2]
+    harness.check_workers(1)
+    harness.check_workers(3)
+    for workers in (0, -2):
+        with pytest.raises(ValidationError, match=f"workers must be at least 1, got {workers}"):
+            harness.check_workers(workers)
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            harness.run_trials(plan, workers=workers)
 
 
 def test_unconstrained_with_explicit_prediction_bound():

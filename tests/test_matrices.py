@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowrank_oracle import (
@@ -303,6 +303,7 @@ def test_duality_inequality(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(symmetric(min_dim=2), st.integers(1, 3))
+@example(np.full((2, 2), 1e-9), 1)  # every singular value of the low part is below the cut
 def test_projection_decomposition_and_bounds(a, rank):
     m = a.shape[0]
     rank = min(rank, m)
@@ -312,10 +313,12 @@ def test_projection_decomposition_and_bounds(a, rank):
     low = support.apply(a)
     comp = support.apply_complement(a)
     assert np.allclose(low + comp, a, atol=1e-12 * max(1.0, np.abs(a).max()))
-    # low part rank and norm bounds
-    r_low = rank_at_tol(low, 1e-9 * max(1.0, operator_norm(low)))
+    # low part rank and norm bounds; the numerical rank leaves out up to m
+    # singular values of at most tol each
+    tol = 1e-9 * max(1.0, operator_norm(low))
+    r_low = rank_at_tol(low, tol)
     assert r_low <= 2 * support.rank
-    assert frobenius_norm(low) <= 2 * np.sqrt(max(r_low, 0)) * operator_norm(a) + 1e-9
+    assert frobenius_norm(low) <= 2 * np.sqrt(max(r_low, 0)) * operator_norm(a) + np.sqrt(m) * tol
 
 
 @settings(max_examples=40, deadline=None)
