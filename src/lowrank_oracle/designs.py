@@ -191,9 +191,10 @@ def functional_l2_norm(a: np.ndarray, design: DesignDistribution) -> float:
 # -- truth models --------------------------------------------------------------
 #
 # A noise model is the law of Y given each atom's prediction s_k = <S*, X_k>,
-# with its own rules: the response domain, the conditional law, the cutoff of
-# the Bayes bracket, a sample's counted draw (shift, per-atom sums of
-# y - shift, total of (y - shift)^2, row law or None) and its per-sample rebuild.
+# with its own rules: the response domain, the conditional law, each atom's
+# response mean and variance, the cutoff of the Bayes bracket, a sample's
+# counted draw (shift, per-atom sums of y - shift, total of (y - shift)^2,
+# row law or None) and its per-sample rebuild.
 
 @lru_cache(maxsize=8)
 def _legendre_nodes(num: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,6 +230,14 @@ class GaussianNoise:
         density = np.exp(-0.5 * (xi / self.sigma) ** 2) / (self.sigma * np.sqrt(2.0 * np.pi))
         mass = 1.0 - math.erfc(self.truncation / math.sqrt(2.0))
         return s[:, None] + xi, self.cutoff * weights * density / mass
+
+    def moments(self, s: np.ndarray):
+        """Each atom's response mean, its prediction, and variance, the
+        truncated normal's sigma^2 (1 - 2 c phi(c) / erf(c / sqrt 2)) at
+        c = truncation, the same for every atom."""
+        c = self.truncation
+        phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+        return s, self.sigma**2 * (1.0 - 2.0 * c * phi / math.erf(c / math.sqrt(2.0)))
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sigma == 0:
@@ -300,6 +309,12 @@ class ClassificationLink:
         """Weights (p, 1 - p) on (+1, -1)."""
         p = np.asarray(self.link(s), dtype=float)
         return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
+
+    def moments(self, s: np.ndarray):
+        """Each atom's response mean 2p - 1 and variance 1 - (2p - 1)^2,
+        as 4p(1 - p), at p = link(s)."""
+        p = np.asarray(self.link(s), dtype=float)
+        return 2.0 * p - 1.0, 4.0 * p * (1.0 - p)
 
     def _label_runs(self, rng: np.random.Generator, counts: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Per atom, its +1 count (one binomial) then its -1 count: sample order."""
@@ -544,6 +559,32 @@ def _conditional_mean(
     return out
 
 
+def _response_means(
+    loss: LossModel,
+    noise: GaussianNoise | ClassificationLink,
+    s: np.ndarray,
+    quadrature_nodes: int = QUADRATURE_NODES,
+) -> Callable:
+    """(fn, u) -> per atom E[fn(Y; u_k) | X = atom k], for fn one of the
+    loss's value, d1 and d2, about the truth's predictions ``s``.
+
+    A loss quadratic in the response, value = (y - u)^2 + C(u), needs only
+    each atom's response mean and variance: d1 and d2 are affine in y, so
+    their means are their values at the mean, and the value's mean is its
+    value at the mean plus the variance.  This is the population
+    counterpart of a sample's mean law (``Dataset._mean_law``).  Any other
+    loss sums the noise model's quadrature law, ``_conditional_mean``."""
+    if not loss.quadratic_in_response:
+        return lambda fn, u: _conditional_mean(fn, noise, s, u, quadrature_nodes)
+    mean, variance = noise.moments(s)
+
+    def expect(fn, u):
+        out = np.asarray(fn(mean, u), dtype=float)
+        return out + variance if fn is loss.value else out
+
+    return expect
+
+
 def population_risk(
     s: np.ndarray,
     design: DesignDistribution,
@@ -552,12 +593,12 @@ def population_risk(
     quadrature_nodes: int = QUADRATURE_NODES,
 ) -> float:
     """Exact risk of the linear rule x -> <S, x> under the truth model: the
-    design probabilities times each atom's conditional expected loss over
-    the response law, in row blocks."""
+    design probabilities times each atom's conditional expected loss, from
+    each atom's response mean and variance for a loss quadratic in the
+    response, else over the quadrature law in row blocks."""
     s = validate_symmetric(s)
-    per_atom = _conditional_mean(
-        loss.value, truth.noise, design.forward(truth.s_star), design.forward(s), quadrature_nodes
-    )
+    expect = _response_means(loss, truth.noise, design.forward(truth.s_star), quadrature_nodes)
+    per_atom = expect(loss.value, design.forward(s))
     if not np.all(np.isfinite(per_atom)):
         raise NumericalError("population risk overflowed; predictions too large for the loss")
     return float(np.dot(design.probs, per_atom))
@@ -573,23 +614,26 @@ def bayes_risk_per_atom(
     safeguarded by a per-atom bracket, first [-half, half], that shrinks with
     the sign of the derivative; a step that leaves it is replaced by
     bisection.  The bracket covers every conditional minimizer of the
-    registered losses under the finite truth models.  Independent of the
-    candidate matrix, so compute it once per truth.
+    registered losses under the finite truth models.  For a loss quadratic
+    in the response the mean of d1 is affine in u, so the first step lands
+    on the minimizer.  Independent of the candidate matrix, so compute it
+    once per truth.
     """
     s, noise = design.forward(truth.s_star), truth.noise
+    expect = _response_means(loss, noise, s)
     half = max(1.0, 10.0 * (float(np.max(np.abs(s))) + noise.cutoff))
     lo, hi = np.full_like(s, -half), np.full_like(s, half)
     u = s.copy()
     for _ in range(BAYES_MAX_ITERS):
-        d1 = _conditional_mean(loss.d1, noise, s, u)
+        d1 = expect(loss.d1, u)
         lo, hi = np.where(d1 < 0, u, lo), np.where(d1 > 0, u, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            u_next = u - d1 / _conditional_mean(loss.d2, noise, s, u)
+            u_next = u - d1 / expect(loss.d2, u)
         u_next = np.where((u_next >= lo) & (u_next <= hi), u_next, 0.5 * (lo + hi))
         done = np.all(np.abs(u_next - u) <= BAYES_XTOL * (1.0 + np.abs(u)))
         u = u_next
         if done:
-            return _conditional_mean(loss.value, noise, s, u)
+            return expect(loss.value, u)
     raise NumericalError(
         f"conditional risk minimization did not converge in {BAYES_MAX_ITERS} "
         "Newton-bisection steps"

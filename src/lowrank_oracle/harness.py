@@ -59,7 +59,7 @@ from .designs import (
     sample_dataset,
 )
 from .errors import ValidationError
-from .losses import LossModel, get_loss, loss_constants, q_value
+from .losses import FiniteSet, LossModel, ResponseDomain, get_loss, loss_constants, q_value
 from .matrices import best_rank_approximation, load_matrix, nuclear_norm_and_rank, symmetrize
 from .solver import SolverConfig, solve
 
@@ -399,17 +399,36 @@ def rademacher_statistics(
     )
 
 
+def _check_labels(config: ExperimentConfig, labels: ResponseDomain, responses: ResponseDomain) -> None:
+    """Refuse a loss whose constants hold on a finite set of ``labels`` for
+    a truth whose ``responses`` are not among them: on continuous responses
+    the exponential loss's curvature infimum is 0, not its closed form's
+    e^-a, since its d2 = y^2 exp(-y u) vanishes at y = 0."""
+    if isinstance(labels, FiniteSet) and not (
+        isinstance(responses, FiniteSet) and set(responses.values) <= set(labels.values)
+    ):
+        raise ValidationError(
+            f"config [loss] name = {config.loss_name} assumes responses in "
+            f"{{{', '.join(f'{v:+g}' for v in sorted(labels.values))}}}, "
+            f"but [truth] kind = {config.noise_kind} draws others: "
+            "its constants L(a) and tau(a) would not hold"
+        )
+
+
 def _threshold_terms(
     config: ExperimentConfig,
     design: DesignDistribution,
+    truth: TruthModel,
     loss: LossModel,
     constraint: ConstraintSet,
 ) -> dict:
     """The plan fields of the regularization threshold: a, the loss
-    constants at a, Delta and the threshold itself."""
+    constants at a, Delta and the threshold itself.  A loss whose constants
+    do not hold for the truth's responses is refused before Delta."""
     a = config.prediction_bound_override
     if a is None:
         a = constraint.prediction_bound(design.atom_norms)
+    _check_labels(config, loss.default_domain(a), response_domain(truth, design))
     consts = loss_constants(loss, a)
     stats = rademacher_statistics(config, design)
     return dict(
@@ -439,7 +458,7 @@ def resolve_problem(config: ExperimentConfig) -> tuple:
     terms = None
     epsilon = config.epsilon_value
     if config.epsilon_rule == "threshold":
-        terms = _threshold_terms(config, design, loss, constraint)
+        terms = _threshold_terms(config, design, truth, loss, constraint)
         epsilon *= terms["epsilon_threshold"]
     return design, truth, loss, constraint, config.solver_config(epsilon), terms
 
@@ -526,7 +545,7 @@ def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
         loss=loss,
         constraint=constraint,
         epsilon=solver_config.epsilon,
-        **(terms or _threshold_terms(config, design, loss, constraint)),
+        **(terms or _threshold_terms(config, design, truth, loss, constraint)),
         **_truth_fields(design, truth, loss, constraint, config.seed),
     )
 
@@ -583,6 +602,7 @@ _OPENBLAS_THREAD_SYMBOLS = (  # (setter, getter) of each OpenBLAS build
 )
 
 _worker_plan: ResolvedPlan | None = None  # set once per worker process
+_blas_pinned = False  # an outermost ``_one_blas_thread`` scope is active
 
 
 def _openblas_paths(maps_lines) -> list[str]:
@@ -627,14 +647,22 @@ def _openblas_thread_controls() -> list[tuple]:
 @contextmanager
 def _one_blas_thread():
     """Run every OpenBLAS loaded into this process on one thread, as pool
-    workers do, and restore each library's thread count on exit."""
+    workers do, and restore each library's thread count on exit.  Only the
+    outermost scope scans for the libraries, pins and restores: one entered
+    inside it, as ``run_trials`` is inside a command, runs as it is."""
+    global _blas_pinned
+    if _blas_pinned:
+        yield
+        return
     controls = _openblas_thread_controls()
     saved = [getter() for _, getter in controls]
     for setter, _ in controls:
         setter(1)
+    _blas_pinned = True
     try:
         yield
     finally:
+        _blas_pinned = False
         for (setter, _), count in zip(controls, saved):
             setter(count)
 
@@ -821,6 +849,14 @@ class RankSweepResult:
     records: dict
     plan: ResolvedPlan    # resolved once; each rank's point swaps in its own truth
 
+    @property
+    def plan_records(self) -> list[TrialRecord] | None:
+        """The trials of the rank point that is the plan itself, when the
+        configured truth is one of the points (its rank is swept and it has
+        the unit spectrum), else None."""
+        config = self.plan.config
+        return None if config.truth_spectrum else self.records.get(config.truth_rank)
+
 
 def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     mask = (xs > 0) & (ys > 0)
@@ -889,12 +925,15 @@ def epsilon_sweep(
     workers: int = 1,
     progress=None,
     plan: ResolvedPlan | None = None,
+    records: list[TrialRecord] | None = None,
 ) -> tuple[dict, ...]:
     """Repeat the oracle experiment at multiples of the resolved
     regularization level; one plan is resolved and only its epsilon changes
     from point to point.  A ``plan`` already resolved from ``config``, up to
     its ranks and multiples (a rank sweep's), is used in place of a new one,
-    so Delta and the per-atom Bayes risks are not computed again."""
+    so Delta and the per-atom Bayes risks are not computed again.  The
+    ``records`` of that plan's own trials (a rank sweep's ``plan_records``)
+    stand in for the point at multiple 1.0, which would run them again."""
     if multiples is not None:  # checked as the config's own multiples are
         config = replace(config, eps_multiples=tuple(multiples))
     multiples = config.eps_multiples
@@ -907,8 +946,11 @@ def epsilon_sweep(
     rows = []
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)
-        records = run_trials(point, workers=workers, progress=progress)
-        rows.append(_point_row(point, records, multiple=multiple))
+        if multiple == 1.0 and records is not None:
+            point_records = records
+        else:
+            point_records = run_trials(point, workers=workers, progress=progress)
+        rows.append(_point_row(point, point_records, multiple=multiple))
     return tuple(rows)
 
 

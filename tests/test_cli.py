@@ -446,6 +446,36 @@ def test_bad_setting_is_refused_by_every_subcommand_before_any_work(
     assert message in errors.pop()
 
 
+@pytest.mark.parametrize("epsilon", ["threshold:1.0", "absolute:0.05"])
+def test_exponential_loss_on_regression_is_refused_before_delta(
+    tmp_path, capsys, monkeypatch, epsilon
+):
+    # the exponential loss's closed form L = 1 + a e^a, tau = e^-a holds for
+    # labels in {-1, +1}; on continuous responses its curvature infimum is 0.
+    # m = 6, sigma = 1.0, n = 2000 used to exit 0 with smoothness 48.85 and
+    # curvature 0.0591.  Every command that needs the constants refuses it;
+    # solve and certify need them under the threshold rule only
+    _refuse_work(monkeypatch)
+    base = SMALL_CONFIG.replace("absolute:0.05", epsilon).replace("sigma = 0.1", "sigma = 1.0")
+    config = _write_config(tmp_path / "exp.ini", base, "loss", "name", "exponential")
+    commands = ("bound", "verify", "sweep")
+    if epsilon.startswith("threshold"):
+        commands = ("solve", "certify", *commands)
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: config [loss] name = exponential assumes responses in {-1, +1}, "
+            "but [truth] kind = regression draws others"
+        ), err
+        assert not out.exists()
+    # labels are what it is for
+    labels = _write_config(tmp_path / "labels.ini", base, "truth", "kind", "classification")
+    monkeypatch.undo()
+    assert main(["bound", "--config", str(labels), "--out", str(tmp_path / "labels")]) == 0
+
+
 def test_n_beyond_int64_is_refused(tmp_path, capsys):
     # numpy draws the counts as int64: n = 10^19 used to die in
     # Generator.multinomial with an OverflowError traceback
@@ -901,6 +931,55 @@ def test_sweep_resolves_one_plan_and_one_delta(config_file, tmp_path, monkeypatc
     other = harness.resolve_plan(dataclasses.replace(config, seed=config.seed + 1))
     with pytest.raises(ValidationError, match="another config"):
         harness.epsilon_sweep(config, workers=1, plan=other)
+
+
+def test_sweep_runs_the_configured_truth_once(config_file, tmp_path, monkeypatch):
+    # the configured truth (rank 2, unit spectrum) is the rank sweep's rank-2
+    # point, and the epsilon sweep's multiple-1.0 point is the same plan with
+    # the same seeds: its trials are taken from the rank sweep, not run again
+    ran = []
+    run_trial = harness._run_trial
+    monkeypatch.setattr(harness, "_run_trial", lambda plan, i: ran.append(i) or run_trial(plan, i))
+    out = tmp_path / "sweep-out"
+    assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    assert len(ran) == 4 * 3  # ranks 1 and 2, multiple 2.0
+    (rank_2,) = [row for row in payload["rank_rows"] if row["rank"] == 2]
+    (multiple_1,) = [row for row in payload["eps_rows"] if row["multiple"] == 1.0]
+    shared = set(rank_2) & set(multiple_1)
+    assert shared >= {"epsilon", *harness._ROW_FIELDS}
+    assert {key: rank_2[key] for key in shared} == {key: multiple_1[key] for key in shared}
+    # and the rows are those of a sweep that runs every point
+    separate = harness.epsilon_sweep(parse_config(config_file), workers=1)
+    assert payload["eps_rows"] == json.loads(json.dumps(harness._null_nonfinite(list(separate))))
+    # a truth that is no rank point, here by its spectrum, runs its own
+    ran.clear()
+    spectrum = tmp_path / "spectrum.ini"
+    spectrum.write_text(SMALL_CONFIG.replace("rank = 2\n", "rank = 2\nspectrum = 1.0 0.5\n"))
+    assert main(["sweep", "--config", str(spectrum), "--out", str(out)]) == 0
+    assert len(ran) == 4 * 4
+
+
+def test_verify_scans_for_openblas_once(config_file, tmp_path, monkeypatch):
+    # the command's scope pins the BLAS; run_trials' scope inside it neither
+    # scans the loaded libraries again nor re-pins them
+    calls = []
+    controls = harness._openblas_thread_controls
+    monkeypatch.setattr(harness, "_openblas_thread_controls", lambda: calls.append(1) or controls())
+    assert main(["verify", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_squared_loss_verify_builds_no_quadrature(config_file, tmp_path, monkeypatch):
+    # a loss quadratic in the response takes every risk from each atom's
+    # response mean and variance: Bayes risks, oracles and each trial's lhs
+    from lowrank_oracle import designs
+
+    def no_nodes(num):
+        raise AssertionError("a squared-loss run built the quadrature law")
+
+    monkeypatch.setattr(designs, "_legendre_nodes", no_nodes)
+    assert main(["verify", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_sweep_with_one_trial_writes_strict_json(tmp_path):
