@@ -278,10 +278,7 @@ def _cmd_sweep(config, args, progress) -> int:
     result = rank_sweep(config, workers=args.workers, progress=progress)
     eps_rows = ()
     if config.eps_multiples:
-        eps_rows = epsilon_sweep(
-            config, workers=args.workers, progress=progress, plan=result.plan,
-            records=result.plan_records,
-        )
+        eps_rows = epsilon_sweep(config, workers=args.workers, progress=progress, plan=result.plan)
     out = Path(args.out)
     write_json(
         out / "sweep.json",

@@ -849,14 +849,6 @@ class RankSweepResult:
     records: dict
     plan: ResolvedPlan    # resolved once; each rank's point swaps in its own truth
 
-    @property
-    def plan_records(self) -> list[TrialRecord] | None:
-        """The trials of the rank point that is the plan itself, when the
-        configured truth is one of the points (its rank is swept and it has
-        the unit spectrum), else None."""
-        config = self.plan.config
-        return None if config.truth_spectrum else self.records.get(config.truth_rank)
-
 
 def _loglog_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     mask = (xs > 0) & (ys > 0)
@@ -925,15 +917,12 @@ def epsilon_sweep(
     workers: int = 1,
     progress=None,
     plan: ResolvedPlan | None = None,
-    records: list[TrialRecord] | None = None,
 ) -> tuple[dict, ...]:
     """Repeat the oracle experiment at multiples of the resolved
     regularization level; one plan is resolved and only its epsilon changes
     from point to point.  A ``plan`` already resolved from ``config``, up to
     its ranks and multiples (a rank sweep's), is used in place of a new one,
-    so Delta and the per-atom Bayes risks are not computed again.  The
-    ``records`` of that plan's own trials (a rank sweep's ``plan_records``)
-    stand in for the point at multiple 1.0, which would run them again."""
+    so Delta and the per-atom Bayes risks are not computed again."""
     if multiples is not None:  # checked as the config's own multiples are
         config = replace(config, eps_multiples=tuple(multiples))
     multiples = config.eps_multiples
@@ -946,11 +935,8 @@ def epsilon_sweep(
     rows = []
     for multiple in multiples:
         point = replace(plan, epsilon=multiple * plan.epsilon)
-        if multiple == 1.0 and records is not None:
-            point_records = records
-        else:
-            point_records = run_trials(point, workers=workers, progress=progress)
-        rows.append(_point_row(point, point_records, multiple=multiple))
+        records = run_trials(point, workers=workers, progress=progress)
+        rows.append(_point_row(point, records, multiple=multiple))
     return tuple(rows)
 
 

@@ -933,33 +933,6 @@ def test_sweep_resolves_one_plan_and_one_delta(config_file, tmp_path, monkeypatc
         harness.epsilon_sweep(config, workers=1, plan=other)
 
 
-def test_sweep_runs_the_configured_truth_once(config_file, tmp_path, monkeypatch):
-    # the configured truth (rank 2, unit spectrum) is the rank sweep's rank-2
-    # point, and the epsilon sweep's multiple-1.0 point is the same plan with
-    # the same seeds: its trials are taken from the rank sweep, not run again
-    ran = []
-    run_trial = harness._run_trial
-    monkeypatch.setattr(harness, "_run_trial", lambda plan, i: ran.append(i) or run_trial(plan, i))
-    out = tmp_path / "sweep-out"
-    assert main(["sweep", "--config", str(config_file), "--out", str(out)]) == 0
-    payload = json.loads((out / "sweep.json").read_text())
-    assert len(ran) == 4 * 3  # ranks 1 and 2, multiple 2.0
-    (rank_2,) = [row for row in payload["rank_rows"] if row["rank"] == 2]
-    (multiple_1,) = [row for row in payload["eps_rows"] if row["multiple"] == 1.0]
-    shared = set(rank_2) & set(multiple_1)
-    assert shared >= {"epsilon", *harness._ROW_FIELDS}
-    assert {key: rank_2[key] for key in shared} == {key: multiple_1[key] for key in shared}
-    # and the rows are those of a sweep that runs every point
-    separate = harness.epsilon_sweep(parse_config(config_file), workers=1)
-    assert payload["eps_rows"] == json.loads(json.dumps(harness._null_nonfinite(list(separate))))
-    # a truth that is no rank point, here by its spectrum, runs its own
-    ran.clear()
-    spectrum = tmp_path / "spectrum.ini"
-    spectrum.write_text(SMALL_CONFIG.replace("rank = 2\n", "rank = 2\nspectrum = 1.0 0.5\n"))
-    assert main(["sweep", "--config", str(spectrum), "--out", str(out)]) == 0
-    assert len(ran) == 4 * 4
-
-
 def test_verify_scans_for_openblas_once(config_file, tmp_path, monkeypatch):
     # the command's scope pins the BLAS; run_trials' scope inside it neither
     # scans the loaded libraries again nor re-pins them
