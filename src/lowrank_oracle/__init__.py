@@ -32,7 +32,6 @@ from .designs import (
     population_risk,
     response_domain,
     sample_dataset,
-    save_dataset,
 )
 from .errors import NumericalError, ValidationError
 from .harness import (
@@ -44,10 +43,8 @@ from .harness import (
     epsilon_sweep,
     mix_seed,
     rank_sweep,
-    read_trials_csv,
     resolve_plan,
     run_oracle_trials,
-    validate_summary,
     write_outputs,
 )
 from .losses import (
@@ -55,7 +52,6 @@ from .losses import (
     Interval,
     LossConstants,
     LossModel,
-    curvature_lower_bound_check,
     exponential_loss,
     get_loss,
     loss_constants,
@@ -67,12 +63,10 @@ from .matrices import (
     SpectralDecomposition,
     SupportProjector,
     best_rank_approximation,
-    cone_gap,
     frobenius_norm,
     load_matrix,
     nuclear_norm,
     operator_norm,
-    rank_at_tol,
     save_matrix,
     sign_and_support,
     spectral_decompose,

@@ -123,13 +123,7 @@ def estimate_rademacher_norm(
     rep.  Counts, signs, adjoint and norms run in row blocks of about
     ``BLOCK_BYTES`` of adjoint output, trimmed to whole clusters of k =
     min(``SHARED_COUNTS``, rows // 2) repetitions that share their counts;
-    block b draws from a generator seeded from (seed, b).  On one core of
-    a 2-vCPU host, a 16-row block of two clusters at m = 40, n = 32 000
-    takes about 1.7 ms: the two count rows 0.2 ms, the signs 0.15 ms, the
-    adjoint 0.08 ms and ``eigvalsh`` 1.3 ms.  With a count row per
-    repetition, 20 rows took 3.9 ms, 2.1 ms of it in the multinomial.  At
-    m = 200, n = 10^6 (one repetition a block, so k = 1) a repetition takes
-    about 5 ms, half of it in the multinomial.
+    block b draws from a generator seeded from (seed, b).
 
     Without ``rtol`` exactly ``reps`` repetitions are drawn.  With it,
     ``reps`` is a cap: the loop stops after the first block at which at

@@ -159,12 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _problem(config: ExperimentConfig):
     """(data, loss, constraint, solver config): the dataset file when given,
-    else the sample of trial 0."""
-    design, truth, loss, constraint, solver_config, _ = resolve_problem(config)
-    if config.dataset is not None:
-        data = load_dataset(config.dataset, design)
-    else:
+    else the sample of trial 0.  The threshold rule takes epsilon at the
+    config's n, so a dataset of another size is refused before Delta."""
+    if config.dataset is None:
+        design, truth, loss, constraint, solver_config, _ = resolve_problem(config)
         data = sample_dataset(design, truth, config.n, mix_seed(config.seed, 0))
+        return data, loss, constraint, solver_config
+    data = load_dataset(config.dataset, build_design(config))
+    if config.epsilon_rule == "threshold" and data.n != config.n:
+        raise ValidationError(
+            f"{config.dataset}: {data.n} samples, but the threshold epsilon is taken "
+            f"at [experiment] n = {config.n}; set n = {data.n} or give an absolute epsilon"
+        )
+    _, _, loss, constraint, solver_config, _ = resolve_problem(config, data.design)
     return data, loss, constraint, solver_config
 
 

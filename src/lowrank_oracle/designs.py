@@ -220,12 +220,13 @@ class GaussianNoise:
         half = float(np.max(np.abs(s))) + self.cutoff
         return Interval(-half, half)
 
-    def conditional_law(self, s: np.ndarray, quadrature_nodes: int):
-        """Gauss-Legendre nodes on [-cutoff, cutoff] about each prediction; a
-        noiseless truth is the single point of its prediction."""
+    def conditional_law(self, s: np.ndarray):
+        """``QUADRATURE_NODES`` Gauss-Legendre nodes on [-cutoff, cutoff]
+        about each prediction; a noiseless truth is the single point of its
+        prediction."""
         if self.sigma == 0:
             return s[:, None], np.ones(1)
-        nodes, weights = _legendre_nodes(quadrature_nodes)
+        nodes, weights = _legendre_nodes(QUADRATURE_NODES)
         xi = self.cutoff * nodes
         density = np.exp(-0.5 * (xi / self.sigma) ** 2) / (self.sigma * np.sqrt(2.0 * np.pi))
         mass = 1.0 - math.erfc(self.truncation / math.sqrt(2.0))
@@ -305,7 +306,7 @@ class ClassificationLink:
     def domain(self, s: np.ndarray) -> ResponseDomain:
         return FiniteSet((-1.0, 1.0))
 
-    def conditional_law(self, s: np.ndarray, quadrature_nodes: int):
+    def conditional_law(self, s: np.ndarray):
         """Weights (p, 1 - p) on (+1, -1)."""
         p = np.asarray(self.link(s), dtype=float)
         return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
@@ -494,14 +495,6 @@ def sample_dataset(
     return CountedDataset(design, truth, n, seed)
 
 
-def save_dataset(path, dataset: Dataset) -> None:
-    """Write the dataset CSV: columns (j, atom_index, y), one line per sample."""
-    rows = zip(dataset.atom_indices.tolist(), dataset.y.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("j,atom_index,y\r\n")
-        fh.writelines(f"{j},{i},{y!r}\r\n" for j, (i, y) in enumerate(rows))
-
-
 _CSV_ROW = np.dtype([("j", "U0"), ("atom_index", np.int64), ("y", float)])  # j is not parsed
 
 
@@ -536,7 +529,6 @@ def _conditional_mean(
     noise: GaussianNoise | ClassificationLink,
     s: np.ndarray,
     u: np.ndarray,
-    quadrature_nodes: int = QUADRATURE_NODES,
 ) -> np.ndarray:
     """Per atom, E[fn(Y; u_k) | X = atom k] = sum_q w fn(ys; u_k) under the
     noise model's response law (ys, w) about the truth's predictions ``s``.
@@ -550,11 +542,11 @@ def _conditional_mean(
     # every allocation as large as the largest mapping it has freed;
     # full-block arrays were that size here, at about 200 page faults a call
     # at m = 40
-    width = np.broadcast(*noise.conditional_law(s[:1], quadrature_nodes)).shape[-1]
+    width = np.broadcast(*noise.conditional_law(s[:1])).shape[-1]
     step = block_rows(2 * width)
     for lo in range(0, s.shape[0], step):
         rows = slice(lo, lo + step)
-        ys, w = noise.conditional_law(s[rows], quadrature_nodes)
+        ys, w = noise.conditional_law(s[rows])
         out[rows] = np.sum(w * np.asarray(fn(ys, u[rows, None]), dtype=float), axis=-1)
     return out
 
@@ -563,7 +555,6 @@ def _response_means(
     loss: LossModel,
     noise: GaussianNoise | ClassificationLink,
     s: np.ndarray,
-    quadrature_nodes: int = QUADRATURE_NODES,
 ) -> Callable:
     """(fn, u) -> per atom E[fn(Y; u_k) | X = atom k], for fn one of the
     loss's value, d1 and d2, about the truth's predictions ``s``.
@@ -575,7 +566,7 @@ def _response_means(
     counterpart of a sample's mean law (``Dataset._mean_law``).  Any other
     loss sums the noise model's quadrature law, ``_conditional_mean``."""
     if not loss.quadratic_in_response:
-        return lambda fn, u: _conditional_mean(fn, noise, s, u, quadrature_nodes)
+        return lambda fn, u: _conditional_mean(fn, noise, s, u)
     mean, variance = noise.moments(s)
 
     def expect(fn, u):
@@ -590,14 +581,13 @@ def population_risk(
     design: DesignDistribution,
     truth: TruthModel,
     loss: LossModel,
-    quadrature_nodes: int = QUADRATURE_NODES,
 ) -> float:
     """Exact risk of the linear rule x -> <S, x> under the truth model: the
     design probabilities times each atom's conditional expected loss, from
     each atom's response mean and variance for a loss quadratic in the
     response, else over the quadrature law in row blocks."""
     s = validate_symmetric(s)
-    expect = _response_means(loss, truth.noise, design.forward(truth.s_star), quadrature_nodes)
+    expect = _response_means(loss, truth.noise, design.forward(truth.s_star))
     per_atom = expect(loss.value, design.forward(s))
     if not np.all(np.isfinite(per_atom)):
         raise NumericalError("population risk overflowed; predictions too large for the loss")

@@ -268,24 +268,6 @@ class SummaryReport:
 SUMMARY_SCHEMA: dict[str, type] = get_type_hints(SummaryReport)
 
 
-def validate_summary(summary: dict) -> None:
-    """Check a summary dict against the documented schema; a float field may
-    also be None (null in JSON) where its statistic is undefined."""
-    missing = set(SUMMARY_SCHEMA) - set(summary)
-    extra = set(summary) - set(SUMMARY_SCHEMA)
-    if missing or extra:
-        raise ValidationError(f"summary schema mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for key, expected in SUMMARY_SCHEMA.items():
-        value = summary[key]
-        if expected is float:
-            if value is None:
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValidationError(f"summary[{key!r}] must be numeric, got {type(value).__name__}")
-        elif not isinstance(value, expected) or (isinstance(value, bool) and expected is int):
-            raise ValidationError(f"summary[{key!r}] must be {expected}, got {type(value).__name__}")
-
-
 # -- plan resolution -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -442,16 +424,18 @@ def _threshold_terms(
     )
 
 
-def resolve_problem(config: ExperimentConfig) -> tuple:
+def resolve_problem(config: ExperimentConfig, design: DesignDistribution | None = None) -> tuple:
     """(design, truth, loss, constraint, solver config, threshold terms):
     what solving needs, with the threshold terms only when the epsilon rule
-    needed them (else None).
+    needed them (else None).  ``design``, when given, is the config's design,
+    already built.
 
     The threshold rule multiplies the computed threshold by
     ``epsilon_value``; the absolute rule takes the value itself and needs no
     prediction bound, so it also serves unconstrained problems without one.
     """
-    design = build_design(config)
+    if design is None:
+        design = build_design(config)
     truth = build_truth(config, dim=design.dim)
     loss = get_loss(config.loss_name)
     constraint = build_constraint(config)
@@ -995,8 +979,8 @@ def write_series(path, points) -> Path:
 def write_outputs(records: list[TrialRecord], summary: SummaryReport, out_dir) -> dict[str, Path]:
     """Persist trials.csv, summary.json and the violation_vs_c series.
 
-    The CSV has the stable column order ``TRIAL_COLUMNS`` and round-trips
-    losslessly through :func:`read_trials_csv`.
+    The CSV has the stable column order ``TRIAL_COLUMNS``, and every float
+    cell is its ``repr``, so it reads back losslessly.
     """
     out = Path(out_dir)
     paths: dict[str, Path] = {"trials": out / "trials.csv"}
@@ -1023,26 +1007,3 @@ def _violation_series(records: list[TrialRecord]) -> list[tuple[float, float]]:
     upper = max(1.0, float(np.max(finite)) * 1.25) if finite.size else 1.0
     grid = np.linspace(0.0, upper, 101)
     return [(float(c), float(np.mean(criticals > c))) for c in grid]
-
-
-def read_trials_csv(path) -> list[TrialRecord]:
-    """Parse a trials CSV back into records (wall time is not persisted)."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRIAL_COLUMNS):
-            raise ValidationError(f"{path}: unexpected trials.csv header {header!r}")
-        for row in reader:
-            if len(row) != len(TRIAL_COLUMNS):
-                raise ValidationError(f"{path}: malformed row {row!r}")
-            kwargs = {}
-            for column, cell in zip(TRIAL_COLUMNS, row):
-                try:
-                    if column in _BOOL_COLUMNS:
-                        cell = ("0", "1").index(cell)
-                    kwargs[column] = _COLUMN_TYPES[column](cell)
-                except ValueError:
-                    raise ValidationError(f"{path}: malformed row {row!r}") from None
-            records.append(TrialRecord(**kwargs))
-    return records

@@ -229,32 +229,3 @@ def q_value(loss: LossModel, domain: ResponseDomain, grid_size: int = GRID_SIZE_
     """
     ys = domain.points(grid_size)
     return float(np.max(np.asarray(loss.value(ys, 0.0), dtype=float)))
-
-
-def curvature_lower_bound_check(
-    loss: LossModel,
-    a: float,
-    samples: np.ndarray,
-    slack: float = 1e-9,
-) -> bool:
-    """Check the scalar second-order lower bound on sampled triples.
-
-    ``samples`` has rows (y, u, v) with u, v in [-a, a]; the check is
-
-        loss(y; v) >= loss(y; u) + d1(y; u) (v - u) + tau(a)/2 (v - u)^2
-
-    within ``slack`` on every row.  This is the pointwise inequality behind
-    the strong-convexity step of the excess-risk analysis.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 3:
-        raise ValidationError("samples must be an (n, 3) array of (y, u, v) rows")
-    y, u, v = samples[:, 0], samples[:, 1], samples[:, 2]
-    tau = loss_constants(loss, a).curvature
-    lhs = np.asarray(loss.value(y, v), dtype=float)
-    rhs = (
-        np.asarray(loss.value(y, u), dtype=float)
-        + np.asarray(loss.d1(y, u), dtype=float) * (v - u)
-        + 0.5 * tau * (v - u) ** 2
-    )
-    return bool(np.all(lhs >= rhs - slack))

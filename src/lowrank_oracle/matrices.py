@@ -4,7 +4,7 @@ Symmetric matrices are plain ``numpy`` arrays validated at API boundaries.
 This module provides spectral decomposition, the three matrix norms
 (nuclear / Frobenius / operator), eigen-sign and support extraction, the
 support projectors that split a matrix into a low-rank part and its
-complement, the dominant-low-rank cone gap and scalar soft-thresholding.
+complement, and scalar soft-thresholding.
 
 All operations are pure functions over immutable values; results that are
 symmetric by construction are explicitly re-symmetrized so the 1e-12
@@ -94,8 +94,8 @@ def nuclear_norm(s: np.ndarray) -> float:
 
 
 def nuclear_norm_and_rank(s: np.ndarray) -> tuple[float, int]:
-    """``nuclear_norm`` and ``rank_at_tol`` at its default tolerance, from
-    one ``eigvalsh``."""
+    """``nuclear_norm`` and the number of eigenvalues above
+    ``default_zero_tol``, from one ``eigvalsh``."""
     lam = np.linalg.eigvalsh(validate_symmetric(s))
     return float(np.sum(np.abs(lam))), int(np.sum(np.abs(lam) > default_zero_tol(lam)))
 
@@ -171,28 +171,6 @@ def sign_and_support(
     phi = dec.eigenvectors[:, keep]
     sign_matrix = SpectralDecomposition(np.sign(dec.eigenvalues[keep]), phi).reconstruct()
     return sign_matrix, SupportProjector(dim=dec.dim, basis=phi)
-
-
-def rank_at_tol(s: np.ndarray, zero_tol: float | None = None) -> int:
-    """Number of eigenvalues above the zero tolerance (by default
-    ``default_zero_tol``, taken from the same eigenvalues)."""
-    lam = np.linalg.eigvalsh(validate_symmetric(s))
-    if zero_tol is None:
-        zero_tol = default_zero_tol(lam)
-    return int(np.sum(np.abs(lam) > zero_tol))
-
-
-def cone_gap(a: np.ndarray, support: SupportProjector, b: float) -> float:
-    """Slack of the dominant-low-rank cone constraint.
-
-    Returns ``b * ||low rank part||_1 - ||complement part||_1``; the matrix
-    belongs to the cone with parameter ``b`` iff the result is >= 0.
-    """
-    if b <= 0:
-        raise ValidationError("cone parameter b must be positive")
-    complement = support.apply_complement(a)
-    low = np.asarray(a, dtype=float) - complement
-    return b * nuclear_norm(symmetrize(low)) - nuclear_norm(complement)
 
 
 def soft_threshold(x: np.ndarray, theta: float) -> np.ndarray:

@@ -12,9 +12,15 @@ its eigenbasis.  The empirical risk and gradient references evaluate the
 loss at every sample, where the solver evaluates it once per row of the
 response law.  The solver reference runs the proximal-gradient iteration on
 the validated public functions, where ``solve`` runs it on unchecked kernels.
+
+The last section holds what only the tests call: a rank at a given
+tolerance, the cone gap, the pointwise curvature check, the dataset writer,
+the trials-CSV reader and the summary schema check.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 import pytest
@@ -30,9 +36,12 @@ from lowrank_oracle import (
     NumericalError,
     OperatorNormBall,
     SolveResult,
+    TrialRecord,
     Unconstrained,
+    ValidationError,
     empirical_risk,
     gradient,
+    loss_constants,
     nuclear_norm,
     operator_norm,
     optimality_residuals,
@@ -42,6 +51,7 @@ from lowrank_oracle import (
 from lowrank_oracle import bounds, designs
 from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
 from lowrank_oracle.constraints import BOUNDARY_TOL
+from lowrank_oracle.harness import _BOOL_COLUMNS, _COLUMN_TYPES, SUMMARY_SCHEMA, TRIAL_COLUMNS
 from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
 from lowrank_oracle.solver import GRAD_TOL_FACTOR, STEP_GROWTH, STEP_SHRINK, _initial_step, _prox
 
@@ -384,3 +394,106 @@ def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> 
         backtracks=backtracks,
         restarts=restarts,
     )
+
+
+# -- checks and readers that only the tests call ----------------------------------
+
+def rank_at_tol(s: np.ndarray, zero_tol: float | None = None) -> int:
+    """Number of eigenvalues above the zero tolerance (by default
+    ``default_zero_tol``, taken from the same eigenvalues)."""
+    lam = np.linalg.eigvalsh(validate_symmetric(s))
+    if zero_tol is None:
+        zero_tol = default_zero_tol(lam)
+    return int(np.sum(np.abs(lam) > zero_tol))
+
+
+def cone_gap(a: np.ndarray, support, b: float) -> float:
+    """Slack of the dominant-low-rank cone constraint.
+
+    Returns ``b * ||low rank part||_1 - ||complement part||_1``; the matrix
+    belongs to the cone with parameter ``b`` iff the result is >= 0.
+    """
+    if b <= 0:
+        raise ValidationError("cone parameter b must be positive")
+    complement = support.apply_complement(a)
+    low = np.asarray(a, dtype=float) - complement
+    return b * nuclear_norm(symmetrize(low)) - nuclear_norm(complement)
+
+
+def curvature_lower_bound_check(
+    loss: LossModel,
+    a: float,
+    samples: np.ndarray,
+    slack: float = 1e-9,
+) -> bool:
+    """Check the scalar second-order lower bound on sampled triples.
+
+    ``samples`` has rows (y, u, v) with u, v in [-a, a]; the check is
+
+        loss(y; v) >= loss(y; u) + d1(y; u) (v - u) + tau(a)/2 (v - u)^2
+
+    within ``slack`` on every row.  This is the pointwise inequality behind
+    the strong-convexity step of the excess-risk analysis.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 3:
+        raise ValidationError("samples must be an (n, 3) array of (y, u, v) rows")
+    y, u, v = samples[:, 0], samples[:, 1], samples[:, 2]
+    tau = loss_constants(loss, a).curvature
+    lhs = np.asarray(loss.value(y, v), dtype=float)
+    rhs = (
+        np.asarray(loss.value(y, u), dtype=float)
+        + np.asarray(loss.d1(y, u), dtype=float) * (v - u)
+        + 0.5 * tau * (v - u) ** 2
+    )
+    return bool(np.all(lhs >= rhs - slack))
+
+
+def save_dataset(path, dataset: Dataset) -> None:
+    """Write the dataset CSV that ``load_dataset`` reads: columns
+    (j, atom_index, y), one line per sample."""
+    rows = zip(dataset.atom_indices.tolist(), dataset.y.tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("j,atom_index,y\r\n")
+        fh.writelines(f"{j},{i},{y!r}\r\n" for j, (i, y) in enumerate(rows))
+
+
+def read_trials_csv(path) -> list[TrialRecord]:
+    """Parse a trials CSV back into records (wall time is not persisted)."""
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(TRIAL_COLUMNS):
+            raise ValidationError(f"{path}: unexpected trials.csv header {header!r}")
+        for row in reader:
+            if len(row) != len(TRIAL_COLUMNS):
+                raise ValidationError(f"{path}: malformed row {row!r}")
+            kwargs = {}
+            for column, cell in zip(TRIAL_COLUMNS, row):
+                try:
+                    if column in _BOOL_COLUMNS:
+                        cell = ("0", "1").index(cell)
+                    kwargs[column] = _COLUMN_TYPES[column](cell)
+                except ValueError:
+                    raise ValidationError(f"{path}: malformed row {row!r}") from None
+            records.append(TrialRecord(**kwargs))
+    return records
+
+
+def validate_summary(summary: dict) -> None:
+    """Check a summary dict against the documented schema; a float field may
+    also be None (null in JSON) where its statistic is undefined."""
+    missing = set(SUMMARY_SCHEMA) - set(summary)
+    extra = set(summary) - set(SUMMARY_SCHEMA)
+    if missing or extra:
+        raise ValidationError(f"summary schema mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+    for key, expected in SUMMARY_SCHEMA.items():
+        value = summary[key]
+        if expected is float:
+            if value is None:
+                continue
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValidationError(f"summary[{key!r}] must be numeric, got {type(value).__name__}")
+        elif not isinstance(value, expected) or (isinstance(value, bool) and expected is int):
+            raise ValidationError(f"summary[{key!r}] must be {expected}, got {type(value).__name__}")

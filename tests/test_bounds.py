@@ -25,7 +25,6 @@ from lowrank_oracle import (
     oracle_bound_report,
     operator_norm,
     orthonormal_basis_design,
-    rank_at_tol,
     sample_rademacher_averages,
     sign_and_support,
 )
@@ -33,10 +32,12 @@ from lowrank_oracle import (
 from lowrank_oracle import bounds, designs
 
 from helpers import (
+    cone_gap,
     rademacher_draws,
     rademacher_norm_reference,
     random_low_rank,
     random_symmetric,
+    rank_at_tol,
     shared_count_blocks,
 )
 
@@ -178,7 +179,7 @@ def test_compatibility_lower_bound_of_rank_zero_support_is_zero():
 
 
 def test_compatibility_duality_on_cone_samples():
-    from lowrank_oracle import cone_gap, nuclear_norm
+    from lowrank_oracle import nuclear_norm
 
     rng = np.random.default_rng(9)
     design = orthonormal_basis_design(4)

@@ -19,11 +19,8 @@ from lowrank_oracle import (
     load_matrix,
     mix_seed,
     orthonormal_basis_design,
-    read_trials_csv,
     sample_dataset,
-    save_dataset,
     save_matrix,
-    validate_summary,
 )
 from lowrank_oracle import cli, harness, solver
 from lowrank_oracle.cli import _SECTION_KEYS, main, parse_config
@@ -34,6 +31,8 @@ from lowrank_oracle.harness import (
     _openblas_thread_controls,
     resolve_problem,
 )
+
+from helpers import read_trials_csv, save_dataset, validate_summary
 
 SMALL_CONFIG = """
 [design]
@@ -774,6 +773,37 @@ def test_solve_with_dataset_file(config_file, tmp_path):
     assert json.loads((out / "solve.json").read_text())["n"] == 80
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_threshold_epsilon_refuses_a_dataset_of_another_size(tmp_path, capsys, monkeypatch, command):
+    # the threshold epsilon d L(a) Delta / sqrt(n) is taken at [experiment] n:
+    # on an 80-sample file solve.json used to read "n": 80 with epsilon 3.833
+    # at n = 80, 1.949 at n = 300 and 0.106 at n = 100 000
+    design = orthonormal_basis_design(4)
+    truth = TruthModel(s_star=np.diag([1.0, 1.0, 0.0, 0.0]), noise=GaussianNoise(0.1))
+    data_path = tmp_path / "data.csv"
+    save_dataset(data_path, sample_dataset(design, truth, 80, seed=5))
+    base = SMALL_CONFIG + f"\n[data]\ndataset = {data_path}\n"
+    threshold = base.replace("absolute:0.05", "threshold:1.0")
+    config = _write_config(tmp_path / "threshold.ini", threshold, "experiment", "n", "300")
+    out = tmp_path / "refused"
+    _refuse_work(monkeypatch)
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {data_path}: 80 samples, but the threshold epsilon is taken at "
+        "[experiment] n = 300"
+    ), err
+    assert not out.exists()
+    monkeypatch.undo()
+    # at the dataset's own size it runs; under the absolute rule n is unused
+    matching = _write_config(tmp_path / "matching.ini", threshold, "experiment", "n", "80")
+    absolute = _write_config(tmp_path / "absolute.ini", base, "experiment", "n", "300")
+    for path in (matching, absolute):
+        out = tmp_path / path.stem
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert (out / f"{command}.json").exists()
+
+
 def test_certify_solved_estimate(config_file, tmp_path):
     out_solve = tmp_path / "s"
     assert main(["solve", "--config", str(config_file), "--out", str(out_solve)]) == 0
@@ -1120,6 +1150,33 @@ def test_cli_import_loads_no_pool_or_masked_arrays():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+TRACED_RUN = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from tracing import Tracer, install
+from lowrank_oracle import cli
+tracer = Tracer()
+install(tracer)
+code = cli.main(sys.argv[3:])
+print(sum(span[0] == "harness.trial" for span in tracer.spans))
+sys.exit(code)
+"""
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(config_file, tmp_path):
+    # perfbench/tracing.py replaces program functions by name; a renamed or
+    # deleted one fails its install with an AttributeError, here rather than
+    # only in the benchmark's own run
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "perfbench"), str(root / "src"), "verify",
+         "--config", str(config_file), "--out", str(tmp_path / "out"), "--workers", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) == 4  # SMALL_CONFIG's trials
 
 
 def test_shipped_m200_config_runs_at_reduced_size(tmp_path):

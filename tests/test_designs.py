@@ -33,7 +33,6 @@ from lowrank_oracle import (
     register_loss,
     response_domain,
     sample_dataset,
-    save_dataset,
     squared_loss,
 )
 from lowrank_oracle import designs
@@ -41,7 +40,7 @@ from lowrank_oracle.bounds import design_moment_bounds
 from lowrank_oracle.designs import BasisDesign
 from lowrank_oracle.matrices import frobenius_norm, nuclear_norm, operator_norm
 
-from helpers import bayes_risk_oracle, log_cosh_loss, random_low_rank, random_symmetric
+from helpers import bayes_risk_oracle, log_cosh_loss, random_low_rank, random_symmetric, save_dataset
 
 
 def test_basis_design_m2_atoms():
@@ -673,8 +672,10 @@ def test_quadrature_self_check():
     s = random_low_rank(rng, 3, 1)
     # the squared loss takes its risk from the moments: sum the quadrature law
     loss = dataclasses.replace(squared_loss(), quadratic_in_response=False)
-    r64 = population_risk(s, design, truth, loss, quadrature_nodes=64)
-    r128 = population_risk(s, design, truth, loss, quadrature_nodes=128)
+    r64 = population_risk(s, design, truth, loss)
+    with mock.patch.object(designs, "QUADRATURE_NODES", 128):
+        r128 = population_risk(s, design, truth, loss)
+        assert truth.noise.conditional_law(design.forward(s_star))[0].shape == (6, 128)
     assert abs(r64 - r128) < 1e-10
 
 
@@ -733,7 +734,7 @@ def test_bayes_cache_matches_direct_computation():
 
 def _full_law_mean(fn, noise, s, u):
     # the whole (k, q) response law in one evaluation
-    ys, w = noise.conditional_law(s, designs.QUADRATURE_NODES)
+    ys, w = noise.conditional_law(s)
     return np.sum(w * np.asarray(fn(ys, u[:, None]), dtype=float), axis=-1)
 
 

@@ -19,10 +19,8 @@ from lowrank_oracle import (
     frobenius_norm,
     mix_seed,
     rank_sweep,
-    read_trials_csv,
     resolve_plan,
     run_oracle_trials,
-    validate_summary,
     write_outputs,
 )
 from lowrank_oracle import harness
@@ -40,7 +38,7 @@ from lowrank_oracle.harness import (
     make_truth_matrix,
 )
 
-from helpers import rademacher_draws, shared_count_blocks
+from helpers import rademacher_draws, read_trials_csv, shared_count_blocks, validate_summary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

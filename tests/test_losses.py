@@ -10,7 +10,6 @@ from lowrank_oracle import (
     Interval,
     LossModel,
     ValidationError,
-    curvature_lower_bound_check,
     exponential_loss,
     get_loss,
     loss_constants,
@@ -18,6 +17,8 @@ from lowrank_oracle import (
     register_loss,
     squared_loss,
 )
+
+from helpers import curvature_lower_bound_check
 
 LOSSES = [squared_loss(), exponential_loss()]
 

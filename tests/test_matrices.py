@@ -9,13 +9,11 @@ from lowrank_oracle import (
     ValidationError,
     best_rank_approximation,
     composite_prox,
-    cone_gap,
     frobenius_norm,
     load_matrix,
     nuclear_norm,
     operator_norm,
     optimality_residuals,
-    rank_at_tol,
     save_matrix,
     sign_and_support,
     spectral_decompose,
@@ -27,7 +25,7 @@ from lowrank_oracle.matrices import (
     validate_symmetric,
 )
 
-from helpers import prox_scalar_oracle, random_low_rank, random_symmetric
+from helpers import cone_gap, prox_scalar_oracle, random_low_rank, random_symmetric, rank_at_tol
 
 
 @st.composite
