@@ -96,8 +96,13 @@ def parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
-    try:
-        parser.read(path, encoding="utf-8")
+    try:  # read() would skip a file it cannot open and run the defaults
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ValidationError(f"config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path} is not UTF-8: {exc}") from None
     except configparser.Error as exc:
         raise ValidationError(f"config file {path} failed to parse: {exc}") from None
 

@@ -191,10 +191,11 @@ def functional_l2_norm(a: np.ndarray, design: DesignDistribution) -> float:
 # -- truth models --------------------------------------------------------------
 #
 # A noise model is the law of Y given each atom's prediction s_k = <S*, X_k>,
-# with its own rules: the response domain, the conditional law, each atom's
-# response mean and variance, the cutoff of the Bayes bracket, a sample's
-# counted draw (shift, per-atom sums of y - shift, total of (y - shift)^2,
-# row law or None) and its per-sample rebuild.
+# with its own rules: the response domain, each atom's expectation of a
+# function of the response, its response mean and variance, the cutoff of
+# the Bayes bracket, a sample's counted draw (shift, per-atom sums of
+# y - shift, total of (y - shift)^2, row law or None) and its per-sample
+# rebuild.
 
 @lru_cache(maxsize=8)
 def _legendre_nodes(num: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,17 +221,21 @@ class GaussianNoise:
         half = float(np.max(np.abs(s))) + self.cutoff
         return Interval(-half, half)
 
-    def conditional_law(self, s: np.ndarray):
-        """``QUADRATURE_NODES`` Gauss-Legendre nodes on [-cutoff, cutoff]
-        about each prediction; a noiseless truth is the single point of its
-        prediction."""
+    def expect(self, fn: Callable, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per atom, E[fn(Y; u_k)] about each prediction s_k, over
+        ``QUADRATURE_NODES`` Gauss-Legendre nodes on [-cutoff, cutoff]
+        weighted by the truncated normal density, added one node at a time
+        into k-long arrays; a noiseless truth is fn(s, u)."""
         if self.sigma == 0:
-            return s[:, None], np.ones(1)
+            return np.asarray(fn(s, u), dtype=float)
         nodes, weights = _legendre_nodes(QUADRATURE_NODES)
         xi = self.cutoff * nodes
         density = np.exp(-0.5 * (xi / self.sigma) ** 2) / (self.sigma * np.sqrt(2.0 * np.pi))
         mass = 1.0 - math.erfc(self.truncation / math.sqrt(2.0))
-        return s[:, None] + xi, self.cutoff * weights * density / mass
+        out = np.zeros(s.shape)
+        for x, w in zip(xi, self.cutoff * weights * density / mass):
+            out += w * fn(s + x, u)
+        return out
 
     def moments(self, s: np.ndarray):
         """Each atom's response mean, its prediction, and variance, the
@@ -306,10 +311,11 @@ class ClassificationLink:
     def domain(self, s: np.ndarray) -> ResponseDomain:
         return FiniteSet((-1.0, 1.0))
 
-    def conditional_law(self, s: np.ndarray):
-        """Weights (p, 1 - p) on (+1, -1)."""
+    def expect(self, fn: Callable, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per atom, E[fn(Y; u_k)] = p fn(+1, u_k) + (1 - p) fn(-1, u_k) at
+        p = link(s_k)."""
         p = np.asarray(self.link(s), dtype=float)
-        return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
+        return p * fn(1.0, u) + (1.0 - p) * fn(-1.0, u)
 
     def moments(self, s: np.ndarray):
         """Each atom's response mean 2p - 1 and variance 1 - (2p - 1)^2,
@@ -352,7 +358,7 @@ def response_domain(truth: TruthModel, design: DesignDistribution) -> ResponseDo
 @dataclass(frozen=True)
 class EmpiricalLaw:
     """A sample's response law as weighted rows, the empirical counterpart of
-    the noise model's ``conditional_law``: the sample mean of f(Y_j; u at X_j) is
+    the noise model's ``expect``: the sample mean of f(Y_j; u at X_j) is
     sum_r w[r] f(y[r]; u[atoms[r]]), plus ``const`` when f is the value of a
     loss that is quadratic in the response.  Every weight is positive, so
     only responses that occur are ever evaluated.
@@ -524,33 +530,6 @@ def load_dataset(path, design: DesignDistribution) -> Dataset:
 
 # -- population and excess risk -------------------------------------------------
 
-def _conditional_mean(
-    fn: Callable,
-    noise: GaussianNoise | ClassificationLink,
-    s: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Per atom, E[fn(Y; u_k) | X = atom k] = sum_q w fn(ys; u_k) under the
-    noise model's response law (ys, w) about the truth's predictions ``s``.
-    The law is built and summed one row block of atoms at a time, so memory
-    is about two ``BLOCK_BYTES`` whatever k; each atom's sum is the same
-    arithmetic as over the whole (k, q) law."""
-    out = np.empty(s.shape)
-    # the law's width q, from one atom's law: the nodes, 1 for a noiseless
-    # truth, 2 for labels.  A block holds about four (rows, q) arrays at once,
-    # so each takes half a block.  glibc maps afresh, and page-faults in,
-    # every allocation as large as the largest mapping it has freed;
-    # full-block arrays were that size here, at about 200 page faults a call
-    # at m = 40
-    width = np.broadcast(*noise.conditional_law(s[:1])).shape[-1]
-    step = block_rows(2 * width)
-    for lo in range(0, s.shape[0], step):
-        rows = slice(lo, lo + step)
-        ys, w = noise.conditional_law(s[rows])
-        out[rows] = np.sum(w * np.asarray(fn(ys, u[rows, None]), dtype=float), axis=-1)
-    return out
-
-
 def _response_means(
     loss: LossModel,
     noise: GaussianNoise | ClassificationLink,
@@ -564,9 +543,9 @@ def _response_means(
     their means are their values at the mean, and the value's mean is its
     value at the mean plus the variance.  This is the population
     counterpart of a sample's mean law (``Dataset._mean_law``).  Any other
-    loss sums the noise model's quadrature law, ``_conditional_mean``."""
+    loss takes the noise model's own ``expect``."""
     if not loss.quadratic_in_response:
-        return lambda fn, u: _conditional_mean(fn, noise, s, u)
+        return lambda fn, u: noise.expect(fn, s, u)
     mean, variance = noise.moments(s)
 
     def expect(fn, u):
@@ -585,7 +564,7 @@ def population_risk(
     """Exact risk of the linear rule x -> <S, x> under the truth model: the
     design probabilities times each atom's conditional expected loss, from
     each atom's response mean and variance for a loss quadratic in the
-    response, else over the quadrature law in row blocks."""
+    response, else from the noise model's ``expect``."""
     s = validate_symmetric(s)
     expect = _response_means(loss, truth.noise, design.forward(truth.s_star))
     per_atom = expect(loss.value, design.forward(s))

@@ -141,11 +141,17 @@ class ExperimentConfig:
             raise ValidationError("trials must be at least 1")
         if self.m < 1 or self.n < 1:
             raise ValidationError("m and n must be at least 1")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValidationError(
+                f"master seed {self.seed} ([experiment] seed or --seed) must lie in [0, 2^64 - 1]"
+            )
         if self.n > _INT64_MAX:  # numpy draws the sample counts as int64
             raise ValidationError(f"config [experiment] n = {self.n} exceeds 2^63 - 1 = {_INT64_MAX}")
         # the ranks' upper bound is the design's dimension: build_design checks it
         if min((self.truth_rank, *self.ranks)) < 0:
             raise ValidationError("truth ranks must be nonnegative")
+        if len(set(self.ranks)) < len(self.ranks):  # a sweep keys its points by rank
+            raise ValidationError(f"config [experiment] ranks = {self.ranks!r} repeats a rank")
         if self.truth_spectrum and len(self.truth_spectrum) != self.truth_rank:
             raise ValidationError("truth spectrum length must equal the truth rank")
         if self.noise_kind not in ("regression", "classification"):

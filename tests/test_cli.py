@@ -188,7 +188,7 @@ def experiment_configs(draw):
         grad_tol=draw(st.none() | positive),
         certify_tol=draw(nonnegative),
         seed=draw(st.integers(0, 2**64 - 1)),
-        ranks=tuple(draw(st.lists(st.integers(0, 50), max_size=4))),
+        ranks=tuple(draw(st.lists(st.integers(0, 50), max_size=4, unique=True))),
         eps_multiples=tuple(draw(st.lists(nonnegative, max_size=4))),
         design_type=design_type,
         design_files=tuple(draw(st.lists(word, min_size=design_type == "custom", max_size=3))),
@@ -252,6 +252,67 @@ def test_missing_config_exits_one(tmp_path, capsys):
     code = main(["verify", "--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "nope.ini" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    # configparser used to raise UnicodeDecodeError through to a traceback
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[design]\nm = 8\n# caf\xe9\n")
+    assert main(["delta", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and str(path) in err and "UTF-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unreadable_config_exits_one(tmp_path, capsys, monkeypatch):
+    # ConfigParser.read skips a file it cannot open and runs the defaults.
+    # open is patched, since file permissions do not stop root
+    path = tmp_path / "locked.ini"
+    path.write_text(SMALL_CONFIG)
+
+    def locked(file, *args, **kwargs):
+        if Path(file) == path:
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", locked, raising=False)
+    assert main(["delta", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and str(path) in err and "Permission denied" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_rank_is_refused(tmp_path, capsys):
+    # a sweep keys its points by rank: ranks = 1 1 2 wrote two rank rows
+    with pytest.raises(ValidationError, match="repeats a rank"):
+        ExperimentConfig(ranks=(1, 1, 2))
+    with pytest.raises(ValidationError, match="repeats a rank"):
+        harness.rank_sweep(ExperimentConfig(), ranks=(2, 2))
+    path = tmp_path / "ranks.ini"
+    path.write_text(SMALL_CONFIG.replace("ranks = 1 2", "ranks = 1 1 2"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config [experiment] ranks") and "repeats a rank" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed, valid", [(0, True), (2**64 - 1, True), (-1, False), (2**64, False)])
+def test_master_seed_must_be_an_unsigned_64_bit_integer(tmp_path, capsys, seed, valid):
+    # mix_seed reduces the seed mod 2^64: -5 and 2^64 - 5 ran the same trials
+    # but reported different seeds
+    if valid:
+        assert ExperimentConfig(seed=seed).seed == seed
+        return
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 2\^64 - 1\]"):
+        ExperimentConfig(seed=seed)
+    path = tmp_path / "seed.ini"
+    path.write_text(SMALL_CONFIG.replace("seed = 41", f"seed = {seed}"))
+    flag = tmp_path / "flag.ini"
+    flag.write_text(SMALL_CONFIG)
+    for argv in (["--config", str(path)], ["--config", str(flag), f"--seed={seed}"]):
+        assert main(["bound", *argv, "--out", str(tmp_path / "o")]) == 1
+        assert f"error: master seed {seed} " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_epsilon_exits_one(tmp_path, capsys):

@@ -670,12 +670,15 @@ def test_quadrature_self_check():
     s_star = random_low_rank(rng, 3, 2)
     truth = TruthModel(s_star=s_star, noise=GaussianNoise(sigma=0.4))
     s = random_low_rank(rng, 3, 1)
-    # the squared loss takes its risk from the moments: sum the quadrature law
+    # the squared loss takes its risk from the moments: sum over the quadrature nodes
     loss = dataclasses.replace(squared_loss(), quadratic_in_response=False)
     r64 = population_risk(s, design, truth, loss)
-    with mock.patch.object(designs, "QUADRATURE_NODES", 128):
+    calls = []
+    nodes = designs._legendre_nodes
+    with mock.patch.object(designs, "QUADRATURE_NODES", 128), \
+            mock.patch.object(designs, "_legendre_nodes", lambda num: calls.append(num) or nodes(num)):
         r128 = population_risk(s, design, truth, loss)
-        assert truth.noise.conditional_law(design.forward(s_star))[0].shape == (6, 128)
+    assert calls == [128]
     assert abs(r64 - r128) < 1e-10
 
 
@@ -732,45 +735,58 @@ def test_bayes_cache_matches_direct_computation():
     assert cached == pytest.approx(direct, rel=1e-12)
 
 
-def _full_law_mean(fn, noise, s, u):
-    # the whole (k, q) response law in one evaluation
-    ys, w = noise.conditional_law(s)
-    return np.sum(w * np.asarray(fn(ys, u[:, None]), dtype=float), axis=-1)
+def _full_law(noise, s):
+    # the whole (k, q) response law: support points and their weights
+    if isinstance(noise, ClassificationLink):
+        p = noise.link(s)
+        return np.array([1.0, -1.0]), np.stack([p, 1.0 - p], axis=-1)
+    if noise.sigma == 0:
+        return s[:, None], np.ones(1)
+    nodes, weights = np.polynomial.legendre.leggauss(designs.QUADRATURE_NODES)
+    xi = noise.cutoff * nodes
+    density = np.exp(-0.5 * (xi / noise.sigma) ** 2) / (noise.sigma * np.sqrt(2.0 * np.pi))
+    mass = 1.0 - math.erfc(noise.truncation / math.sqrt(2.0))
+    return s[:, None] + xi, noise.cutoff * weights * density / mass
 
 
-@pytest.mark.parametrize("rows", [1, 7, None], ids=["one-row", "uneven", "default"])
+@pytest.mark.parametrize("case", ["gaussian", "gaussian-log-cosh", "noiseless", "labels"])
 @settings(max_examples=40, deadline=None)
 @given(
     k=st.integers(1, 1500),
-    case=st.sampled_from(["gaussian", "noiseless", "labels"]),
     part=st.sampled_from(["value", "d1", "d2"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_conditional_mean_matches_full_law(rows, k, case, part, seed):
-    # each atom's row sum is the same arithmetic in a block as in the whole
-    # law, so the blocked mean matches it bit for bit at any block size: one
-    # row, 7 rows (uneven against k) and the default, where each (rows, q)
-    # array takes half a block: 256 rows of 64 nodes
-    noise, loss, width = {
-        "gaussian": (GaussianNoise(sigma=0.3), squared_loss(), designs.QUADRATURE_NODES),
-        "noiseless": (GaussianNoise(sigma=0.0), squared_loss(), 1),
-        "labels": (ClassificationLink(), exponential_loss(), 2),  # w is (k, 2)
+def test_expect_matches_full_law(case, k, part, seed):
+    # each noise model's expectation against the sum over its whole (k, q)
+    # law: bit for bit for labels and a noiseless truth, whose sums have at
+    # most two terms.  Gaussian noise adds its nodes in order, np.sum
+    # pairwise, so each atom may differ by the rounding of two 64-term sums:
+    # at most 2 * 63 ulp of the sum of the terms' magnitudes
+    noise, loss = {
+        "gaussian": (GaussianNoise(sigma=0.3), squared_loss()),
+        "gaussian-log-cosh": (GaussianNoise(sigma=0.3), log_cosh_loss()),
+        "noiseless": (GaussianNoise(sigma=0.0), squared_loss()),
+        "labels": (ClassificationLink(), exponential_loss()),
     }[case]
     fn = getattr(loss, part)
     rng = np.random.default_rng(seed)
     s, u = rng.uniform(-3.0, 3.0, size=k), rng.uniform(-3.0, 3.0, size=k)
-    block = designs.BLOCK_BYTES if rows is None else rows * 2 * 8 * width
-    with mock.patch.object(designs, "BLOCK_BYTES", block):
-        got = designs._conditional_mean(fn, noise, s, u)
-    assert got.tobytes() == _full_law_mean(fn, noise, s, u).tobytes()
+    ys, w = _full_law(noise, s)
+    terms = w * np.asarray(fn(ys, u[:, None]), dtype=float)
+    got = noise.expect(fn, s, u)
+    if case.startswith("gaussian"):
+        tol = 2 * 63 * np.finfo(float).eps * np.sum(np.abs(terms), axis=-1)
+        assert np.all(np.abs(got - np.sum(terms, axis=-1)) <= tol)
+    else:
+        assert got.tobytes() == np.sum(terms, axis=-1).tobytes()
 
 
 def test_bayes_and_excess_risk_peak_memory():
     # at m = 100 (k = 5 050) the whole (k, 64) quadrature law and its
-    # temporaries would take about 8 MB; in row blocks the Newton loop and
-    # the population risk hold a few blocks plus their k-long arrays.  The
-    # squared loss takes the moments path and builds no law; without its
-    # flag it sums the quadrature law
+    # temporaries would take about 8 MB; node by node the Newton loop and
+    # the population risk hold only k-long arrays.  The squared loss takes
+    # the moments path and builds no law; without its flag it sums the
+    # quadrature nodes
     design = orthonormal_basis_design(100)
     rng = np.random.default_rng(64)
     truth = TruthModel(s_star=random_low_rank(rng, 100, 2), noise=GaussianNoise(sigma=0.3))
