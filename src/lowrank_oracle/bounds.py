@@ -15,14 +15,22 @@ clusters of k = ``SHARED_COUNTS`` or, if that is less, half a block (so
 k = 1 from m = 91 on).  The k repetitions of a cluster share one
 multinomial draw of the atom counts, and each draws its own sum of signs
 per atom: from the bits of one random 64-bit word when the atom's count
-is at most 64, from a binomial otherwise.  Each repetition is thus an exact draw of Delta's law;
-only repetitions of one cluster are dependent, so the mean and its
-standard error are taken over cluster means.  A block is a whole number of
-clusters, and block b draws from its own generator, seeded from (seed, b);
-a block's first r rows do not depend on its length.  So each repetition's
-norm depends on the seed, its index and the block size (which m fixes),
-but not on how many repetitions are drawn: a run that stops early, at a
-cap or at the precision stop, draws a prefix of a longer one.
+is at most 64, from a binomial otherwise.  Each repetition is thus an
+exact draw of Delta's law; only repetitions of one cluster are
+dependent, so the estimate and its standard error are taken over cluster
+means.  The one ``eigvalsh`` of a repetition gives its norm and the
+traces of W^2 and W^4, whose expectations are exact design moments
+(``trace_moments``).  Delta is the cluster means of the norm regressed on
+those of the traces and read at the traces' exact means (two control
+variates), with a heteroscedasticity-consistent standard error.
+
+A block is a whole number of clusters, and block b draws from its own
+generator, seeded from (seed, b); a block's first r rows do not depend on
+its length.  So each repetition depends on the seed, its index and the
+block size (which m fixes), but not on how many repetitions are drawn: a
+run that stops early, at a cap or at the precision stop, draws a prefix
+of a longer one.  The precision stop is two-stage: a pilot of
+``DELTA_PILOT`` clusters sets how many to draw before the first test.
 """
 
 from __future__ import annotations
@@ -38,8 +46,10 @@ from .matrices import nuclear_norm, operator_norm, sign_and_support, symmetrize
 
 ENUMERATION_LIMIT = 20
 DELTA_RTOL = 2e-3  # plan resolution's Delta stops at this relative standard error
-DELTA_MIN_REPS = 64  # clusters drawn before that stop is tested, so the stderr is steady
+DELTA_PILOT = 32  # clusters of the pilot whose fit sizes Delta's run before its stop is tested
+PILOT_T_RATIO = 1.0435036859172993  # t_{0.975, DELTA_PILOT - 3} / z_{0.975}: the pilot's own error
 SHARED_COUNTS = 8  # Delta's repetitions per draw of atom counts, where a block holds two such clusters
+_DEGENERATE = 1e-9  # relative spread, or 1 - correlation^2, at which a trace is no covariate
 _LOW_BITS = np.array([(1 << c) - 1 for c in range(65)], dtype=np.uint64)  # masks of c low bits
 
 
@@ -60,22 +70,76 @@ def _batch_opnorms(mats: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
-def _stats_from_norms(norms: np.ndarray, n: int, share: int = 1) -> RademacherStats:
-    """Mean and standard error over the means of clusters of ``share``
-    consecutive norms, the independent units; the last cluster may be
-    shorter.  ``reps`` counts the norms."""
-    reps = norms.shape[0]
+def _batch_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each matrix's operator norm, tr W^2 and tr W^4, from one ``eigvalsh``,
+    squared in place: no more temporaries than the norm alone takes."""
+    lam = np.linalg.eigvalsh(mats)
+    norms = np.max(np.abs(lam), axis=-1)
+    lam *= lam
+    squares = lam.sum(axis=-1)
+    lam *= lam
+    return norms, squares, lam.sum(axis=-1)
+
+
+def _mean_fit(y: np.ndarray) -> tuple[float, float]:
+    """The plain mean of independent ``y`` and its standard error."""
+    count = y.size
+    stderr = float(np.std(y, ddof=1)) / math.sqrt(count) if count > 1 else math.inf
+    return float(np.mean(y)), stderr
+
+
+def _cluster_fit(draws: np.ndarray, share: int, centres: np.ndarray) -> tuple[float, float]:
+    """(Delta, stderr) from the (3, reps) norms, tr W^2 and tr W^4 of
+    ``draws``, over the means of clusters of ``share`` consecutive
+    repetitions, the independent units; the last cluster may be shorter.
+
+    The cluster means y_i of the norm are regressed on those of the two
+    traces, z_i, each taken about its exact mean ``centres``, and Delta is
+    the fit at the exact means: a weighted mean sum_i w_i y_i, with w_i =
+    1/C - zbar' S^-1 (z_i - zbar) over C clusters and S the centred 2x2
+    normal matrix.  The slopes solve the normal equations in closed form,
+    with numpy's own sums: no least-squares or BLAS path.  The standard
+    error is heteroscedasticity-consistent (HC3, a jackknife's close
+    form), sqrt(sum_i (w_i r_i / (1 - h_i))^2) over the residuals r_i and
+    leverages h_i: the counts make some clusters far noisier than others.
+    With fewer than 4 clusters, or a trace that does not vary beyond
+    rounding or that moves with the other, it is the plain mean of the
+    norms' cluster means."""
+    reps = draws.shape[1]
     starts = np.arange(0, reps, share)
-    means = np.add.reduceat(norms, starts) / np.diff(starts, append=reps)
-    delta = float(np.mean(means))
-    clusters = means.shape[0]
-    stderr = float(np.std(means, ddof=1) / np.sqrt(clusters)) if clusters > 1 else float("inf")
+    means = np.add.reduceat(draws, starts, axis=1) / np.diff(starts, append=reps)
+    y, clusters = means[0], means.shape[1]
+    z = means[1:] - centres[:, None]
+    zbar = z.mean(axis=1)
+    u, v = z - zbar[:, None]
+    suu, svv, suv = float(np.sum(u * u)), float(np.sum(v * v)), float(np.sum(u * v))
+    det = suu * svv - suv * suv
+    if (
+        clusters < 4
+        or suu <= clusters * (_DEGENERATE * centres[0]) ** 2
+        or svv <= clusters * (_DEGENERATE * centres[1]) ** 2
+        or det <= _DEGENERATE * suu * svv
+    ):
+        return _mean_fit(y)
+    yc = y - y.mean()
+    suy, svy = float(np.sum(u * yc)), float(np.sum(v * yc))
+    b, c = (svv * suy - suv * svy) / det, (suu * svy - suv * suy) / det
+    residual = yc - b * u - c * v
+    gu, gv = (svv * zbar[0] - suv * zbar[1]) / det, (suu * zbar[1] - suv * zbar[0]) / det
+    weight = 1.0 / clusters - gu * u - gv * v
+    leverage = 1.0 / clusters + (svv * u * u - 2.0 * suv * u * v + suu * v * v) / det
+    jack = weight * residual / (1.0 - leverage)
+    return float(y.mean() - b * zbar[0] - c * zbar[1]), math.sqrt(float(np.sum(jack * jack)))
+
+
+def _stats_from_draws(
+    draws: np.ndarray, n: int, share: int, centres: np.ndarray
+) -> RademacherStats:
+    """``_cluster_fit`` as the statistics of n draws; ``reps`` counts the
+    repetitions."""
+    delta, stderr = _cluster_fit(draws, share, centres)
     return RademacherStats(
-        delta=delta,
-        xi_norm_mean=delta / np.sqrt(n),
-        n=n,
-        reps=reps,
-        stderr=stderr,
+        delta=delta, xi_norm_mean=delta / np.sqrt(n), n=n, reps=draws.shape[1], stderr=stderr
     )
 
 
@@ -115,41 +179,57 @@ def _signed_counts(
 def estimate_rademacher_norm(
     design: DesignDistribution, n: int, reps: int, seed: int, rtol: float | None = None
 ) -> RademacherStats:
-    """Unconditional Monte Carlo over both the sample and the signs.
+    """Unconditional Monte Carlo over both the sample and the signs, with
+    the traces of W^2 and W^4 as control variates.
 
     Conditioned on the multinomial atom counts, the signed coefficient of
     each atom is a centered binomial, so draws reduce to per-atom signed
     counts (``_signed_counts``) rather than materializing n covariates per
-    rep.  Counts, signs, adjoint and norms run in row blocks of about
+    rep.  Counts, signs, adjoint and spectra run in row blocks of about
     ``BLOCK_BYTES`` of adjoint output, trimmed to whole clusters of k =
     min(``SHARED_COUNTS``, rows // 2) repetitions that share their counts;
-    block b draws from a generator seeded from (seed, b).
+    block b draws from a generator seeded from (seed, b).  One ``eigvalsh``
+    per repetition gives its norm, tr W^2 and tr W^4, whose expectations
+    are the design's exact ``trace_moments``, and ``_cluster_fit`` regresses
+    the norms on the traces over cluster means.
 
     Without ``rtol`` exactly ``reps`` repetitions are drawn.  With it,
-    ``reps`` is a cap: the loop stops after the first block at which at
-    least ``DELTA_MIN_REPS`` clusters are drawn and the standard error of
-    the cluster means is at most ``rtol`` times their mean (a fixed-width
+    ``reps`` is a cap and the stop is two-stage (after Stein, 1945): the
+    fit over the first ``DELTA_PILOT`` clusters gives a Delta and a
+    per-cluster spread s, its standard error times sqrt(DELTA_PILOT), which
+    set the clusters to draw before any test, N = max(DELTA_PILOT,
+    ceil((q s / (rtol Delta))^2)) with q = ``PILOT_T_RATIO``.  From N
+    clusters on, the loop stops after the first block at which the
+    standard error is at most ``rtol`` times Delta (a fixed-width
     sequential stop, after Chow and Robbins), and ``reps`` of the result is
     the count of repetitions drawn.
     """
     if n < 1 or reps < 1:
         raise ValidationError("n and reps must be at least 1")
-    norms = np.empty(reps)
+    draws = np.empty((3, reps))
+    centres = np.array(design.trace_moments(n))
     block = block_rows(design.dim * design.dim)
     share = max(1, min(SHARED_COUNTS, block // 2))
     block -= block % share
+    pilot = None
     for b, lo in enumerate(range(0, reps, block)):
         hi = min(lo + block, reps)
         rng = np.random.default_rng([seed, b])
         # one expression, so no block's signs are held while the next is drawn
-        norms[lo:hi] = _batch_opnorms(
+        draws[:, lo:hi] = _batch_spectra(
             design.adjoint(_signed_counts(rng, n, design.probs, hi - lo, share) / np.sqrt(n))
         )
-        if rtol is not None and hi >= DELTA_MIN_REPS * share:
-            stats = _stats_from_norms(norms[:hi], n, share)
+        if rtol is None or hi < DELTA_PILOT * share:
+            continue
+        if pilot is None:  # (Delta, stderr) of the first DELTA_PILOT clusters
+            pilot = _cluster_fit(draws[:, : DELTA_PILOT * share], share, centres)
+        # at least N clusters: C (rtol Delta)^2 >= (q s)^2, s = sqrt(DELTA_PILOT) stderr
+        clusters = -(-hi // share)
+        if clusters * (rtol * pilot[0]) ** 2 >= DELTA_PILOT * (PILOT_T_RATIO * pilot[1]) ** 2:
+            stats = _stats_from_draws(draws[:, :hi], n, share, centres)
             if stats.stderr <= rtol * stats.delta:
                 return stats
-    return _stats_from_norms(norms, n, share)
+    return _stats_from_draws(draws, n, share, centres)
 
 
 def estimate_rademacher_norm_fixed(
@@ -170,7 +250,10 @@ def estimate_rademacher_norm_fixed(
         rows = min(block, reps - start)
         signs = rng.integers(0, 2, size=(rows, n)) * 2.0 - 1.0
         norms[start : start + rows] = _batch_opnorms(np.tensordot(signs / np.sqrt(n), xs, axes=1))
-    return _stats_from_norms(norms, n)
+    delta, stderr = _mean_fit(norms)
+    return RademacherStats(
+        delta=delta, xi_norm_mean=delta / np.sqrt(n), n=n, reps=reps, stderr=stderr
+    )
 
 
 def enumerate_rademacher_norm_fixed(xs: np.ndarray) -> float:

@@ -98,6 +98,31 @@ class DesignDistribution:
         """E[X^2] = sum_k p_k X_k^2, shape (dim, dim)."""
         return np.einsum("k,kij,kjl->il", self.probs, self.atoms, self.atoms)
 
+    def trace_moments(self, n: int) -> tuple[float, float]:
+        """(E tr W^2, E tr W^4) of the normalized Rademacher average
+        W = n^-1/2 sum_j eps_j X_j of n draws: sum_k p_k ||X_k||_F^2, and
+        (1 - 1/n)(2 tr M^2 + T) + (1/n) sum_k p_k tr X_k^4, where M is the
+        second moment and T = sum_jk p_j p_k tr(X_j X_k X_j X_k)."""
+        square, cross, quartic = self._quartic_terms()
+        return (
+            float(self.probs @ self.atom_norms.sq_frobenius),
+            (1.0 - 1.0 / n) * (2.0 * square + cross) + quartic / n,
+        )
+
+    def _quartic_terms(self) -> tuple[float, float, float]:
+        """(tr M^2, T, sum_k p_k tr X_k^4); T contracts the (dim^2, dim^2)
+        matrix Q = sum_k p_k vec X_k vec X_k^T with itself as
+        sum_abcd Q[ab, cd] Q[bc, da]."""
+        d = self.dim
+        flat = self.atoms.reshape(self.num_atoms, -1)
+        q = ((flat.T * self.probs) @ flat).reshape(d, d, d, d)
+        squares = np.einsum("kij,kjl->kil", self.atoms, self.atoms)
+        return (
+            float(np.sum(self.second_moment**2)),
+            float(np.einsum("abcd,bcda->", q, q)),
+            float(self.probs @ np.einsum("kij,kij->k", squares, squares)),
+        )
+
 
 class BasisDesign(DesignDistribution):
     """The uniform orthonormal basis stored by index: atom k is wa[k] at flat
@@ -148,6 +173,13 @@ class BasisDesign(DesignDistribution):
         rows = np.concatenate([self.ia, self.ib]) // self.dim
         weights = np.concatenate([self.probs * self.wa * self.wa, self.probs * self.wb * self.wb])
         return np.diag(np.bincount(rows, weights=weights, minlength=self.dim))
+
+    def _quartic_terms(self) -> tuple[float, float, float]:
+        # M = (m + 1) / (2K) I; each pair of atoms with a common index adds to
+        # T; a diagonal atom has tr X^4 = 1, an off-diagonal one 1/2
+        m, k = self.dim, self.num_atoms
+        square, cross = m * (m + 1) ** 2 / (4 * k * k), (m * m + 3 * m) / (4 * k * k)
+        return square, cross, (m + m * (m - 1) / 4) / k
 
 
 def orthonormal_basis_design(m: int) -> BasisDesign:

@@ -177,6 +177,10 @@ class ExperimentConfig:
             raise ValidationError(f"config [solver] certify_tol = {self.certify_tol!r} must be nonnegative")
         if min(self.eps_multiples, default=0.0) < 0:
             raise ValidationError(f"eps_multiples = {self.eps_multiples!r} must be nonnegative")
+        if len(set(self.eps_multiples)) < len(self.eps_multiples):  # the same epsilon point twice
+            raise ValidationError(
+                f"config [experiment] eps_multiples = {self.eps_multiples!r} repeats a multiple"
+            )
         if self.t < 0:
             raise ValidationError("t must be nonnegative")
         for key, value in (("b", self.b_const), ("c", self.c_const), ("d", self.d_thresh)):

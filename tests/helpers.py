@@ -12,6 +12,9 @@ its eigenbasis.  The empirical risk and gradient references evaluate the
 loss at every sample, where the solver evaluates it once per row of the
 response law.  The solver reference runs the proximal-gradient iteration on
 the validated public functions, where ``solve`` runs it on unchecked kernels.
+The reference for Delta is the plain cluster-mean estimator with its
+64-cluster floor, on the norms the program draws, where the program fits
+the traces of W^2 and W^4 as control variates.
 
 The last section holds what only the tests call: a rank at a given
 tolerance, the cone gap, the pointwise curvature check, the dataset writer,
@@ -49,7 +52,7 @@ from lowrank_oracle import (
     sign_and_support,
 )
 from lowrank_oracle import bounds, designs
-from lowrank_oracle.bounds import _signed_counts, _stats_from_norms
+from lowrank_oracle.bounds import RademacherStats, _signed_counts, _stats_from_draws
 from lowrank_oracle.constraints import BOUNDARY_TOL
 from lowrank_oracle.harness import _BOOL_COLUMNS, _COLUMN_TYPES, SUMMARY_SCHEMA, TRIAL_COLUMNS
 from lowrank_oracle.matrices import default_zero_tol, inner, symmetrize, validate_symmetric
@@ -274,8 +277,8 @@ def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int, 
     repetitions (a multiple of ``share``) drawn through ``_signed_counts``,
     with one count draw per ``share`` rows, from a generator seeded from
     (seed, b); one adjoint and one batched eigenvalue call over all
-    repetitions; and the statistics over clusters of ``share`` norms: the
-    unblocked linear algebra that the row-blocked
+    repetitions; and the control-variate fit over clusters of ``share``
+    repetitions: the unblocked linear algebra that the row-blocked
     ``estimate_rademacher_norm`` must reproduce bit for bit."""
     assert block % share == 0
     coeffs = [
@@ -285,8 +288,10 @@ def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int, 
         / np.sqrt(n)
         for b, start in enumerate(range(0, reps, block))
     ]
-    mats = design.adjoint(np.concatenate(coeffs))
-    return _stats_from_norms(np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1), n, share)
+    lam = np.linalg.eigvalsh(design.adjoint(np.concatenate(coeffs)))
+    sq = lam * lam
+    draws = np.stack([np.max(np.abs(lam), axis=-1), sq.sum(axis=-1), (sq * sq).sum(axis=-1)])
+    return _stats_from_draws(draws, n, share, np.array(design.trace_moments(n)))
 
 
 def shared_count_blocks(dim: int) -> tuple[int, int]:
@@ -299,24 +304,61 @@ def shared_count_blocks(dim: int) -> tuple[int, int]:
 
 
 def rademacher_draws(design, n: int, reps: int, seed: int, **kwargs):
-    """(stats, norms, rows): ``estimate_rademacher_norm``'s result, the
-    norms it averaged and the number of rows each of its blocks drew."""
-    norms, rows = [], []
-    stats_from_norms, signed_counts = bounds._stats_from_norms, bounds._signed_counts
+    """(stats, draws, rows): ``estimate_rademacher_norm``'s result, the
+    (3, reps) norms, tr W^2 and tr W^4 it fitted, and the number of rows
+    each of its blocks drew."""
+    draws, rows = [], []
+    stats_from_draws, signed_counts = bounds._stats_from_draws, bounds._signed_counts
 
-    def record_norms(values, n, share=1):
-        norms.append(values.copy())
-        return stats_from_norms(values, n, share)
+    def record_draws(values, n, share, centres):
+        draws.append(values.copy())
+        return stats_from_draws(values, n, share, centres)
 
     def record_rows(rng, n, probs, size, share=1):
         rows.append(size)
         return signed_counts(rng, n, probs, size, share)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bounds, "_stats_from_norms", record_norms)
+        patch.setattr(bounds, "_stats_from_draws", record_draws)
         patch.setattr(bounds, "_signed_counts", record_rows)
         stats = bounds.estimate_rademacher_norm(design, n, reps, seed, **kwargs)
-    return stats, norms[-1], rows
+    return stats, draws[-1], rows
+
+
+CLUSTER_MEAN_MIN = 64  # clusters the plain estimator drew before its precision stop was tested
+
+
+def cluster_mean_stats(norms: np.ndarray, n: int, share: int = 1) -> RademacherStats:
+    """The plain estimator's statistics: mean and standard error over the
+    means of clusters of ``share`` consecutive norms, the independent
+    units; the last cluster may be shorter.  ``reps`` counts the norms."""
+    reps = norms.shape[0]
+    starts = np.arange(0, reps, share)
+    means = np.add.reduceat(norms, starts) / np.diff(starts, append=reps)
+    delta = float(np.mean(means))
+    clusters = means.shape[0]
+    stderr = float(np.std(means, ddof=1) / np.sqrt(clusters)) if clusters > 1 else float("inf")
+    return RademacherStats(
+        delta=delta, xi_norm_mean=delta / np.sqrt(n), n=n, reps=reps, stderr=stderr
+    )
+
+
+def cluster_mean_rademacher_norm(design, n: int, reps: int, seed: int, rtol: float | None = None):
+    """The plain cluster-mean estimator of Delta, on the norms that
+    ``estimate_rademacher_norm`` draws (``rademacher_draws``): with
+    ``rtol``, it stops at the first block end at which at least
+    ``CLUSTER_MEAN_MIN`` clusters are drawn and the standard error of the
+    cluster means is at most ``rtol`` times their mean, else at the cap."""
+    norms = rademacher_draws(design, n, reps, seed)[1][0]
+    block, share = shared_count_blocks(design.dim)
+    if rtol is not None:
+        for hi in range(block, reps, block):
+            if hi < CLUSTER_MEAN_MIN * share:
+                continue
+            stats = cluster_mean_stats(norms[:hi], n, share)
+            if stats.stderr <= rtol * stats.delta:
+                return stats
+    return cluster_mean_stats(norms, n, share)
 
 
 def solve_reference(data: Dataset, loss, config, constraint=Unconstrained()) -> SolveResult:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom, chisquare
+from scipy.stats import binom, chisquare, norm
+from scipy.stats import t as t_dist
 
 from lowrank_oracle import (
     ExperimentConfig,
@@ -32,6 +33,8 @@ from lowrank_oracle import (
 from lowrank_oracle import bounds, designs
 
 from helpers import (
+    cluster_mean_rademacher_norm,
+    cluster_mean_stats,
     cone_gap,
     rademacher_draws,
     rademacher_norm_reference,
@@ -494,10 +497,11 @@ def test_rademacher_norms_under_a_smaller_cap_are_a_prefix(n):
     design = orthonormal_basis_design(8)
     assert shared_count_blocks(design.dim) == (512, 8)
     _, longest, _ = rademacher_draws(design, n, 1100, seed=5)
+    centres = np.array(design.trace_moments(n))
     for cap in (1, 100, 512, 700):
-        stats, norms, _ = rademacher_draws(design, n, cap, seed=5)
-        assert np.array_equal(norms, longest[:cap]), cap
-        assert stats == bounds._stats_from_norms(longest[:cap], n, 8)
+        stats, draws, _ = rademacher_draws(design, n, cap, seed=5)
+        assert np.array_equal(draws, longest[:, :cap]), cap
+        assert stats == bounds._stats_from_draws(longest[:, :cap], n, 8, centres)
 
 
 @settings(max_examples=30, deadline=None)
@@ -523,22 +527,122 @@ def test_fixed_count_monte_carlo_draws_exactly_reps():
     # would meet DELTA_RTOL after about 550
     design = orthonormal_basis_design(40)
     assert shared_count_blocks(design.dim) == (16, 8)
+    centres = np.array(design.trace_moments(32_000))
     for reps in (1, 15, 16, 17, 19, 20, 21, 1000):
-        stats, norms, rows = rademacher_draws(design, 32_000, reps, seed=9)
-        assert stats.reps == norms.size == sum(rows) == reps
-        assert stats == bounds._stats_from_norms(norms, 32_000, 8)
-    stopped, norms, rows = rademacher_draws(design, 32_000, 1000, seed=9, rtol=bounds.DELTA_RTOL)
-    assert stopped.reps == norms.size == sum(rows) < 1000
+        stats, draws, rows = rademacher_draws(design, 32_000, reps, seed=9)
+        assert stats.reps == draws.shape[1] == sum(rows) == reps
+        assert stats == bounds._stats_from_draws(draws, 32_000, 8, centres)
+    stopped, draws, rows = rademacher_draws(design, 32_000, 1000, seed=9, rtol=bounds.DELTA_RTOL)
+    assert stopped.reps == draws.shape[1] == sum(rows) < 1000
 
 
-def test_precision_stop_waits_for_the_minimum_repetitions(monkeypatch):
+def test_precision_stop_waits_for_the_pilot(monkeypatch):
     # one repetition a block and a tolerance that any two repetitions meet:
-    # the stop still waits until DELTA_MIN_REPS are drawn.  With 16-row
-    # blocks of two clusters it waits for DELTA_MIN_REPS clusters
+    # the stop still waits until the DELTA_PILOT clusters of the pilot are
+    # drawn.  With 16-row blocks of two clusters it waits for DELTA_PILOT
+    # clusters
     design = orthonormal_basis_design(8)
     monkeypatch.setattr(designs, "BLOCK_BYTES", 8 * design.dim**2)
     stats = estimate_rademacher_norm(design, 1000, reps=1000, seed=4, rtol=1.0)
-    assert stats.reps == bounds.DELTA_MIN_REPS
+    assert stats.reps == bounds.DELTA_PILOT
     monkeypatch.setattr(designs, "BLOCK_BYTES", 16 * 8 * design.dim**2)
     stats = estimate_rademacher_norm(design, 1000, reps=1000, seed=4, rtol=1.0)
-    assert stats.reps == 8 * bounds.DELTA_MIN_REPS
+    assert stats.reps == 8 * bounds.DELTA_PILOT
+
+
+def test_pilot_quantile_ratio_is_the_t_over_the_normal_quantile():
+    # SciPy is a test dependency only, so the program holds the ratio
+    ratio = t_dist.ppf(0.975, bounds.DELTA_PILOT - 3) / norm.ppf(0.975)
+    assert bounds.PILOT_T_RATIO == pytest.approx(ratio, rel=1e-12)
+
+
+def _enumerated_trace_moments(design, n: int) -> tuple[float, float]:
+    """E tr W^2 and E tr W^4 over every atom sequence and sign pattern."""
+    t2 = t4 = 0.0
+    for seq in itertools.product(range(design.num_atoms), repeat=n):
+        weight = float(np.prod(design.probs[list(seq)])) / 2**n
+        for signs in itertools.product((-1.0, 1.0), repeat=n):
+            w = np.tensordot(np.array(signs), design.atoms[list(seq)], axes=1) / math.sqrt(n)
+            lam = np.linalg.eigvalsh(w)
+            t2 += weight * float(np.sum(lam**2))
+            t4 += weight * float(np.sum(lam**4))
+    return t2, t4
+
+
+@pytest.mark.parametrize("kind", ["custom", "basis2", "basis3"])
+def test_trace_moments_match_enumeration(kind):
+    # a random non-uniform custom design takes the dense formula, the basis
+    # its closed form; n = 1..4 covers the 1/n and (1 - 1/n) terms
+    if kind == "custom":
+        design = random_design(np.random.default_rng(81), 3, 3)
+    else:
+        design = orthonormal_basis_design(int(kind[-1]))
+    for n in range(1, 5):
+        got = design.trace_moments(n)
+        exact = _enumerated_trace_moments(design, n)
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-13), (kind, n)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_basis_trace_moments_closed_form_matches_dense_formula(m):
+    basis = orthonormal_basis_design(m)
+    dense = custom_design(basis.atoms, basis.probs)
+    assert basis._quartic_terms() == pytest.approx(dense._quartic_terms(), rel=1e-13)
+    for n in (1, 2, 7, 10**6):
+        assert basis.trace_moments(n) == pytest.approx(dense.trace_moments(n), rel=1e-13)
+
+
+def test_degenerate_traces_fall_back_to_the_plain_cluster_mean():
+    # at n = 1 on the basis design W = +-X_k, so tr W^2 = 1 up to rounding:
+    # no covariate, and the estimate is the plain cluster mean
+    design = orthonormal_basis_design(4)
+    stats, draws, _ = rademacher_draws(design, 1, 400, seed=3)
+    assert np.ptp(draws[1]) <= 1e-15
+    assert stats == cluster_mean_stats(draws[0], 1, 8)
+    # one atom at n = 2: the norm and both traces are functions of one
+    # signed count in {-2, 0, 2}, and the traces move together
+    single = custom_design(np.stack([np.diag([2.0, -1.0])]), np.array([1.0]))
+    stats, draws, _ = rademacher_draws(single, 2, 400, seed=3)
+    assert stats == cluster_mean_stats(draws[0], 2, 8)
+    # fewer than 4 clusters leave no residual degrees of freedom
+    for reps in (1, 8, 17, 24):
+        stats, draws, _ = rademacher_draws(orthonormal_basis_design(8), 1000, reps, seed=3)
+        assert stats == cluster_mean_stats(draws[0], 1000, 8), reps
+    stats, draws, _ = rademacher_draws(orthonormal_basis_design(8), 1000, 25, seed=3)
+    assert stats != cluster_mean_stats(draws[0], 1000, 8)
+
+
+@pytest.mark.parametrize("m, n, reps", [(8, 10**6, 1000), (40, 32_000, 333), (3, 4, 400)])
+def test_cluster_fit_matches_a_dense_least_squares_reference(m, n, reps):
+    # the fit as a 3x3 least-squares problem on [1, z] with z the traces'
+    # cluster means about their exact means: Delta is the intercept, and
+    # its HC3 variance is entry (0, 0) of the sandwich
+    # (X'X)^-1 X' diag(r^2 / (1 - h)^2) X (X'X)^-1
+    design = orthonormal_basis_design(m)
+    _, draws, _ = rademacher_draws(design, n, reps, seed=17)
+    share = shared_count_blocks(m)[1]
+    centres = np.array(design.trace_moments(n))
+    starts = np.arange(0, reps, share)
+    means = np.add.reduceat(draws, starts, axis=1) / np.diff(starts, append=reps)
+    x = np.column_stack([np.ones(means.shape[1]), (means[1:] - centres[:, None]).T])
+    inverse = np.linalg.inv(x.T @ x)
+    beta = inverse @ x.T @ means[0]
+    residual = means[0] - x @ beta
+    leverage = np.einsum("ij,jk,ik->i", x, inverse, x)
+    sandwich = inverse @ (x.T * (residual / (1 - leverage)) ** 2) @ x @ inverse
+    delta, stderr = bounds._cluster_fit(draws, share, centres)
+    assert delta == pytest.approx(beta[0], rel=1e-10)
+    assert stderr == pytest.approx(math.sqrt(sandwich[0, 0]), rel=1e-9)
+
+
+@pytest.mark.parametrize("m, n", [(8, 10**6), (40, 32_000)])
+def test_control_variate_estimate_agrees_with_the_plain_cluster_mean(m, n):
+    # the shipped plan setting, a cap of 1000 repetitions at DELTA_RTOL, on
+    # fixed seeds: the fitted and the plain estimate of the same stream
+    # agree within 3 joint standard errors
+    design = orthonormal_basis_design(m)
+    for seed in (11, 12, 13):
+        fitted = estimate_rademacher_norm(design, n, 1000, seed, rtol=bounds.DELTA_RTOL)
+        plain = cluster_mean_rademacher_norm(design, n, 1000, seed, rtol=bounds.DELTA_RTOL)
+        assert abs(fitted.delta - plain.delta) <= 3 * math.hypot(fitted.stderr, plain.stderr)
+        assert fitted.stderr < plain.stderr

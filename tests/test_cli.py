@@ -189,7 +189,7 @@ def experiment_configs(draw):
         certify_tol=draw(nonnegative),
         seed=draw(st.integers(0, 2**64 - 1)),
         ranks=tuple(draw(st.lists(st.integers(0, 50), max_size=4, unique=True))),
-        eps_multiples=tuple(draw(st.lists(nonnegative, max_size=4))),
+        eps_multiples=tuple(draw(st.lists(nonnegative, max_size=4, unique=True))),
         design_type=design_type,
         design_files=tuple(draw(st.lists(word, min_size=design_type == "custom", max_size=3))),
         design_probs=tuple(draw(st.lists(finite, max_size=3))),
@@ -293,6 +293,20 @@ def test_repeated_rank_is_refused(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config [experiment] ranks") and "repeats a rank" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_eps_multiple_is_refused(tmp_path, capsys):
+    # eps_multiples = 1.0 1.0 solved the same epsilon point twice
+    with pytest.raises(ValidationError, match="repeats a multiple"):
+        ExperimentConfig(eps_multiples=(1.0, 2.0, 1.0))
+    with pytest.raises(ValidationError, match="repeats a multiple"):
+        harness.epsilon_sweep(ExperimentConfig(), multiples=(0.5, 0.5))
+    path = tmp_path / "multiples.ini"
+    path.write_text(SMALL_CONFIG.replace("eps_multiples = 1.0 2.0", "eps_multiples = 1.0 1.0"))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config [experiment] eps_multiples") and "repeats a multiple" in err
     assert not (tmp_path / "o").exists()
 
 

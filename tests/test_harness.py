@@ -23,8 +23,8 @@ from lowrank_oracle import (
     run_oracle_trials,
     write_outputs,
 )
-from lowrank_oracle import harness
-from lowrank_oracle.bounds import DELTA_MIN_REPS, DELTA_RTOL, _stats_from_norms
+from lowrank_oracle import bounds, harness
+from lowrank_oracle.bounds import DELTA_PILOT, DELTA_RTOL, PILOT_T_RATIO
 from lowrank_oracle.cli import parse_config
 from lowrank_oracle.harness import (
     SUMMARY_SCHEMA,
@@ -558,9 +558,11 @@ def test_serial_trials_run_one_blas_thread(monkeypatch):
 def test_rademacher_statistics_stop_at_the_stated_precision():
     # m = 40, n = 32 000 (completion-m40-r2's setting): 16 repetitions a
     # block in clusters of 8 that share their counts, and the stop comes
-    # well before the cap of 1000.  It is the first block boundary, from
-    # DELTA_MIN_REPS clusters on, where the stderr of the prefix's cluster
-    # means is within DELTA_RTOL of their mean
+    # well before the cap of 1000.  The fit over the first DELTA_PILOT
+    # clusters sets N = max(DELTA_PILOT, ceil((q s / (DELTA_RTOL Delta))^2))
+    # with s = sqrt(DELTA_PILOT) stderr; the stop is the first block
+    # boundary, from N clusters on, where the stderr of the prefix's fit is
+    # within DELTA_RTOL of its Delta
     config = ExperimentConfig(m=40, n=32_000, delta_reps=1000)
     design = build_design(config)
     stats = harness.rademacher_statistics(config, design)
@@ -570,17 +572,27 @@ def test_rademacher_statistics_stop_at_the_stated_precision():
     full = rademacher_draws(design, config.n, config.delta_reps, seed)[1]
     block, share = shared_count_blocks(design.dim)
     assert (block, share) == (16, 8)
-    assert stats.reps >= DELTA_MIN_REPS * share
+    centres = np.array(design.trace_moments(config.n))
+    pilot_delta, pilot_stderr = bounds._cluster_fit(full[:, : DELTA_PILOT * share], share, centres)
+    spread = math.sqrt(DELTA_PILOT) * pilot_stderr
+    target = max(DELTA_PILOT, math.ceil((PILOT_T_RATIO * spread / (DELTA_RTOL * pilot_delta)) ** 2))
+    assert stats.reps >= target * share
     for hi in range(block, stats.reps + 1, block):
-        prefix = _stats_from_norms(full[:hi], config.n, share)
-        meets = hi // share >= DELTA_MIN_REPS and prefix.stderr <= DELTA_RTOL * prefix.delta
+        prefix = bounds._stats_from_draws(full[:, :hi], config.n, share, centres)
+        meets = hi // share >= target and prefix.stderr <= DELTA_RTOL * prefix.delta
         assert meets == (hi == stats.reps), hi
-    assert stats == _stats_from_norms(full[: stats.reps], config.n, share)
-    # m = 8, n = 10^6 needs about 5 000 repetitions: the cap binds
+    assert stats == bounds._stats_from_draws(full[:, : stats.reps], config.n, share, centres)
+    # m = 8, n = 10^6: 512 repetitions a block, and the first block, the
+    # only test before the cap, misses the precision: the cap binds
     config = ExperimentConfig(m=8, n=10**6, delta_reps=1000)
-    stats = harness.rademacher_statistics(config, build_design(config))
+    design = build_design(config)
+    stats = harness.rademacher_statistics(config, design)
     assert stats.reps == config.delta_reps
-    assert stats.stderr > DELTA_RTOL * stats.delta
+    seed = mix_seed(config.seed, harness._DELTA_TAG)
+    full = rademacher_draws(design, config.n, config.delta_reps, seed)[1]
+    centres = np.array(design.trace_moments(config.n))
+    first = bounds._stats_from_draws(full[:, :512], config.n, 8, centres)
+    assert first.stderr > DELTA_RTOL * first.delta
 
 
 def test_resolved_basis_plan_is_small_and_builds_no_dense_atoms():
