@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DesignDistribution, block_rows, functional_l2_norm
+from .designs import DesignDistribution, block_rows, custom_design, functional_l2_norm
 from .errors import ValidationError
 from .matrices import nuclear_norm, operator_norm, sign_and_support, symmetrize
 
@@ -64,10 +64,6 @@ class RademacherStats:
     n: int
     reps: int
     stderr: float
-
-
-def _batch_opnorms(mats: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
 
 
 def _batch_spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,20 +232,21 @@ def estimate_rademacher_norm_fixed(
     xs: np.ndarray, reps: int, seed: int
 ) -> RademacherStats:
     """Monte Carlo over signs only, conditional on a fixed covariate sample,
-    in row blocks of about ``BLOCK_BYTES`` of signs or sums."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
-        raise ValidationError("xs must be an (n, m, m) stack")
+    in row blocks of about ``BLOCK_BYTES`` of signs or sums.  The sample is
+    its own empirical design (``custom_design``), its n draws at weight 1/n:
+    the signs reach it through the design's adjoint, and a draw that is not
+    symmetric or not finite is refused as a design's atom is."""
+    sample = custom_design(xs)
     if reps < 1:
         raise ValidationError("reps must be at least 1")
-    n = xs.shape[0]
+    n = sample.num_atoms
     rng = np.random.default_rng(seed)
     norms = np.empty(reps)
-    block = block_rows(max(n, xs.shape[1] ** 2))
+    block = block_rows(max(n, sample.dim**2))
     for start in range(0, reps, block):
         rows = min(block, reps - start)
         signs = rng.integers(0, 2, size=(rows, n)) * 2.0 - 1.0
-        norms[start : start + rows] = _batch_opnorms(np.tensordot(signs / np.sqrt(n), xs, axes=1))
+        norms[start : start + rows] = _batch_spectra(sample.adjoint(signs / np.sqrt(n)))[0]
     delta, stderr = _mean_fit(norms)
     return RademacherStats(
         delta=delta, xi_norm_mean=delta / np.sqrt(n), n=n, reps=reps, stderr=stderr
@@ -258,21 +255,19 @@ def estimate_rademacher_norm_fixed(
 
 def enumerate_rademacher_norm_fixed(xs: np.ndarray) -> float:
     """Exact conditional expectation by enumerating all 2^n sign patterns,
-    in row blocks of about ``BLOCK_BYTES`` of signs or sums."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 3 or xs.shape[1] != xs.shape[2]:
-        raise ValidationError("xs must be an (n, m, m) stack")
-    n = xs.shape[0]
+    in row blocks of about ``BLOCK_BYTES`` of signs or sums, on the
+    sample's empirical design as ``estimate_rademacher_norm_fixed``."""
+    sample = custom_design(xs)
+    n = sample.num_atoms
     if n > ENUMERATION_LIMIT:
         raise ValidationError(f"enumeration limited to n <= {ENUMERATION_LIMIT}")
     total = 0.0
     patterns = 1 << n
-    block = block_rows(max(n, xs.shape[1] ** 2))
+    block = block_rows(max(n, sample.dim**2))
     for start in range(0, patterns, block):
         codes = np.arange(start, min(start + block, patterns), dtype=np.int64)
         signs = (((codes[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
-        mats = np.tensordot(signs / np.sqrt(n), xs, axes=1)
-        total += float(np.sum(_batch_opnorms(mats)))
+        total += float(np.sum(_batch_spectra(sample.adjoint(signs / np.sqrt(n)))[0]))
     return total / patterns
 
 

@@ -26,7 +26,7 @@ import numpy.random
 
 from .errors import NumericalError, ValidationError
 from .losses import FiniteSet, Interval, LossModel, ResponseDomain
-from .matrices import SYMMETRY_TOL, validate_symmetric
+from .matrices import validate_symmetric
 
 PROB_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-9
@@ -51,29 +51,29 @@ class AtomNorms(NamedTuple):  # each of shape (k,)
 
 class DesignDistribution:
     """Finite-support law of the matrix covariate, stored as dense atoms:
-    ``atoms`` is the (k, dim, dim) stack and ``probs`` its (k,) sampling
-    probabilities, which sum to 1.  Equality is identity."""
+    ``atoms`` is the (k, dim, dim) stack, each atom checked by
+    ``validate_symmetric``, and ``probs`` its (k,) sampling probabilities,
+    which sum to 1 (uniform by default).  A fixed sample is the design of
+    its own draws, each at weight 1/n.  Equality is identity."""
 
     is_orthonormal_basis = False
 
-    def __init__(self, dim: int, atoms, probs):
+    def __init__(self, atoms, probs=None):
         atoms = np.asarray(atoms, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        if atoms.ndim != 3 or atoms.shape[1:] != (dim, dim):
-            raise ValidationError(f"atoms must be (k, {dim}, {dim})")
-        if probs.shape != (atoms.shape[0],):
+        if atoms.ndim != 3 or atoms.shape[1] != atoms.shape[2]:
+            raise ValidationError("atoms must be a (k, m, m) stack")
+        k = atoms.shape[0]
+        probs = np.ones(k) / k if probs is None else np.asarray(probs, dtype=float)
+        if probs.shape != (k,):
             raise ValidationError("one probability per atom required")
         if np.any(probs < 0) or abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
             raise ValidationError("probabilities must be nonnegative and sum to 1")
-        finite = np.all(np.isfinite(atoms), axis=(1, 2))  # validate_symmetric, batched
-        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite atom
-            skew = np.max(np.abs(atoms - atoms.transpose(0, 2, 1)), axis=(1, 2), initial=0.0)
-            bad = ~finite | (skew > SYMMETRY_TOL * np.max(np.abs(atoms), axis=(1, 2), initial=1.0))
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            problem = "is not symmetric within tolerance" if finite[i] else "has non-finite entries"
-            raise ValidationError(f"atom {i}: matrix {problem}")
-        self.dim, self.atoms, self.probs = dim, atoms, probs
+        for i, atom in enumerate(atoms):
+            try:
+                validate_symmetric(atom)
+            except ValidationError as exc:
+                raise ValidationError(f"atom {i}: {exc}") from None
+        self.dim, self.atoms, self.probs = atoms.shape[1], atoms, probs
 
     @property
     def num_atoms(self) -> int:
@@ -197,12 +197,9 @@ def orthonormal_basis_design(m: int) -> BasisDesign:
     return BasisDesign(m, ia=rows * m + cols, ib=cols * m + rows, wa=wa, wb=wb)
 
 
-def custom_design(atoms: np.ndarray, probs: np.ndarray) -> DesignDistribution:
-    """Finite design from explicit atoms and probabilities."""
-    atoms = np.asarray(atoms, dtype=float)
-    if atoms.ndim != 3:
-        raise ValidationError("atoms must be a (k, m, m) stack")
-    return DesignDistribution(dim=atoms.shape[1], atoms=atoms, probs=probs)
+def custom_design(atoms, probs=None) -> DesignDistribution:
+    """Finite design from explicit atoms and probabilities, uniform by default."""
+    return DesignDistribution(atoms, probs)
 
 
 def functional_l2_norm(a: np.ndarray, design: DesignDistribution) -> float:

@@ -192,6 +192,9 @@ class ExperimentConfig:
             raise ValidationError(f"unknown design type {self.design_type!r}")
         if self.design_type == "custom" and not self.design_files:
             raise ValidationError("custom designs need at least one matrix file")
+        for key, value in (("files", self.design_files), ("probs", self.design_probs)):
+            if value and self.design_type != "custom":
+                raise ValidationError(f"config [design] {key} needs type = custom, not {self.design_type}")
 
     def solver_config(self, epsilon: float) -> SolverConfig:
         """The solver settings at regularization ``epsilon``."""
@@ -330,17 +333,19 @@ def check_ranks(ranks, dim: int) -> None:
 
 def build_design(config: ExperimentConfig) -> DesignDistribution:
     """The config's design, once the truth rank is checked against its
-    dimension: a custom design's comes from its files, not from ``m``.
-    Every command builds it before Delta or any trial."""
+    dimension: a custom design's comes from its files, which share one
+    size, not from ``m``.  Every command builds it before Delta or any trial."""
     if config.design_type == "completion-basis":
         design = orthonormal_basis_design(config.m)
     else:
-        atoms = np.stack([load_matrix(path) for path in config.design_files])
-        if config.design_probs:
-            probs = np.asarray(config.design_probs, dtype=float)
-        else:
-            probs = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-        design = custom_design(atoms, probs)
+        atoms = [load_matrix(path) for path in config.design_files]
+        for path, atom in zip(config.design_files, atoms):
+            if len(atom) != len(atoms[0]):
+                raise ValidationError(
+                    f"{path}: m = {len(atom)}, but {config.design_files[0]} has m = "
+                    f"{len(atoms[0])}; the atoms of a custom design share one size"
+                )
+        design = custom_design(atoms, config.design_probs or None)
     check_ranks((config.truth_rank,), design.dim)
     return design
 
@@ -530,9 +535,10 @@ def _truth_fields(
     )
 
 
-def resolve_plan(config: ExperimentConfig) -> ResolvedPlan:
-    """Fix every trial-independent quantity of the experiment."""
-    design, truth, loss, constraint, solver_config, terms = resolve_problem(config)
+def resolve_plan(config: ExperimentConfig, design: DesignDistribution | None = None) -> ResolvedPlan:
+    """Fix every trial-independent quantity of the experiment; ``design``,
+    when given, is the config's design, already built."""
+    design, truth, loss, constraint, solver_config, terms = resolve_problem(config, design)
     return ResolvedPlan(
         config=config,
         design=design,
@@ -870,8 +876,9 @@ def rank_sweep(
     ranks = config.ranks
     if not ranks:
         raise ValidationError("rank sweep needs at least one rank")
-    check_ranks(ranks, build_design(config).dim)  # before Delta: a design is cheap to build
-    plan = resolve_plan(config)
+    design = build_design(config)
+    check_ranks(ranks, design.dim)  # before Delta
+    plan = resolve_plan(config, design)
     points = {}  # every truth is checked against the constraint before any trial runs
     for rank in ranks:
         point_config = replace(config, truth_rank=rank, truth_spectrum=())

@@ -14,7 +14,9 @@ response law.  The solver reference runs the proximal-gradient iteration on
 the validated public functions, where ``solve`` runs it on unchecked kernels.
 The reference for Delta is the plain cluster-mean estimator with its
 64-cluster floor, on the norms the program draws, where the program fits
-the traces of W^2 and W^4 as control variates.
+the traces of W^2 and W^4 as control variates.  The fixed-sample references
+contract the signs with the sample by ``np.tensordot``, where the program
+runs them through the adjoint of the sample's empirical design.
 
 The last section holds what only the tests call: a rank at a given
 tolerance, the cone gap, the pointwise curvature check, the dataset writer,
@@ -292,6 +294,43 @@ def rademacher_norm_reference(design, n: int, reps: int, seed: int, block: int, 
     sq = lam * lam
     draws = np.stack([np.max(np.abs(lam), axis=-1), sq.sum(axis=-1), (sq * sq).sum(axis=-1)])
     return _stats_from_draws(draws, n, share, np.array(design.trace_moments(n)))
+
+
+def fixed_sample_norms(xs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The operator norm of n^-1/2 sum_j signs[r, j] X_j for each row r of
+    ``signs``, by ``np.tensordot`` over the (n, m, m) sample and one batched
+    ``eigvalsh``."""
+    mats = np.tensordot(signs / np.sqrt(xs.shape[0]), xs, axes=1)
+    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1)
+
+
+def fixed_sample_blocks(xs: np.ndarray) -> int:
+    """Rows of signs per block of the fixed-sample estimators."""
+    return designs.block_rows(max(xs.shape[0], xs.shape[1] ** 2))
+
+
+def rademacher_norm_fixed_reference(xs: np.ndarray, reps: int, seed: int) -> RademacherStats:
+    """``estimate_rademacher_norm_fixed`` on ``fixed_sample_norms``: the same
+    sign draws in the same blocks, and the plain mean of the norms."""
+    n, block = xs.shape[0], fixed_sample_blocks(xs)
+    rng = np.random.default_rng(seed)
+    norms = [
+        fixed_sample_norms(xs, rng.integers(0, 2, size=(min(block, reps - start), n)) * 2.0 - 1.0)
+        for start in range(0, reps, block)
+    ]
+    return cluster_mean_stats(np.concatenate(norms), n)
+
+
+def enumerate_rademacher_norm_fixed_reference(xs: np.ndarray) -> float:
+    """``enumerate_rademacher_norm_fixed`` on ``fixed_sample_norms``: every
+    sign pattern, summed in the same blocks."""
+    n, block = xs.shape[0], fixed_sample_blocks(xs)
+    patterns, total = 1 << n, 0.0
+    for start in range(0, patterns, block):
+        codes = np.arange(start, min(start + block, patterns), dtype=np.int64)
+        signs = (((codes[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+        total += float(np.sum(fixed_sample_norms(xs, signs)))
+    return total / patterns
 
 
 def shared_count_blocks(dim: int) -> tuple[int, int]:

@@ -36,7 +36,9 @@ from helpers import (
     cluster_mean_rademacher_norm,
     cluster_mean_stats,
     cone_gap,
+    enumerate_rademacher_norm_fixed_reference,
     rademacher_draws,
+    rademacher_norm_fixed_reference,
     rademacher_norm_reference,
     random_low_rank,
     random_symmetric,
@@ -82,6 +84,46 @@ def test_single_atom_conditional_value():
     signs = np.array([bin(p).count("1") for p in range(1 << n)])
     mean_abs = float(np.mean(np.abs(2 * signs - n))) / math.sqrt(n)
     assert exact == pytest.approx(2.0 * mean_abs, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 14),
+    st.integers(1, 3000),
+    st.sampled_from([1e-3, 1.0, 1e3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fixed_sample_estimators_match_the_dense_contraction(m, n, reps, scale, seed):
+    # the estimators run on the sample's empirical design, whose adjoint
+    # replaced np.tensordot: the same norms bit for bit, over several blocks
+    # of signs at larger reps and n
+    rng = np.random.default_rng(seed)
+    xs = np.stack([random_symmetric(rng, m, scale) for _ in range(n)])
+    xs[rng.random(n) < 0.3] = xs[0]  # repeated draws, as a sample from a finite design has
+    assert enumerate_rademacher_norm_fixed(xs) == enumerate_rademacher_norm_fixed_reference(xs)
+    stats = estimate_rademacher_norm_fixed(xs, reps=reps, seed=seed)
+    assert stats == rademacher_norm_fixed_reference(xs, reps, seed)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([[0.0, 1.0], [0.0, 0.0]], "matrix is not symmetric within tolerance"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "matrix has non-finite entries"),
+        ([[1.0, np.inf], [np.inf, 1.0]], "matrix has non-finite entries"),
+    ],
+)
+def test_fixed_sample_estimators_refuse_a_sample_that_is_not_a_design(bad, message):
+    # three copies of [[0, 1], [0, 0]] used to give 0.0 from both; the
+    # sample is checked as a design's atoms are, naming the first bad draw
+    for xs, first in ((np.stack([bad] * 3), 0), (np.stack([np.eye(2), bad, np.eye(2)]), 1)):
+        with pytest.raises(ValidationError, match=rf"^atom {first}: {message}$"):
+            enumerate_rademacher_norm_fixed(xs)
+        with pytest.raises(ValidationError, match=rf"^atom {first}: {message}$"):
+            estimate_rademacher_norm_fixed(xs, reps=10, seed=0)
+    with pytest.raises(ValidationError, match=r"^atoms must be a \(k, m, m\) stack$"):
+        estimate_rademacher_norm_fixed(np.ones((3, 2, 3)), reps=10, seed=0)
 
 
 def test_enumeration_guard():

@@ -165,6 +165,7 @@ def experiment_configs(draw):
     word = st.text("abcXYZ019._/-", min_size=1, max_size=8)
     rank = draw(st.integers(0, 5))
     design_type = draw(st.sampled_from(["completion-basis", "custom"]))
+    custom = design_type == "custom"
     return ExperimentConfig(
         m=draw(st.integers(1, 10**6)),
         n=draw(st.integers(1, 2**63 - 1)),
@@ -191,8 +192,9 @@ def experiment_configs(draw):
         ranks=tuple(draw(st.lists(st.integers(0, 50), max_size=4, unique=True))),
         eps_multiples=tuple(draw(st.lists(nonnegative, max_size=4, unique=True))),
         design_type=design_type,
-        design_files=tuple(draw(st.lists(word, min_size=design_type == "custom", max_size=3))),
-        design_probs=tuple(draw(st.lists(finite, max_size=3))),
+        # files and probs are refused without a custom design
+        design_files=tuple(draw(st.lists(word, min_size=custom, max_size=3 * custom))),
+        design_probs=tuple(draw(st.lists(finite, max_size=3 * custom))),
         dataset=draw(st.none() | word),
         estimate=draw(st.none() | word),
     )
@@ -498,8 +500,10 @@ def _write_config(path, base, section, key, raw):
         ("solver", "grad_tol", "0", "grad_tol must be positive"),
         ("experiment", "eps_multiples", "0.5 -1.0", "eps_multiples = (0.5, -1.0) must be nonnegative"),
         ("experiment", "n", "10000000000000000000", "n = 10000000000000000000 exceeds 2^63 - 1"),
+        ("design", "files", "nope.mtx", "config [design] files needs type = custom, not completion-basis"),
+        ("design", "probs", "0.3 0.7", "config [design] probs needs type = custom, not completion-basis"),
     ],
-    ids=["b", "c", "d", "max_iters", "grad_tol", "eps_multiples", "n"],
+    ids=["b", "c", "d", "max_iters", "grad_tol", "eps_multiples", "n", "files", "probs"],
 )
 def test_bad_setting_is_refused_by_every_subcommand_before_any_work(
     tmp_path, capsys, monkeypatch, section, key, raw, message
@@ -1159,6 +1163,67 @@ seed = 3
         summary = json.loads((out / "summary.json").read_text())
         assert summary["beta_kind"] == "sampled-lower-bound"
         assert (summary["beta"] == 0.0) == (rank == 0)
+
+
+CUSTOM_CONFIG = """
+[design]
+type = custom
+files = {files}
+
+[truth]
+rank = 1
+sigma = 0.05
+
+[solver]
+epsilon = absolute:0.05
+
+[experiment]
+n = 60
+trials = 1
+seed = 3
+ranks = 1 2
+eps_multiples = 1.0
+"""
+
+
+def test_custom_atoms_of_two_sizes_are_refused_naming_the_file(tmp_path, capsys, monkeypatch):
+    # a 2 x 2 and a 3 x 3 atom used to end delta in numpy's "all input
+    # arrays must have the same shape", with a traceback and no error line
+    save_matrix(tmp_path / "small.mtx", np.eye(2))
+    save_matrix(tmp_path / "large.mtx", np.eye(3))
+    config = tmp_path / "sizes.ini"
+    files = f"{tmp_path / 'small.mtx'} {tmp_path / 'large.mtx'}"
+    config.write_text(CUSTOM_CONFIG.format(files=files))
+    _refuse_work(monkeypatch)
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {tmp_path / 'large.mtx'}: m = 3, but {tmp_path / 'small.mtx'} has m = 2; "
+            "the atoms of a custom design share one size\n"
+        ), command
+        assert not out.exists()
+
+
+def test_sweep_reads_each_custom_atom_file_once(tmp_path, monkeypatch):
+    # the rank check and plan resolution each built the design, so a sweep
+    # read and checked every file twice: 10 reads for 5 files
+    rng = np.random.default_rng(5)
+    files = []
+    for i in range(5):
+        raw = rng.standard_normal((3, 3))
+        files.append(str(tmp_path / f"atom{i}.mtx"))
+        save_matrix(files[-1], raw + raw.T)
+    config = tmp_path / "custom.ini"
+    config.write_text(CUSTOM_CONFIG.format(files=" ".join(files)))
+    reads = []
+    load = harness.load_matrix
+    monkeypatch.setattr(harness, "load_matrix", lambda path: reads.append(path) or load(path))
+    for command in ("verify", "sweep"):
+        reads.clear()
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+        assert reads == files, command
 
 
 def test_writes_stay_inside_output_directory(config_file, tmp_path, monkeypatch):

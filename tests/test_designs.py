@@ -119,7 +119,7 @@ def test_forward_and_adjoint_match_dense_reference(case):
 
 
 def _dense_copy(design):
-    return DesignDistribution(dim=design.dim, atoms=design.atoms, probs=design.probs)
+    return DesignDistribution(design.atoms, design.probs)
 
 
 def _assert_maps_bit_identical(design, rng):
@@ -488,6 +488,20 @@ def test_custom_design_validation():
         custom_design(np.stack([np.array([[0.0, 1.0], [0.0, 0.0]])]), np.array([1.0]))
     design = custom_design(atoms, np.array([0.5, 0.5]))
     assert design.num_atoms == 2
+
+
+def test_dense_design_takes_its_size_from_its_atoms_and_is_uniform_by_default():
+    # the uniform weights are the ones a config without probs always had
+    for k in (1, 3, 7):
+        atoms = np.stack([np.diag([float(i), 1.0, -1.0]) for i in range(k)])
+        design = DesignDistribution(atoms)
+        assert design.dim == 3 and design.num_atoms == k
+        assert design.probs.tobytes() == np.full(k, 1.0 / k).tobytes()
+    for bad in (np.eye(2), np.ones((2, 2, 3))):
+        with pytest.raises(ValidationError, match=r"^atoms must be a \(k, m, m\) stack$"):
+            custom_design(bad)
+    with pytest.raises(ValidationError, match=r"^probabilities must be nonnegative and sum to 1$"):
+        custom_design(np.zeros((0, 2, 2)))
 
 
 def test_custom_design_validation_names_the_first_failing_atom():

@@ -326,7 +326,7 @@ def test_sweeps_resolve_one_plan_and_match_separate_runs(monkeypatch):
     config = dataclasses.replace(SMALL, trials=3)
     calls = []
     resolve = harness.resolve_plan
-    monkeypatch.setattr(harness, "resolve_plan", lambda cfg: calls.append(cfg) or resolve(cfg))
+    monkeypatch.setattr(harness, "resolve_plan", lambda cfg, *rest: calls.append(cfg) or resolve(cfg, *rest))
     result = rank_sweep(config, ranks=(1, 3), workers=1)
     rows = epsilon_sweep(config, multiples=(0.5, 2.0), workers=1)
     assert len(calls) == 2
